@@ -23,10 +23,7 @@ from .rewrite import (
     core_canonicalize,
     direct_steps,
     e_class_bounded,
-    match_pattern,
-    positions,
-    replace_at,
-    subterm_at,
+    rule_results,
 )
 from .terms import (
     GroundTerm,
@@ -36,7 +33,6 @@ from .terms import (
     Rule,
     Signature,
     Sort,
-    apply_substitution,
     least_sort,
     ms_sort,
     well_formed_ground,
@@ -195,30 +191,6 @@ def _translated(tm: TranslationMap, t: GroundTerm) -> GroundTerm:
     return core_canonicalize(tm, translate_term(tm, t))
 
 
-def _ms_rule_results(ms: MSAlgebra, subject: GroundTerm, rule_index: int):
-    """Results of applying one translated rule anywhere on ``subject``."""
-    sig = ms.signature
-    rule = ms.rules[rule_index]
-    for pos in positions(subject):
-        m = match_pattern(sig, rule.lhs, subterm_at(subject, pos))
-        if m is None:
-            continue
-        result = replace_at(subject, pos, apply_substitution(sig, rule.rhs, m))
-        yield core_canonicalize(sig, result)
-
-
-def _os_rule_results(os: OSAlgebra, subject: GroundTerm, rule_index: int):
-    sig = os.signature
-    rule = os.rules[rule_index]
-    for pos in positions(subject):
-        m = match_pattern(sig, rule.lhs, subterm_at(subject, pos))
-        if m is None:
-            continue
-        result = replace_at(subject, pos, apply_substitution(sig, rule.rhs, m))
-        if well_formed_ground(sig, result):
-            yield result
-
-
 def check_forward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
                   cfg: BisimConfig = BisimConfig()) -> BisimReport:
     """Every source step must be mirrored by a translated step."""
@@ -251,14 +223,14 @@ def _check_forward_step(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
     top = least_sort(os.signature, t)
     target = core_canonicalize(tm, translate_term(tm, step.result, expected=top))
     # Fast path: the mirrored redex usually sits on the translated term.
-    for result in _ms_rule_results(ms, source, step.rule_index):
+    for result in rule_results(ms, source, step.rule_index):
         if result is target:
             return
     cls_source = e_class_bounded(ms, source, cfg.eclass_depth, cfg.eclass_max)
     cls_target = e_class_bounded(ms, target, cfg.eclass_depth, cfg.eclass_max)
     target_members = set(cls_target.members)
     for u in cls_source.members:
-        for result in _ms_rule_results(ms, u, step.rule_index):
+        for result in rule_results(ms, u, step.rule_index):
             if result in target_members:
                 return
     if cls_source.exhausted and cls_target.exhausted:
@@ -308,14 +280,14 @@ def _check_backward_step(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
     def lifted(result: GroundTerm) -> GroundTerm:
         return core_canonicalize(tm, translate_term(tm, result, expected=top))
 
-    for result in _os_rule_results(os, t, step.rule_index):
+    for result in rule_results(os, t, step.rule_index):
         if lifted(result) is target:
             return
     cls_os = e_class_bounded(os, t, cfg.eclass_depth, cfg.eclass_max)
     cls_target = e_class_bounded(ms, target, cfg.eclass_depth, cfg.eclass_max)
     target_members = set(cls_target.members)
     for u in cls_os.members:
-        for result in _os_rule_results(os, u, step.rule_index):
+        for result in rule_results(os, u, step.rule_index):
             if lifted(result) in target_members:
                 return
     if cls_os.exhausted and cls_target.exhausted:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .bisim import BisimConfig, run_bisim
 from .errors import AlgebraError, SpecError
-from .rewrite import RewriteConfig, format_position, rewrite_trace
+from .rewrite import RewriteConfig, format_position, format_trace, rewrite_trace
 from .specfmt import parse_spec, parse_term_text, print_spec
 from .terms import MSAlgebra, print_term
 from .translate import translate_algebra
@@ -119,18 +119,16 @@ def _cmd_rewrite(args) -> int:
     config = RewriteConfig(eclass_depth=args.eclass_depth, eclass_max=args.eclass_max)
     trace = rewrite_trace(alg, term, strategy=args.strategy,
                           max_steps=args.steps, config=config)
-    for step in trace:
-        if args.format == "json-lines":
+    if args.format == "json-lines":
+        for step in trace:
             _emit({"kind": "step", "position": format_position(step.position),
                    "rule": step.rule_index,
                    "before": print_term(step.bridging_term),
                    "after": print_term(step.result)}, args)
-        else:
-            print(f"{format_position(step.position)}  {step.rule_index}  "
-                  f"{print_term(step.bridging_term)} --> {print_term(step.result)}")
-    if args.format == "json-lines":
         _emit({"kind": "rewrite-summary", "steps": len(trace)}, args)
     else:
+        if trace:
+            print(format_trace(trace))
         print(f"steps: {len(trace)}")
     return 0
 

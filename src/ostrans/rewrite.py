@@ -76,16 +76,20 @@ class EClassApprox:
 
 # --- positions --------------------------------------------------------------
 
-def positions(t: GroundTerm) -> list[Position]:
-    """All node positions of ``t`` in preorder; the root is ``()``."""
-    out: list[Position] = []
+def _preorder(t: GroundTerm):
+    """Yield ``(position, subterm)`` for every node of ``t`` in preorder."""
     stack: list[tuple[Position, GroundTerm]] = [((), t)]
     while stack:
         pos, node = stack.pop()
-        out.append(pos)
-        for i in range(len(node.args) - 1, -1, -1):
-            stack.append((pos + (i,), node.args[i]))
-    return out
+        yield pos, node
+        args = node.args
+        for i in range(len(args) - 1, -1, -1):
+            stack.append((pos + (i,), args[i]))
+
+
+def positions(t: GroundTerm) -> list[Position]:
+    """All node positions of ``t`` in preorder; the root is ``()``."""
+    return [pos for pos, _ in _preorder(t)]
 
 
 def subterm_at(t: GroundTerm, pos: Position) -> GroundTerm:
@@ -95,14 +99,14 @@ def subterm_at(t: GroundTerm, pos: Position) -> GroundTerm:
 
 
 def replace_at(t: GroundTerm, pos: Position, new: GroundTerm) -> GroundTerm:
-    if not pos:
-        return new
-    i = pos[0]
-    args = t.args
-    return GroundTerm(
-        t.constructor,
-        args[:i] + (replace_at(args[i], pos[1:], new),) + args[i + 1:],
-    )
+    spine = []
+    for i in pos:
+        spine.append(t)
+        t = t.args[i]
+    for node, i in zip(reversed(spine), reversed(pos)):
+        args = node.args
+        new = GroundTerm(node.constructor, args[:i] + (new,) + args[i + 1:])
+    return new
 
 
 # --- cast bookkeeping -------------------------------------------------------
@@ -151,7 +155,9 @@ def cast_table(source) -> CastTable:
         return source
     if isinstance(source, MSAlgebra):
         source = source.signature
-    table = getattr(source, "_cast_table", None)
+    if not isinstance(source, (TranslationMap, MSSignature)):
+        raise TypeError(f"cannot derive a cast table from {type(source).__name__}")
+    table = source._cast_index
     if table is not None:
         return table
     if isinstance(source, TranslationMap):
@@ -161,15 +167,13 @@ def cast_table(source) -> CastTable:
             tie_break=source.tie_break,
             canonical_paths=source.canonical_path_of,
         )
-    elif isinstance(source, MSSignature):
+    else:
         table = CastTable(
             pairs={(op.arg_sorts[0], op.target_sort): op.constructor
                    for op in source.non_core},
             sorts=source.sorts,
         )
-    else:
-        raise TypeError(f"cannot derive a cast table from {type(source).__name__}")
-    source._cast_table = table
+    source._cast_index = table
     return table
 
 
@@ -276,14 +280,79 @@ def _match_ms(sig: MSSignature, table: CastTable, p: Pattern, t: GroundTerm,
     )
 
 
-# --- equational closure -----------------------------------------------------
+# --- redex search -----------------------------------------------------------
 
-def _equation_directions(alg) -> tuple[list[tuple[Pattern, Pattern]], bool]:
+def _core_head(table: CastTable | None, t: Term) -> str | None:
+    """Constructor under any casts, or ``None`` when the core is a variable."""
+    while not isinstance(t, Var) and table is not None and table.is_cast(t.constructor):
+        t = t.args[0]
+    return None if isinstance(t, Var) else t.constructor
+
+
+class RedexIndex:
+    """Head index over (left side, right side) pairs, with a root-redex memo.
+
+    Pairs are bucketed by the head constructor of their left side; for a
+    many-sorted algebra, by the head under any casts, since matching
+    works modulo core equality.  This is the first level of a
+    discrimination tree.  Left sides whose core is a variable join every
+    bucket.  The index only filters: candidates are still tried in pair
+    order through ``match_pattern``.
+
+    ``memo`` maps an interned subterm to its root hits, ``(pair index,
+    sorted substitution, right-side instance)``.  Hits depend on the
+    subterm alone, never on its context.  A subterm whose head has no
+    candidate gets no entry.
+    """
+
+    def __init__(self, alg, pairs, complete: bool = True):
+        self.sig = alg.signature
+        # ``None`` marks an order-sorted algebra.
+        self.table = cast_table(self.sig) if isinstance(alg, MSAlgebra) else None
+        self.pairs = tuple(pairs)
+        # Whether every equation direction is usable (closure only).
+        self.complete = complete
+        buckets: dict[str, list[int]] = {}
+        anywhere: list[int] = []
+        for i, (lhs, _) in enumerate(self.pairs):
+            head = _core_head(self.table, lhs)
+            if head is None:
+                anywhere.append(i)
+            else:
+                buckets.setdefault(head, []).append(i)
+        self.anywhere = tuple(anywhere)
+        self.by_head = {h: tuple(sorted(ix + anywhere)) for h, ix in buckets.items()}
+        self.memo: dict[GroundTerm, tuple] = {}
+
+    def root_hits(self, t: GroundTerm) -> tuple:
+        """Match ``t`` at its root and memoise the hits; call on a memo miss."""
+        candidates = self.by_head.get(_core_head(self.table, t), self.anywhere)
+        if not candidates:
+            return ()
+        sig = self.sig
+        found = []
+        for i in candidates:
+            lhs, rhs = self.pairs[i]
+            m = match_pattern(sig, lhs, t)
+            if m is not None:
+                found.append((i, tuple(sorted(m.items())), apply_substitution(sig, rhs, m)))
+        hits = self.memo[t] = tuple(found)
+        return hits
+
+
+def _rule_index(alg) -> RedexIndex:
+    index = alg._rule_index
+    if index is None:
+        index = alg._rule_index = RedexIndex(alg, ((r.lhs, r.rhs) for r in alg.rules))
+    return index
+
+
+def _equation_index(alg) -> RedexIndex:
     # A direction is usable only when it binds every target-side variable.
     # When some direction is unusable, the closure is one-sided there and
     # no fixpoint can certify completeness.
-    cached = getattr(alg, "_eq_directions", None)
-    if cached is None:
+    index = alg._equation_index
+    if index is None:
         dirs = []
         complete = True
         for eq in alg.equations:
@@ -292,29 +361,42 @@ def _equation_directions(alg) -> tuple[list[tuple[Pattern, Pattern]], bool]:
                     dirs.append((src, dst))
                 else:
                     complete = False
-        cached = (dirs, complete)
-        alg._eq_directions = cached
-    return cached
+        index = alg._equation_index = RedexIndex(alg, dirs, complete)
+    return index
 
 
-def _equation_neighbors(alg, u: GroundTerm) -> list[GroundTerm]:
-    sig = alg.signature
-    ms = isinstance(alg, MSAlgebra)
-    out: list[GroundTerm] = []
-    for pos in positions(u):
-        sub = subterm_at(u, pos)
-        for src, dst in _equation_directions(alg)[0]:
-            m = match_pattern(sig, src, sub)
-            if m is None:
+def _redexes(index: RedexIndex, u: GroundTerm, only: int | None = None):
+    """Yield ``(pair index, position, substitution, result)`` for ``u``.
+
+    Positions come in preorder, then pairs in index order.  Many-sorted
+    results are core-canonicalized; order-sorted results that are not
+    well-formed are dropped.  ``only`` restricts the search to one pair.
+    """
+    sig = index.sig
+    ms = index.table is not None
+    memo = index.memo
+    for pos, sub in _preorder(u):
+        hits = memo.get(sub)
+        if hits is None:
+            hits = index.root_hits(sub)
+        for i, subst, instance in hits:
+            if only is not None and i != only:
                 continue
-            v = replace_at(u, pos, apply_substitution(sig, dst, m))
+            result = replace_at(u, pos, instance)
             if ms:
-                v = core_canonicalize(sig, v)
-            elif not well_formed_ground(sig, v):
+                result = core_canonicalize(sig, result)
+            elif not well_formed_ground(sig, result):
                 continue
-            out.append(v)
-    return out
+            yield i, pos, subst, result
 
+
+def rule_results(alg, u: GroundTerm, rule_index: int):
+    """Results of applying one rule anywhere on ``u``, in position order."""
+    for _, _, _, result in _redexes(_rule_index(alg), u, only=rule_index):
+        yield result
+
+
+# --- equational closure -----------------------------------------------------
 
 def e_class_bounded(alg, t: GroundTerm, depth: int = 5,
                     max_size: int = 10_000) -> EClassApprox:
@@ -331,7 +413,7 @@ def e_class_bounded(alg, t: GroundTerm, depth: int = 5,
         t = core_canonicalize(alg.signature, t)
     if not alg.equations:
         return EClassApprox(seed=t, members=(t,), depth_used=0, exhausted=True)
-    bidirectional = _equation_directions(alg)[1]
+    index = _equation_index(alg)
     members: dict[GroundTerm, None] = {t: None}
     frontier = [t]
     depth_used = 0
@@ -340,7 +422,7 @@ def e_class_bounded(alg, t: GroundTerm, depth: int = 5,
         new: list[GroundTerm] = []
         over = False
         for u in frontier:
-            for v in _equation_neighbors(alg, u):
+            for _, _, _, v in _redexes(index, u):
                 if v not in members:
                     members[v] = None
                     new.append(v)
@@ -352,7 +434,7 @@ def e_class_bounded(alg, t: GroundTerm, depth: int = 5,
         if over:
             break
         if not new:
-            exhausted = bidirectional
+            exhausted = index.complete
             break
         depth_used += 1
         frontier = new
@@ -368,29 +450,18 @@ def e_class_bounded(alg, t: GroundTerm, depth: int = 5,
 
 def direct_steps(alg, u: GroundTerm) -> list[RewriteStep]:
     """Rule applications on the redexes of ``u`` itself."""
-    sig = alg.signature
-    ms = isinstance(alg, MSAlgebra)
-    out: list[RewriteStep] = []
-    for pos in positions(u):
-        sub = subterm_at(u, pos)
-        for index, rule in enumerate(alg.rules):
-            m = match_pattern(sig, rule.lhs, sub)
-            if m is None:
-                continue
-            result = replace_at(u, pos, apply_substitution(sig, rule.rhs, m))
-            if ms:
-                result = core_canonicalize(sig, result)
-            elif not well_formed_ground(sig, result):
-                continue
-            out.append(RewriteStep(
-                rule_index=index,
-                rule=rule,
-                position=pos,
-                substitution=tuple(sorted(m.items())),
-                bridging_term=u,
-                result=result,
-            ))
-    return out
+    rules = alg.rules
+    return [
+        RewriteStep(
+            rule_index=i,
+            rule=rules[i],
+            position=pos,
+            substitution=subst,
+            bridging_term=u,
+            result=result,
+        )
+        for i, pos, subst, result in _redexes(_rule_index(alg), u)
+    ]
 
 
 def rewrite_step(alg, t: GroundTerm, config: RewriteConfig = RewriteConfig(),
@@ -420,16 +491,15 @@ def rewrite_step(alg, t: GroundTerm, config: RewriteConfig = RewriteConfig(),
 
 def _postorder_index(t: GroundTerm) -> dict[Position, int]:
     order: dict[Position, int] = {}
-    counter = 0
-
-    def walk(node: GroundTerm, pos: Position) -> None:
-        nonlocal counter
-        for i, a in enumerate(node.args):
-            walk(a, pos + (i,))
-        order[pos] = counter
-        counter += 1
-
-    walk(t, ())
+    stack: list[tuple[Position, GroundTerm, bool]] = [((), t, False)]
+    while stack:
+        pos, node, children_done = stack.pop()
+        if children_done:
+            order[pos] = len(order)
+            continue
+        stack.append((pos, node, True))
+        for i in range(len(node.args) - 1, -1, -1):
+            stack.append((pos + (i,), node.args[i], False))
     return order
 
 

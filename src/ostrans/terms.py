@@ -2,9 +2,10 @@
 
 Ground terms are hash-consed: building the same tree twice yields the same
 object, so equality is identity and terms can key dictionaries cheaply.
-Signatures carry internal caches (sort sets, least sorts) that make the
-per-term operations amortized constant time; all caches are invisible to
-equality and never change observable behaviour.
+Signatures and algebras carry internal caches (sort sets, least sorts,
+cast tables, redex indexes) that make the per-term operations amortized
+constant time; all caches are invisible to equality and never change
+observable behaviour.
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ class MSSignature:
     _by_ctor: dict[str, tuple[Operator, ...]] = field(init=False, repr=False, compare=False)
     _sort_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pattern_sort_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # The signature's ``rewrite.CastTable``, built on first use.
+    _cast_index: object = field(init=False, repr=False, compare=False, default=None)
 
     def __init__(self, sorts, operators, non_core=()):
         self.sorts = frozenset(sorts)
@@ -198,6 +201,7 @@ class MSSignature:
         self._by_ctor = {c: tuple(v) for c, v in by_ctor.items()}
         self._sort_cache = {}
         self._pattern_sort_cache = {}
+        self._cast_index = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -391,11 +395,6 @@ def apply_substitution(sig: Signature, p: Pattern, h: Substitution) -> GroundTer
     return GroundTerm(p.constructor, tuple(apply_substitution(sig, a, h) for a in p.args))
 
 
-def pattern_of(t: GroundTerm) -> PNode:
-    """View a ground term as a variable-free pattern."""
-    return PNode(t.constructor, tuple(pattern_of(a) for a in t.args))
-
-
 # --- equations, rules, algebras --------------------------------------------
 
 @dataclass(frozen=True)
@@ -447,11 +446,17 @@ class OSAlgebra:
     signature: OSSignature
     equations: tuple[Equation, ...]
     rules: tuple[Rule, ...]
+    # ``rewrite.RedexIndex`` over the rules and the usable equation
+    # directions, built on first use.
+    _rule_index: object = field(init=False, repr=False, compare=False, default=None)
+    _equation_index: object = field(init=False, repr=False, compare=False, default=None)
 
     def __init__(self, signature, equations=(), rules=()):
         self.signature = signature
         self.equations = tuple(dict.fromkeys(equations))
         self.rules = tuple(dict.fromkeys(rules))
+        self._rule_index = None
+        self._equation_index = None
         for eq in self.equations:
             _check_statement(signature, eq.lhs, eq.rhs, "equation")
         for rule in self.rules:
@@ -475,12 +480,18 @@ class MSAlgebra:
     equations: tuple[Equation, ...]
     rules: tuple[Rule, ...]
     core_equations: frozenset[Equation]
+    # ``rewrite.RedexIndex`` over the rules and the usable equation
+    # directions, built on first use.
+    _rule_index: object = field(init=False, repr=False, compare=False, default=None)
+    _equation_index: object = field(init=False, repr=False, compare=False, default=None)
 
     def __init__(self, signature, equations=(), rules=(), core_equations=()):
         self.signature = signature
         self.equations = tuple(dict.fromkeys(equations))
         self.rules = tuple(dict.fromkeys(rules))
         self.core_equations = frozenset(core_equations)
+        self._rule_index = None
+        self._equation_index = None
         if not self.core_equations <= set(self.equations):
             raise InvalidSignature("core equations must be a subset of the equations")
         for eq in self.equations:

@@ -73,7 +73,9 @@ class TranslationMap:
     canonical_path_of: dict[tuple[Sort, Sort], tuple[Sort, ...]]
     cast_pair_of: dict[str, tuple[Sort, Sort]] = field(init=False, repr=False)
     original_name_of: dict[str, str] = field(init=False, repr=False)
-    _tr_cache: dict = field(init=False, repr=False, default_factory=dict)
+    _tr_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # The map's ``rewrite.CastTable``, built on first use.
+    _cast_index: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.cast_pair_of = {
@@ -102,10 +104,6 @@ class TranslationMap:
         for lo, hi in zip(path, path[1:]):
             t = cls(self.casts[(lo, hi)].constructor, (t,))
         return t
-
-
-def canonical_path(tm: TranslationMap, start: Sort, end: Sort) -> tuple[Sort, ...]:
-    return tm.canonical_path(start, end)
 
 
 def select_representatives(

@@ -122,16 +122,13 @@ def check_maximal_argument_bounding(
     return not violations, reps, violations
 
 
-def _pattern_sort(alg: OSAlgebra, pattern):
-    return least_sort(alg.signature, pattern)
-
-
 def check_equations_sort_equal(alg: OSAlgebra) -> tuple[bool, list[Violation]]:
     """Both sides of every equation must have the same sort."""
+    sig = alg.signature
     violations: list[Violation] = []
     for eq in alg.equations:
         try:
-            if _pattern_sort(alg, eq.lhs) != _pattern_sort(alg, eq.rhs):
+            if least_sort(sig, eq.lhs) != least_sort(sig, eq.rhs):
                 violations.append(("equation_sorts_differ", (eq,)))
         except AmbiguousSort:
             violations.append(("ambiguous_pattern_sort", (eq,)))
@@ -140,11 +137,12 @@ def check_equations_sort_equal(alg: OSAlgebra) -> tuple[bool, list[Violation]]:
 
 def check_rules_sort_decreasing(alg: OSAlgebra) -> tuple[bool, list[Violation]]:
     """The right side's sort must lie at or below the left side's."""
-    poset = alg.signature.poset
+    sig = alg.signature
+    poset = sig.poset
     violations: list[Violation] = []
     for rule in alg.rules:
         try:
-            if not poset.leq(_pattern_sort(alg, rule.rhs), _pattern_sort(alg, rule.lhs)):
+            if not poset.leq(least_sort(sig, rule.rhs), least_sort(sig, rule.lhs)):
                 violations.append(("rule_not_sort_decreasing", (rule,)))
         except AmbiguousSort:
             violations.append(("ambiguous_pattern_sort", (rule,)))

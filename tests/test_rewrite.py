@@ -33,6 +33,8 @@ from ostrans import (
     translate_term,
 )
 
+from ostrans.rewrite import _postorder_index
+
 G = GroundTerm
 ZERO = G("0")
 S0 = G("s", (ZERO,))
@@ -46,6 +48,21 @@ def test_position_helpers():
     assert subterm_at(t, (1, 0)) is ZERO
     assert replace_at(t, (1,), ZERO) is G("+", (ZERO, ZERO))
     assert replace_at(t, (), ZERO) is ZERO
+
+
+def test_position_helpers_handle_deep_terms():
+    # Deeper than the interpreter's recursion limit.
+    height = 5_000
+    t = ZERO
+    for _ in range(height):
+        t = G("s", (t,))
+    bottom = (0,) * height
+    replaced = replace_at(t, bottom, G("true"))
+    assert subterm_at(replaced, bottom) is G("true")
+    assert subterm_at(replaced, bottom[1:]) is G("s", (G("true"),))
+    order = _postorder_index(t)
+    assert len(order) == height + 1
+    assert order[bottom] == 0 and order[()] == height
 
 
 # --- matching ----------------------------------------------------------------
