@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, NoPath
-from .poset import build_poset
+from .errors import BudgetExceeded
 from .terms import (
     GroundTerm,
     MSAlgebra,
@@ -24,7 +23,6 @@ from .terms import (
     Pattern,
     PNode,
     Rule,
-    Sort,
     Substitution,
     Term,
     Var,
@@ -35,7 +33,7 @@ from .terms import (
     variables_of,
     well_formed_ground,
 )
-from .translate import TranslationMap, compute_canonical_paths
+from .translate import CastTable, cast_table
 
 Position = tuple[int, ...]
 
@@ -107,74 +105,6 @@ def replace_at(t: GroundTerm, pos: Position, new: GroundTerm) -> GroundTerm:
         args = node.args
         new = GroundTerm(node.constructor, args[:i] + (new,) + args[i + 1:])
     return new
-
-
-# --- cast bookkeeping -------------------------------------------------------
-
-class CastTable:
-    """Cast operators of a translated signature, plus canonical chains."""
-
-    def __init__(self, pairs: dict[tuple[Sort, Sort], str], sorts,
-                 tie_break: str = "lex", canonical_paths=None):
-        self.name_of = dict(pairs)
-        self.sub_of = {name: lo for (lo, hi), name in pairs.items()}
-        self.sup_of = {name: hi for (lo, hi), name in pairs.items()}
-        self.poset = build_poset(sorts, pairs.keys())
-        self.canonical_path_of = (
-            dict(canonical_paths)
-            if canonical_paths is not None
-            else compute_canonical_paths(self.poset, tie_break)
-        )
-        self._canon_cache: dict[GroundTerm, GroundTerm] = {}
-
-    def is_cast(self, name: str) -> bool:
-        return name in self.sub_of
-
-    def leq(self, a: Sort, b: Sort) -> bool:
-        return self.poset.leq(a, b)
-
-    def canonical_path(self, lo: Sort, hi: Sort) -> tuple[Sort, ...]:
-        try:
-            return self.canonical_path_of[(lo, hi)]
-        except KeyError:
-            raise NoPath(f"no cast chain from {lo!r} to {hi!r}") from None
-
-    def wrap_canonical(self, t: Term, lo: Sort, hi: Sort) -> Term:
-        if lo == hi:
-            return t
-        cls = GroundTerm if isinstance(t, GroundTerm) else PNode
-        path = self.canonical_path(lo, hi)
-        for a, b in zip(path, path[1:]):
-            t = cls(self.name_of[(a, b)], (t,))
-        return t
-
-
-def cast_table(source) -> CastTable:
-    """The cast table of a translation map, signature or algebra."""
-    if isinstance(source, CastTable):
-        return source
-    if isinstance(source, MSAlgebra):
-        source = source.signature
-    if not isinstance(source, (TranslationMap, MSSignature)):
-        raise TypeError(f"cannot derive a cast table from {type(source).__name__}")
-    table = source._cast_index
-    if table is not None:
-        return table
-    if isinstance(source, TranslationMap):
-        table = CastTable(
-            pairs={pair: op.constructor for pair, op in source.casts.items()},
-            sorts=source.source.sorts,
-            tie_break=source.tie_break,
-            canonical_paths=source.canonical_path_of,
-        )
-    else:
-        table = CastTable(
-            pairs={(op.arg_sorts[0], op.target_sort): op.constructor
-                   for op in source.non_core},
-            sorts=source.sorts,
-        )
-    source._cast_index = table
-    return table
 
 
 def core_canonicalize(source, t: Term) -> Term:

@@ -268,12 +268,15 @@ def parse_document(text: str) -> SpecDocument:
 def _resolve_cast_profile(name: str, sorts: frozenset[str], op: Operator,
                           tok: Token) -> None:
     # A cast-named operator in a many-sorted file must be the cast it names.
-    matches = [
-        (sub, sup)
-        for sub in sorts
-        for sup in sorts
-        if name == f"Cast_{sub}_to_{sup}"
-    ]
+    # Sort names may contain "_to_", so try every split of the name there.
+    rest = name[len("Cast_"):]
+    matches = []
+    cut = rest.find("_to_")
+    while cut != -1:
+        sub, sup = rest[:cut], rest[cut + len("_to_"):]
+        if sub in sorts and sup in sorts:
+            matches.append((sub, sup))
+        cut = rest.find("_to_", cut + 1)
     if len(matches) != 1:
         raise CastNameReserved(
             f"cast-named operator {name!r} does not name a unique sort pair",
@@ -294,6 +297,7 @@ class _Elaborator:
         self.sorts: dict[str, Token] = {}
         self.pairs: dict[tuple[str, str], Token] = {}
         self.operators: dict[Operator, Token] = {}
+        self.arities: dict[str, set[int]] = {}
         self.equations: dict[Equation, Token] = {}
         self.rules: dict[Rule, Token] = {}
 
@@ -349,6 +353,8 @@ class _Elaborator:
                 self.operators[op] = name
 
         signature = self._signature()
+        for op in self.operators:
+            self.arities.setdefault(op.constructor, set()).add(op.arity)
         for item in self.doc.declarations:
             if item[0] == "eq":
                 _, lhs_ast, rhs_ast, tok = item
@@ -400,7 +406,7 @@ class _Elaborator:
         return PNode(name, tuple(self._pattern(a) for a in args))
 
     def _known_constructor(self, name: str, arity: int, tok: Token) -> None:
-        arities = {op.arity for op in self.operators if op.constructor == name}
+        arities = self.arities.get(name)
         if not arities:
             raise SpecSyntaxError(f"unknown constructor {name!r}", tok.line, tok.col)
         if arity not in arities:

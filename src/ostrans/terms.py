@@ -30,10 +30,11 @@ Sort = str
 class GroundTerm:
     """Variable-free constructor tree.
 
-    Instances are interned: structural equality coincides with ``is``.
+    Instances are interned: structural equality coincides with ``is``, so
+    the default identity hash keys every term dictionary.
     """
 
-    __slots__ = ("constructor", "args", "_hash")
+    __slots__ = ("constructor", "args")
     _pool: dict = {}
 
     def __new__(cls, constructor: str, args: tuple["GroundTerm", ...] = ()):
@@ -44,12 +45,8 @@ class GroundTerm:
         self = object.__new__(cls)
         self.constructor = constructor
         self.args = args
-        self._hash = hash(key)
         # setdefault is atomic under CPython, keeping interning race-free.
         return cls._pool.setdefault(key, self)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return print_term(self)
@@ -132,6 +129,10 @@ class OSSignature:
     _by_ctor: dict[str, tuple[Operator, ...]] = field(init=False, repr=False, compare=False)
     _sorts_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _least_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # Operator resolution depends only on the constructor and the sorts of
+    # the children, so both memos are keyed by those, not by terms.
+    _admitting_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _sort_set_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __init__(self, sorts, subsort_pairs, operators):
         self.sorts = frozenset(sorts)
@@ -147,6 +148,8 @@ class OSSignature:
         self._by_ctor = {c: tuple(v) for c, v in by_ctor.items()}
         self._sorts_cache = {}
         self._least_cache = {}
+        self._admitting_cache = {}
+        self._sort_set_cache = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -163,6 +166,23 @@ class OSSignature:
     def ops_named(self, constructor: str) -> tuple[Operator, ...]:
         return self._by_ctor.get(constructor, ())
 
+    def admitting(self, constructor: str, child_sorts: tuple[Sort, ...]) -> tuple[Operator, ...]:
+        """Operators named ``constructor`` that admit children of ``child_sorts``.
+
+        An operator admits them when each of its argument sorts lies at or
+        above the child sort in that position.  Declaration order.
+        """
+        key = (constructor, child_sorts)
+        hit = self._admitting_cache.get(key)
+        if hit is None:
+            leq = self.poset.leq
+            hit = self._admitting_cache[key] = tuple(
+                op for op in self.ops_named(constructor)
+                if op.arity == len(child_sorts)
+                and all(leq(cs, s) for cs, s in zip(child_sorts, op.arg_sorts))
+            )
+        return hit
+
 
 @dataclass
 class MSSignature:
@@ -175,7 +195,8 @@ class MSSignature:
     _by_ctor: dict[str, tuple[Operator, ...]] = field(init=False, repr=False, compare=False)
     _sort_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pattern_sort_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # The signature's ``rewrite.CastTable``, built on first use.
+    # The signature's ``translate.CastTable``: the translation's own table
+    # for a translated signature, otherwise built on first use.
     _cast_index: object = field(init=False, repr=False, compare=False, default=None)
 
     def __init__(self, sorts, operators, non_core=()):
@@ -250,14 +271,17 @@ def _sorts_of_os(sig: OSSignature, t: Term) -> frozenset[Sort]:
         hit = cache.get(t)
         if hit is not None:
             return hit
-    child_sets = [_sorts_of_os(sig, a) for a in t.args]
-    acc: set[Sort] = set()
-    for op in sig.ops_named(t.constructor):
-        if op.arity != len(t.args):
-            continue
-        if all(s in cs for s, cs in zip(op.arg_sorts, child_sets)):
-            acc |= sig.poset.supersorts(op.target_sort)
-    result = frozenset(acc)
+    child_sets = tuple(_sorts_of_os(sig, a) for a in t.args)
+    key = (t.constructor, child_sets)
+    result = sig._sort_set_cache.get(key)
+    if result is None:
+        acc: set[Sort] = set()
+        for op in sig.ops_named(t.constructor):
+            if op.arity != len(child_sets):
+                continue
+            if all(s in cs for s, cs in zip(op.arg_sorts, child_sets)):
+                acc |= sig.poset.supersorts(op.target_sort)
+        result = sig._sort_set_cache[key] = frozenset(acc)
     if ground:
         cache[t] = result
     return result
@@ -321,12 +345,7 @@ def least_sort(sig: OSSignature, t: Term) -> Sort:
             return hit
     child_sorts = tuple(least_sort(sig, a) for a in t.args)
     leq = sig.poset.leq
-    targets = []
-    for op in sig.ops_named(t.constructor):
-        if op.arity != len(t.args):
-            continue
-        if all(leq(cs, s) for cs, s in zip(child_sorts, op.arg_sorts)):
-            targets.append(op.target_sort)
+    targets = [op.target_sort for op in sig.admitting(t.constructor, child_sorts)]
     if not targets:
         raise IllFormedTerm(
             f"no operator admits {print_term(t)} (children sorted {child_sorts})"

@@ -21,7 +21,7 @@ from .errors import (
     RenameCollision,
     UntranslatableSort,
 )
-from .poset import SortPoset, choose_canonical
+from .poset import SortPoset, build_poset, choose_canonical
 from .terms import (
     Equation,
     GroundTerm,
@@ -74,7 +74,7 @@ class TranslationMap:
     cast_pair_of: dict[str, tuple[Sort, Sort]] = field(init=False, repr=False)
     original_name_of: dict[str, str] = field(init=False, repr=False)
     _tr_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # The map's ``rewrite.CastTable``, built on first use.
+    # The map's ``CastTable``, built on first use.
     _cast_index: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -104,6 +104,77 @@ class TranslationMap:
         for lo, hi in zip(path, path[1:]):
             t = cls(self.casts[(lo, hi)].constructor, (t,))
         return t
+
+
+# --- cast bookkeeping -------------------------------------------------------
+
+class CastTable:
+    """Cast operators of a translated signature, plus canonical chains.
+
+    A translation builds one table, which its map and its many-sorted
+    signature share, so both canonicalize along the same chains.
+    """
+
+    def __init__(self, pairs: dict[tuple[Sort, Sort], str], sorts, canonical_paths=None):
+        self.name_of = dict(pairs)
+        self.sub_of = {name: lo for (lo, hi), name in pairs.items()}
+        self.sup_of = {name: hi for (lo, hi), name in pairs.items()}
+        self.poset = build_poset(sorts, pairs.keys())
+        # A signature read from a file carries no tie-break: lex is used.
+        self.canonical_path_of = (
+            dict(canonical_paths)
+            if canonical_paths is not None
+            else compute_canonical_paths(self.poset, "lex")
+        )
+        self._canon_cache: dict[GroundTerm, GroundTerm] = {}
+
+    def is_cast(self, name: str) -> bool:
+        return name in self.sub_of
+
+    def leq(self, a: Sort, b: Sort) -> bool:
+        return self.poset.leq(a, b)
+
+    def canonical_path(self, lo: Sort, hi: Sort) -> tuple[Sort, ...]:
+        try:
+            return self.canonical_path_of[(lo, hi)]
+        except KeyError:
+            raise NoPath(f"no cast chain from {lo!r} to {hi!r}") from None
+
+    def wrap_canonical(self, t: Term, lo: Sort, hi: Sort) -> Term:
+        if lo == hi:
+            return t
+        cls = GroundTerm if isinstance(t, GroundTerm) else PNode
+        path = self.canonical_path(lo, hi)
+        for a, b in zip(path, path[1:]):
+            t = cls(self.name_of[(a, b)], (t,))
+        return t
+
+
+def cast_table(source) -> CastTable:
+    """The cast table of a translation map, signature or algebra."""
+    if isinstance(source, CastTable):
+        return source
+    if isinstance(source, MSAlgebra):
+        source = source.signature
+    if not isinstance(source, (TranslationMap, MSSignature)):
+        raise TypeError(f"cannot derive a cast table from {type(source).__name__}")
+    table = source._cast_index
+    if table is not None:
+        return table
+    if isinstance(source, TranslationMap):
+        table = CastTable(
+            pairs={pair: op.constructor for pair, op in source.casts.items()},
+            sorts=source.source.sorts,
+            canonical_paths=source.canonical_path_of,
+        )
+    else:
+        table = CastTable(
+            pairs={(op.arg_sorts[0], op.target_sort): op.constructor
+                   for op in source.non_core},
+            sorts=source.sorts,
+        )
+    source._cast_index = table
+    return table
 
 
 def select_representatives(
@@ -219,18 +290,10 @@ def _translate(tm: TranslationMap, t: Term) -> tuple[Term, Sort]:
     if isinstance(t, Var):
         return t, t.sort
     src = tm.source
-    leq = src.poset.leq
-    child_sorts = tuple(least_sort(src, a) for a in t.args)
-    chosen = None
-    for op in src.ops_named(t.constructor):
-        if op.arity == len(t.args) and all(
-            leq(cs, s) for cs, s in zip(child_sorts, op.arg_sorts)
-        ):
-            chosen = op
-            break
-    if chosen is None:
+    admitting = src.admitting(t.constructor, tuple(least_sort(src, a) for a in t.args))
+    if not admitting:
         raise IllFormedTerm(f"no operator admits {print_term(t)}")
-    rep = tm.representative_of[chosen]
+    rep = tm.representative_of[admitting[0]]
     cls = _node_cls(t)
     new_args = []
     for a, want in zip(t.args, rep.arg_sorts):
@@ -331,6 +394,7 @@ def translate_algebra(
         operators=tuple(core_ops) + tuple(casts.values()),
         non_core=frozenset(casts.values()),
     )
+    signature._cast_index = cast_table(tm)
     return MSAlgebra(signature, equations, rules, core_equations=core), tm
 
 

@@ -9,7 +9,6 @@ condition separately and report offenders instead of raising.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import AmbiguousSort
@@ -56,12 +55,32 @@ def argument_compatible(poset: SortPoset, f: Operator, g: Operator) -> bool:
     )
 
 
-def _overload_pairs(alg: OSAlgebra):
-    by_ctor: dict[str, list[Operator]] = {}
+def _overload_groups(alg: OSAlgebra) -> dict[Operator, tuple[Operator, ...]]:
+    """Each operator's bucket, in declaration order.
+
+    Operators share a bucket when they agree on constructor, arity and
+    the connected component of every argument sort.  Sorts in different
+    components share no supersort, so operators in different buckets are
+    never argument-compatible; ``argument_compatible`` still decides
+    within a bucket.
+    """
+    component = {
+        s: i for i, comp in enumerate(alg.signature.poset.components()) for s in comp
+    }
+    buckets: dict[tuple, list[Operator]] = {}
     for op in alg.signature.operators:
-        by_ctor.setdefault(op.constructor, []).append(op)
-    for ops in by_ctor.values():
-        yield from itertools.combinations(ops, 2)
+        key = (op.constructor, tuple(component[s] for s in op.arg_sorts))
+        buckets.setdefault(key, []).append(op)
+    return {op: tuple(ops) for ops in buckets.values() for op in ops}
+
+
+def _overload_pairs(alg: OSAlgebra):
+    """Pairs of operators sharing a bucket, ordered by declaration index."""
+    group_of = _overload_groups(alg)
+    for f in alg.signature.operators:
+        group = group_of[f]
+        for g in group[group.index(f) + 1:]:
+            yield f, g
 
 
 def check_sensible(alg: OSAlgebra) -> tuple[bool, list[Violation]]:
@@ -101,11 +120,9 @@ def check_maximal_argument_bounding(
     leq = poset.leq
     reps: dict[Operator, Operator] = {}
     violations: list[Violation] = []
+    group_of = _overload_groups(alg)
     for f in alg.signature.operators:
-        compatible = [
-            g for g in alg.signature.ops_named(f.constructor)
-            if argument_compatible(poset, f, g)
-        ]
+        compatible = [g for g in group_of[f] if argument_compatible(poset, f, g)]
         chosen = None
         for cand in compatible:
             if all(

@@ -12,10 +12,13 @@ from ostrans import (
     OSAlgebra,
     PNode,
     Rule,
+    bisim,
+    cast_table,
     check_backward,
     check_forward,
     core_canonicalize,
     direct_steps,
+    e_class_bounded,
     enumerate_ground_terms,
     run_bisim,
     strip_casts,
@@ -95,6 +98,24 @@ def test_backward_report_counts_non_image_terms(imp, imp_translated):
     assert report.backward_failures == []
     # Root-cast terms such as Cast_nat_to_int(0) mirror no source term.
     assert report.not_in_image > 0
+
+
+def test_revlex_translation_and_its_signature_share_canonical_forms(imp_real, monkeypatch):
+    ms, tm = translate_algebra(imp_real, tie_break="revlex")
+    backward = check_backward(imp_real, ms, tm, BisimConfig(term_depth=3))
+    # The same counts as under lex: only root-cast terms fall outside the image.
+    assert (backward.not_in_image, backward.steps_checked) == (18, 131)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return e_class_bounded(*args)
+
+    monkeypatch.setattr(bisim, "e_class_bounded", counted)
+    forward = check_forward(imp_real, ms, tm, BisimConfig(term_depth=2))
+    assert forward.passed and forward.steps_checked > 0
+    assert calls == []
+    assert cast_table(ms) is cast_table(tm)
 
 
 def test_run_bisim_small_depth_passes(imp):

@@ -50,6 +50,16 @@ def test_cast_named_operator_must_match_profile_in_msa():
         parse_spec(bad, kind="msa")
 
 
+def test_cast_name_splits_at_every_to_between_declared_sorts():
+    op = "op Cast_a_to_b_to_c : a -> b_to_c\n"
+    # Both (a, b_to_c) and (a_to_b, c) are declared pairs: ambiguous.
+    with pytest.raises(CastNameReserved, match="unique sort pair"):
+        parse_spec("algebra t\nsorts a a_to_b b_to_c c\n" + op, kind="msa")
+    alg = parse_spec("algebra t\nsorts a b_to_c\n" + op, kind="msa")
+    (cast,) = alg.signature.non_core
+    assert (cast.arg_sorts, cast.target_sort) == (("a",), "b_to_c")
+
+
 def test_duplicate_declarations_rejected():
     with pytest.raises(DuplicateDeclaration):
         parse_spec("algebra t\nsorts a a\n")
