@@ -86,6 +86,17 @@ class BisimReport:
     def passed(self) -> bool:
         return not self.forward_failures and not self.backward_failures
 
+    @property
+    def verdict(self) -> str:
+        """``fail`` on any failure, else ``inconclusive`` when a budget cut
+        the check short (a skipped step or a truncated enumeration), else
+        ``pass``."""
+        if not self.passed:
+            return "fail"
+        if self.skipped_unexhausted or self.truncated:
+            return "inconclusive"
+        return "pass"
+
     def merge(self, other: "BisimReport") -> "BisimReport":
         return BisimReport(
             terms_checked=self.terms_checked + other.terms_checked,

@@ -2,9 +2,10 @@
 and the bisimulation harness.
 
 Exit codes: 0 on success or a passing check, 1 when a check or the
-bisimulation fails, 2 on usage or parse errors.  Set ``OSTR_COLOR=0`` to
-disable styling; ``--format json-lines`` emits one JSON record per
-report item with a ``schema`` field.
+bisimulation fails, 2 on usage or parse errors, 3 when a bisimulation
+finds no failure but its budgets cut the check short (inconclusive).
+Set ``OSTR_COLOR=0`` to disable styling; ``--format json-lines`` emits
+one JSON record per report item with a ``schema`` field.
 """
 
 from __future__ import annotations
@@ -157,7 +158,8 @@ def _cmd_bisim(args) -> int:
                "backward_failures": len(report.backward_failures),
                "skipped_unexhausted": report.skipped_unexhausted,
                "not_in_image": report.not_in_image,
-               "truncated": report.truncated}, args)
+               "truncated": report.truncated,
+               "verdict": report.verdict}, args)
     else:
         for ce in report.forward_failures + report.backward_failures:
             print(_styled(
@@ -169,7 +171,8 @@ def _cmd_bisim(args) -> int:
               f"{len(report.backward_failures)} backward failures")
         print(f"skipped (budget): {report.skipped_unexhausted}")
         print(f"not in image: {report.not_in_image}")
-    return 0 if report.passed else 1
+        print(f"verdict: {report.verdict}")
+    return {"pass": 0, "fail": 1, "inconclusive": 3}[report.verdict]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,16 +13,19 @@ deduplicates and compares terms through that normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceeded
 from .terms import (
     GroundTerm,
     MSAlgebra,
     MSSignature,
+    Operator,
     OSSignature,
     Pattern,
     PNode,
     Rule,
+    Sort,
     Substitution,
     Term,
     Var,
@@ -143,21 +146,59 @@ def _canon(table: CastTable, t: Term) -> Term:
 
 # --- matching ---------------------------------------------------------------
 
-def match_pattern(sig, pattern: Pattern, t: GroundTerm) -> Substitution | None:
+class _Node(NamedTuple):
+    """A many-sorted pattern core that is an application.
+
+    ``operator`` is the overload the pattern uses; ``args`` holds the
+    cores of its arguments.
+    """
+
+    constructor: str
+    operator: Operator
+    args: tuple
+
+
+class _Compiled(NamedTuple):
+    """A many-sorted pattern resolved once: its sort and its core.
+
+    A core is the pattern under any casts: a ``Var`` or a ``_Node``.
+    """
+
+    sort: Sort
+    core: Var | _Node
+
+
+def _compile(sig: MSSignature, table: CastTable, p: Pattern) -> _Compiled:
+    return _Compiled(ms_sort(sig, p), _compile_core(sig, table, p))
+
+
+def _compile_core(sig: MSSignature, table: CastTable, p: Pattern) -> Var | _Node:
+    p = _core(table, p)
+    if isinstance(p, Var):
+        return p
+    op = sig.lookup(p.constructor, tuple(ms_sort(sig, a) for a in p.args))
+    return _Node(p.constructor, op, tuple(_compile_core(sig, table, a) for a in p.args))
+
+
+def match_pattern(sig, pattern: Pattern | _Compiled, t: GroundTerm) -> Substitution | None:
     """Most direct match of ``pattern`` against ``t``, or ``None``.
 
     Order-sorted matching lets a variable of sort ``s`` capture any term
     whose least sort lies at or below ``s``.  Many-sorted matching
     requires exact sorts but works modulo core equality, so the subject
-    should be in canonical form (bindings come out canonical).
+    should be in canonical form (bindings come out canonical).  A
+    many-sorted pattern may come compiled, as a ``RedexIndex`` holds its
+    left sides; a raw one is compiled first.
     """
     binding: Substitution = {}
     if isinstance(sig, OSSignature):
         return binding if _match_os(sig, pattern, t, binding) else None
-    if ms_sort(sig, pattern) != ms_sort(sig, t):
-        return None
     table = cast_table(sig)
-    return binding if _match_ms(sig, table, pattern, t, binding) else None
+    if not isinstance(pattern, _Compiled):
+        pattern = _compile(sig, table, pattern)
+    if pattern.sort != ms_sort(sig, t):
+        return None
+    return binding if _match_ms(sig, table, pattern.core, t, binding) else None
 
 
 def _match_os(sig: OSSignature, p: Pattern, t: GroundTerm, binding: Substitution) -> bool:
@@ -174,65 +215,64 @@ def _match_os(sig: OSSignature, p: Pattern, t: GroundTerm, binding: Substitution
     return all(_match_os(sig, pa, ta, binding) for pa, ta in zip(p.args, t.args))
 
 
-def _match_ms(sig: MSSignature, table: CastTable, p: Pattern, t: GroundTerm,
+def _match_ms(sig: MSSignature, table: CastTable, core: Var | _Node, t: GroundTerm,
               binding: Substitution) -> bool:
-    # Invariant: pattern and subject have the same sort here.
-    pcore = p
-    while isinstance(pcore, PNode) and table.is_cast(pcore.constructor):
-        pcore = pcore.args[0]
-    tcore = t
-    while table.is_cast(tcore.constructor):
-        tcore = tcore.args[0]
-    if isinstance(pcore, Var):
-        bottom = ms_sort(sig, tcore)
-        want = pcore.sort
+    # Invariant: the pattern and the subject have the same sort here.
+    t = _core(table, t)
+    if isinstance(core, Var):
+        bottom = ms_sort(sig, t)
+        want = core.sort
         if bottom == want:
-            value = tcore
+            value = t
         elif table.leq(bottom, want):
-            value = table.wrap_canonical(tcore, bottom, want)
+            value = table.wrap_canonical(t, bottom, want)
         else:
             return False
-        old = binding.get(pcore.name)
+        old = binding.get(core.name)
         if old is not None:
             return old is value
-        binding[pcore.name] = value
+        binding[core.name] = value
         return True
-    if pcore.constructor != tcore.constructor or len(pcore.args) != len(tcore.args):
+    if core.constructor != t.constructor or len(core.args) != len(t.args):
         return False
     # Distinct overloads differ in some argument sort; require the same one.
-    p_op = sig.lookup(pcore.constructor, tuple(ms_sort(sig, a) for a in pcore.args))
-    t_op = sig.lookup(tcore.constructor, tuple(ms_sort(sig, a) for a in tcore.args))
-    if p_op != t_op:
+    if sig.lookup(t.constructor, tuple(ms_sort(sig, a) for a in t.args)) is not core.operator:
         return False
-    return all(
-        _match_ms(sig, table, pa, ta, binding)
-        for pa, ta in zip(pcore.args, tcore.args)
-    )
+    return all(_match_ms(sig, table, pa, ta, binding) for pa, ta in zip(core.args, t.args))
 
 
 # --- redex search -----------------------------------------------------------
 
-def _core_head(table: CastTable | None, t: Term) -> str | None:
-    """Constructor under any casts, or ``None`` when the core is a variable."""
-    while not isinstance(t, Var) and table is not None and table.is_cast(t.constructor):
+def _core(table: CastTable | None, t: Term) -> Term:
+    """``t`` under any casts; ``t`` itself when ``table`` is ``None``."""
+    while table is not None and not isinstance(t, Var) and table.is_cast(t.constructor):
         t = t.args[0]
-    return None if isinstance(t, Var) else t.constructor
+    return t
+
+
+# Memo entry of a subterm in which no position has a hit.
+CLEAN = object()
 
 
 class RedexIndex:
-    """Head index over (left side, right side) pairs, with a root-redex memo.
+    """Two-level index over (left side, right side) pairs, with a redex memo.
 
-    Pairs are bucketed by the head constructor of their left side; for a
-    many-sorted algebra, by the head under any casts, since matching
-    works modulo core equality.  This is the first level of a
-    discrimination tree.  Left sides whose core is a variable join every
-    bucket.  The index only filters: candidates are still tried in pair
-    order through ``match_pattern``.
+    Pairs are bucketed by the head constructor and arity of their left
+    side; for a many-sorted algebra, by the head under any casts, since
+    matching works modulo core equality.  Left sides whose core is a
+    variable join every bucket.  Each bucket entry also carries the core
+    heads of its left side's arguments, and is skipped when one differs
+    from the subject's; both matchers would fail on it.  These are the
+    first two levels of a discrimination tree.  The index only filters:
+    candidates are still tried in pair order through ``match_pattern``,
+    on left sides compiled once (``lhs``).
 
-    ``memo`` maps an interned subterm to its root hits, ``(pair index,
-    sorted substitution, right-side instance)``.  Hits depend on the
-    subterm alone, never on its context.  A subterm whose head has no
-    candidate gets no entry.
+    ``memo`` gives every subterm the search has visited one entry: its
+    root hits, ``(pair index, sorted substitution, right-side
+    instance)``; ``()`` when it has none but a proper subterm has some;
+    or ``CLEAN`` when no position in it has a hit, so the search never
+    descends there.  Hits depend on the subterm alone, never on its
+    context.
     """
 
     def __init__(self, alg, pairs, complete: bool = True):
@@ -242,32 +282,61 @@ class RedexIndex:
         self.pairs = tuple(pairs)
         # Whether every equation direction is usable (closure only).
         self.complete = complete
-        buckets: dict[str, list[int]] = {}
-        anywhere: list[int] = []
+        self.lhs = tuple(
+            lhs if self.table is None else _compile(self.sig, self.table, lhs)
+            for lhs, _ in self.pairs
+        )
+        buckets: dict[tuple[str, int], list] = {}
+        anywhere: list = []
         for i, (lhs, _) in enumerate(self.pairs):
-            head = _core_head(self.table, lhs)
-            if head is None:
-                anywhere.append(i)
-            else:
-                buckets.setdefault(head, []).append(i)
+            core = _core(self.table, lhs)
+            if isinstance(core, Var):
+                anywhere.append((i, ()))
+                continue
+            cores = [_core(self.table, a) for a in core.args]
+            arg_heads = tuple(
+                (j, c.constructor) for j, c in enumerate(cores) if not isinstance(c, Var)
+            )
+            buckets.setdefault((core.constructor, len(core.args)), []).append((i, arg_heads))
         self.anywhere = tuple(anywhere)
-        self.by_head = {h: tuple(sorted(ix + anywhere)) for h, ix in buckets.items()}
-        self.memo: dict[GroundTerm, tuple] = {}
+        self.by_head = {key: tuple(sorted(ix + anywhere)) for key, ix in buckets.items()}
+        self.memo: dict[GroundTerm, object] = {}
 
-    def root_hits(self, t: GroundTerm) -> tuple:
-        """Match ``t`` at its root and memoise the hits; call on a memo miss."""
-        candidates = self.by_head.get(_core_head(self.table, t), self.anywhere)
+    def _root_hits(self, t: GroundTerm) -> tuple:
+        core = _core(self.table, t)
+        candidates = self.by_head.get((core.constructor, len(core.args)), self.anywhere)
         if not candidates:
             return ()
+        heads = [_core(self.table, a).constructor for a in core.args]
         sig = self.sig
         found = []
-        for i in candidates:
-            lhs, rhs = self.pairs[i]
-            m = match_pattern(sig, lhs, t)
+        for i, arg_heads in candidates:
+            if any(heads[j] != h for j, h in arg_heads):
+                continue
+            m = match_pattern(sig, self.lhs[i], t)
             if m is not None:
+                rhs = self.pairs[i][1]
                 found.append((i, tuple(sorted(m.items())), apply_substitution(sig, rhs, m)))
-        hits = self.memo[t] = tuple(found)
-        return hits
+        return tuple(found)
+
+    def fill(self, t: GroundTerm) -> None:
+        """Give ``t`` and all its subterms a memo entry, children first."""
+        memo = self.memo
+        stack = [t]
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            missing = [a for a in node.args if a not in memo]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            hits = self._root_hits(node)
+            if not hits and all(memo[a] is CLEAN for a in node.args):
+                hits = CLEAN
+            memo[node] = hits
 
 
 def _rule_index(alg) -> RedexIndex:
@@ -303,21 +372,26 @@ def _redexes(index: RedexIndex, u: GroundTerm, only: int | None = None):
     well-formed are dropped.  ``only`` restricts the search to one pair.
     """
     sig = index.sig
-    ms = index.table is not None
+    table = index.table
     memo = index.memo
-    for pos, sub in _preorder(u):
-        hits = memo.get(sub)
-        if hits is None:
-            hits = index.root_hits(sub)
-        for i, subst, instance in hits:
+    if u not in memo:
+        index.fill(u)
+    stack: list[tuple[Position, GroundTerm]] = [] if memo[u] is CLEAN else [((), u)]
+    while stack:
+        pos, node = stack.pop()
+        for i, subst, instance in memo[node]:
             if only is not None and i != only:
                 continue
             result = replace_at(u, pos, instance)
-            if ms:
-                result = core_canonicalize(sig, result)
+            if table is not None:
+                result = _canon(table, result)
             elif not well_formed_ground(sig, result):
                 continue
             yield i, pos, subst, result
+        args = node.args
+        for k in range(len(args) - 1, -1, -1):
+            if memo[args[k]] is not CLEAN:
+                stack.append((pos + (k,), args[k]))
 
 
 def rule_results(alg, u: GroundTerm, rule_index: int):

@@ -64,6 +64,10 @@ class Token:
     col: int
 
 
+_PUNCT = {"=": "EQ", "<": "LT", "(": "LPAREN", ")": "RPAREN", ",": "COMMA",
+          ":": "COLON", ";": "SEMI"}
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, col, i = 1, 1, 0
@@ -83,19 +87,14 @@ def _tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        start_line, start_col = line, col
-
-        def emit(kind: str, value: str) -> None:
-            tokens.append(Token(kind, value, start_line, start_col))
-
         two = text[i:i + 2]
         if two == "->":
-            emit("ARROW", two)
+            tokens.append(Token("ARROW", two, line, col))
             i += 2
             col += 2
             continue
         if two == "=>":
-            emit("DARROW", two)
+            tokens.append(Token("DARROW", two, line, col))
             i += 2
             col += 2
             continue
@@ -103,23 +102,12 @@ def _tokenize(text: str) -> list[Token]:
             j = i + 2
             while j < n and text[j] in _ALNUM:
                 j += 1
-            emit("IDENT", text[i:j])
+            tokens.append(Token("IDENT", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch == "=":
-            emit("EQ", ch)
-            i += 1
-            col += 1
-            continue
-        if ch == "<":
-            emit("LT", ch)
-            i += 1
-            col += 1
-            continue
-        if ch in "(),:;":
-            emit({"(": "LPAREN", ")": "RPAREN", ",": "COMMA",
-                  ":": "COLON", ";": "SEMI"}[ch], ch)
+        if ch in _PUNCT:
+            tokens.append(Token(_PUNCT[ch], ch, line, col))
             i += 1
             col += 1
             continue
@@ -130,7 +118,7 @@ def _tokenize(text: str) -> list[Token]:
             while j < n and text[j] in _ALNUM:
                 j += 1
             word = text[i:j]
-            emit("KW" if word in _KEYWORDS else "IDENT", word)
+            tokens.append(Token("KW" if word in _KEYWORDS else "IDENT", word, line, col))
             col += j - i
             i = j
             continue

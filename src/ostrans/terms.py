@@ -127,6 +127,11 @@ class OSSignature:
     operators: tuple[Operator, ...]
     poset: SortPoset = field(init=False, repr=False, compare=False)
     _by_ctor: dict[str, tuple[Operator, ...]] = field(init=False, repr=False, compare=False)
+    # Overloads by constructor, arity and the component of the first
+    # argument sort: a child sort can only lie below sorts of its own
+    # component, so the other buckets never admit it.
+    _component: dict[Sort, int] = field(init=False, repr=False, compare=False)
+    _by_shape: dict[tuple, tuple[Operator, ...]] = field(init=False, repr=False, compare=False)
     _sorts_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _least_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # Operator resolution depends only on the constructor and the sorts of
@@ -146,6 +151,14 @@ class OSSignature:
         for op in self.operators:
             by_ctor.setdefault(op.constructor, []).append(op)
         self._by_ctor = {c: tuple(v) for c, v in by_ctor.items()}
+        self._component = {
+            s: i for i, comp in enumerate(self.poset.components()) for s in comp
+        }
+        by_shape: dict[tuple, list[Operator]] = {}
+        for op in self.operators:
+            first = op.arg_sorts[0] if op.arg_sorts else None
+            by_shape.setdefault((op.constructor, op.arity, self._component.get(first)), []).append(op)
+        self._by_shape = {k: tuple(v) for k, v in by_shape.items()}
         self._sorts_cache = {}
         self._least_cache = {}
         self._admitting_cache = {}
@@ -176,10 +189,10 @@ class OSSignature:
         hit = self._admitting_cache.get(key)
         if hit is None:
             leq = self.poset.leq
+            first = self._component.get(child_sorts[0]) if child_sorts else None
             hit = self._admitting_cache[key] = tuple(
-                op for op in self.ops_named(constructor)
-                if op.arity == len(child_sorts)
-                and all(leq(cs, s) for cs, s in zip(child_sorts, op.arg_sorts))
+                op for op in self._by_shape.get((constructor, len(child_sorts), first), ())
+                if all(leq(cs, s) for cs, s in zip(child_sorts, op.arg_sorts))
             )
         return hit
 
@@ -194,7 +207,6 @@ class MSSignature:
     _by_key: dict[tuple[str, tuple[Sort, ...]], Operator] = field(init=False, repr=False, compare=False)
     _by_ctor: dict[str, tuple[Operator, ...]] = field(init=False, repr=False, compare=False)
     _sort_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _pattern_sort_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # The signature's ``translate.CastTable``: the translation's own table
     # for a translated signature, otherwise built on first use.
     _cast_index: object = field(init=False, repr=False, compare=False, default=None)
@@ -221,7 +233,6 @@ class MSSignature:
             by_ctor.setdefault(op.constructor, []).append(op)
         self._by_ctor = {c: tuple(v) for c, v in by_ctor.items()}
         self._sort_cache = {}
-        self._pattern_sort_cache = {}
         self._cast_index = None
 
     def __eq__(self, other) -> bool:
@@ -295,11 +306,12 @@ def _sorts_of_ms(sig: MSSignature, t: Term) -> frozenset[Sort]:
 def _ms_sort_opt(sig: MSSignature, t: Term) -> Sort | None:
     if isinstance(t, Var):
         return t.sort if t.sort in sig.sorts else None
+    # Only ground terms are cached: hashing a pattern walks all of it.
     ground = isinstance(t, GroundTerm)
-    cache = sig._sort_cache if ground else sig._pattern_sort_cache
-    hit = cache.get(t)
-    if hit is not None:
-        return hit
+    if ground:
+        hit = sig._sort_cache.get(t)
+        if hit is not None:
+            return hit
     child_sorts = []
     for a in t.args:
         cs = _ms_sort_opt(sig, a)
@@ -309,7 +321,8 @@ def _ms_sort_opt(sig: MSSignature, t: Term) -> Sort | None:
     op = sig.lookup(t.constructor, tuple(child_sorts))
     if op is None:
         return None
-    cache[t] = op.target_sort
+    if ground:
+        sig._sort_cache[t] = op.target_sort
     return op.target_sort
 
 

@@ -206,3 +206,14 @@ def test_max_terms_truncates(imp):
     report = run_bisim(imp, BisimConfig(term_depth=3, max_terms=50))
     assert report.truncated
     assert report.terms_checked <= 100  # both directions capped at 50
+
+
+def test_verdict_is_three_way():
+    from ostrans import BisimReport
+    assert BisimReport(steps_checked=4).verdict == "pass"
+    assert BisimReport(truncated=True).verdict == "inconclusive"
+    skipped = BisimReport(skipped_unexhausted=1)
+    assert skipped.passed and skipped.verdict == "inconclusive"
+    failing = BisimReport(skipped_unexhausted=1, truncated=True,
+                          backward_failures=[object()])
+    assert not failing.passed and failing.verdict == "fail"

@@ -89,6 +89,30 @@ def test_bisim_json(imp_path, capsys):
     assert summary["skipped_unexhausted"] == 0
 
 
+def test_bisim_default_depth_one_run_passes(imp_path, capsys):
+    assert main(["bisim", imp_path, "--depth", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: pass"
+    assert main(["bisim", imp_path, "--depth", "1", "--format", "json-lines"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["verdict"] == "pass"
+
+
+def test_bisim_truncated_run_is_inconclusive(imp_path, capsys):
+    # The term budget cuts the enumeration short: no failure, but no pass.
+    assert main(["bisim", imp_path, "--depth", "2", "--max-terms", "10"]) == 3
+    out = capsys.readouterr().out
+    assert "0 forward failures, 0 backward failures" in out
+    assert out.splitlines()[-1] == "verdict: inconclusive"
+    assert main(["bisim", imp_path, "--depth", "2", "--max-terms", "10",
+                 "--format", "json-lines"]) == 3
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["kind"] == "bisim-summary"
+    assert summary["schema"] == 1
+    assert summary["truncated"] is True
+    assert summary["forward_failures"] == summary["backward_failures"] == 0
+    assert summary["verdict"] == "inconclusive"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.osa"
     path.write_text("algebra broken\nsorts a\nop c :\n")

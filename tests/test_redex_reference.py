@@ -2,10 +2,14 @@
 
 The reference below tries every rule, or every usable equation direction,
 at every position: preorder positions first, then rules in declaration
-order.  The engine narrows the candidates with a head index and memoises
-root hits per interned subterm; both are pure speed-ups, so every step and
-every class member must come out the same and in the same order, on a
-fresh algebra (memo cold) and on a second pass (memo warm).
+order.  It matches with its own copy of the plain recursive matchers, so
+a fault in the engine's compiled matcher cannot hide in the reference.
+The engine narrows the candidates with a two-level index (head, then
+argument heads), matches compiled left sides, memoises root hits per
+interned subterm and skips subterms with no redex; all of these are pure
+speed-ups, so every step and every class member must come out the same
+and in the same order, on a fresh algebra (memo cold) and on a second
+pass (memo warm).
 """
 
 from __future__ import annotations
@@ -18,14 +22,26 @@ import pytest
 
 from gen_algebras import random_algebra
 from ostrans import (
+    BisimConfig,
     GroundTerm,
     MSAlgebra,
+    MSSignature,
+    Operator,
+    OSSignature,
+    PNode,
+    Rule,
+    Var,
     apply_substitution,
+    cast_table,
+    check_backward,
+    check_forward,
     core_canonicalize,
     direct_steps,
     e_class_bounded,
     enumerate_ground_terms,
+    least_sort,
     match_pattern,
+    ms_sort,
     parse_spec,
     rewrite,
     translate_algebra,
@@ -61,6 +77,64 @@ def _replace(t, pos, new):
     return GroundTerm(t.constructor, t.args[:i] + (_replace(t.args[i], pos[1:], new),) + t.args[i + 1:])
 
 
+def oracle_match(sig, pattern, t):
+    """The plain recursive matcher: no compiled patterns, no index."""
+    binding = {}
+    if isinstance(sig, OSSignature):
+        return binding if _match_os(sig, pattern, t, binding) else None
+    if ms_sort(sig, pattern) != ms_sort(sig, t):
+        return None
+    table = cast_table(sig)
+    return binding if _match_ms(sig, table, pattern, t, binding) else None
+
+
+def _match_os(sig, p, t, binding):
+    if isinstance(p, Var):
+        old = binding.get(p.name)
+        if old is not None:
+            return old is t
+        if not sig.poset.leq(least_sort(sig, t), p.sort):
+            return False
+        binding[p.name] = t
+        return True
+    if p.constructor != t.constructor or len(p.args) != len(t.args):
+        return False
+    return all(_match_os(sig, pa, ta, binding) for pa, ta in zip(p.args, t.args))
+
+
+def _match_ms(sig, table, p, t, binding):
+    pcore = p
+    while isinstance(pcore, PNode) and table.is_cast(pcore.constructor):
+        pcore = pcore.args[0]
+    tcore = t
+    while table.is_cast(tcore.constructor):
+        tcore = tcore.args[0]
+    if isinstance(pcore, Var):
+        bottom = ms_sort(sig, tcore)
+        want = pcore.sort
+        if bottom == want:
+            value = tcore
+        elif table.leq(bottom, want):
+            value = table.wrap_canonical(tcore, bottom, want)
+        else:
+            return False
+        old = binding.get(pcore.name)
+        if old is not None:
+            return old is value
+        binding[pcore.name] = value
+        return True
+    if pcore.constructor != tcore.constructor or len(pcore.args) != len(tcore.args):
+        return False
+    p_op = sig.lookup(pcore.constructor, tuple(ms_sort(sig, a) for a in pcore.args))
+    t_op = sig.lookup(tcore.constructor, tuple(ms_sort(sig, a) for a in tcore.args))
+    if p_op != t_op:
+        return False
+    return all(
+        _match_ms(sig, table, pa, ta, binding)
+        for pa, ta in zip(pcore.args, tcore.args)
+    )
+
+
 def _naive(alg, pairs, u):
     """``(index, position, substitution, result)`` of every pair at every position."""
     sig = alg.signature
@@ -69,7 +143,7 @@ def _naive(alg, pairs, u):
     for pos in _positions(u):
         sub = _subterm(u, pos)
         for index, (lhs, rhs) in enumerate(pairs):
-            m = match_pattern(sig, lhs, sub)
+            m = oracle_match(sig, lhs, sub)
             if m is None:
                 continue
             result = _replace(u, pos, apply_substitution(sig, rhs, m))
@@ -169,6 +243,74 @@ def test_indexed_search_matches_naive_loop_on_random_algebras():
     for _ in range(24):
         alg = random_algebra(rng, max_ops=10, max_eqs=6, max_rules=6)
         _assert_same_as_naive(alg, depth=3, limit=150, eclass_limit=20)
+
+
+def _block_tower(height):
+    """``block^height(assign(v(0), +(0, v(0))))``: its one rule redex sits deep down."""
+    zero = GroundTerm("0")
+    ident = GroundTerm("v", (zero,))
+    t = GroundTerm("assign", (ident, GroundTerm("+", (zero, ident))))
+    for _ in range(height):
+        t = GroundTerm("block", (t,))
+    return t
+
+
+def test_redex_under_redex_free_constructors():
+    # The walk must descend through 300 redex-free blocks to find the
+    # redexes at the bottom, and skip the rest, with the memo cold and warm.
+    tower = _block_tower(300)
+    os_alg = _fixture("imp.osa")
+    ms_alg, tm = translate_algebra(os_alg)
+    for alg, u in ((os_alg, tower), (ms_alg, core_canonicalize(tm, translate_term(tm, tower)))):
+        for memo in ("cold", "warm"):
+            got = e_class_bounded(alg, u, 2, 40)
+            want = naive_e_class(alg, u, 2, 40)
+            assert (got.members, got.depth_used, got.exhausted) == want, memo
+            steps = _steps(alg, u)
+            assert steps == naive_direct_steps(alg, u), memo
+            assert [s[0] for s in steps] == [1]
+
+
+def test_overloads_told_apart_by_operator():
+    # f : a -> c and f : b -> c share a constructor and an arity, and a
+    # cast lifts a into b, so a variable of sort b accepts the argument of
+    # either; only the overload tells f(k) (through f : a -> c) from f(X:b).
+    a_to_b = Operator("Cast_a_to_b", ("a",), "b")
+    sig = MSSignature(
+        ["a", "b", "c"],
+        [Operator("k", (), "a"), Operator("d", (), "c"), a_to_b,
+         Operator("f", ("a",), "c"), Operator("f", ("b",), "c")],
+        non_core=[a_to_b],
+    )
+    lhs = PNode("f", (Var("X", "b"),))
+    alg = MSAlgebra(sig, (), (Rule(lhs, PNode("d")),))
+    k = GroundTerm("k")
+    direct = GroundTerm("f", (k,))
+    lifted = GroundTerm("f", (GroundTerm("Cast_a_to_b", (k,)),))
+    assert match_pattern(sig, lhs, direct) is oracle_match(sig, lhs, direct) is None
+    assert match_pattern(sig, lhs, lifted) == oracle_match(sig, lhs, lifted) == {"X": lifted.args[0]}
+    for memo in ("cold", "warm"):
+        for u in (direct, lifted):
+            assert _steps(alg, u) == naive_direct_steps(alg, u), (memo, u)
+    assert [s[0] for s in _steps(alg, lifted)] == [0] and not _steps(alg, direct)
+
+
+def test_match_count_stays_small(monkeypatch):
+    # A count, not a time: the index and the pruned walk keep the matcher
+    # off almost every subterm of a depth-2 check of IMP.
+    alg = _fixture("imp.osa")
+    ms_alg, tm = translate_algebra(alg)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return match_pattern(*args)
+
+    monkeypatch.setattr(rewrite, "match_pattern", counted)
+    cfg = BisimConfig(term_depth=2)
+    report = check_forward(alg, ms_alg, tm, cfg).merge(check_backward(alg, ms_alg, tm, cfg))
+    assert report.verdict == "pass" and report.steps_checked > 0
+    assert len(calls) <= 100, len(calls)
 
 
 def test_every_match_goes_through_the_module_function(monkeypatch):
