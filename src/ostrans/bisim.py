@@ -6,14 +6,14 @@ whose result is equivalent (modulo the translated equations, compared in
 core canonical form) to the translated result.  The backward check walks
 the other way: many-sorted terms in the image of the translation are
 inverted by stripping casts, and each of their steps must be mirrored by
-a source step.  Verdicts are only recorded as failures when the bounded
+a source step.  Both directions replay steps through one routine,
+``_mirror``.  Verdicts are only recorded as failures when the bounded
 class searches involved reached a fixpoint; otherwise the step counts as
 skipped.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -35,7 +35,6 @@ from .terms import (
     Sort,
     least_sort,
     ms_sort,
-    well_formed_ground,
 )
 from .translate import TranslationMap, strip_casts, translate_algebra, translate_term
 from .validity import validate_algebra
@@ -45,17 +44,13 @@ from .validity import validate_algebra
 class BisimConfig:
     """Budgets for one bisimulation run.
 
-    Depth and size budgets are positive.  ``sample_beyond`` adds that
-    many seeded random terms above ``term_depth`` to the forward sweep;
-    ``seed`` only matters then.
+    Depth and size budgets are positive.
     """
 
     term_depth: int = 3
     eclass_depth: int = 5
     eclass_max: int = 10_000
     max_terms: int = 100_000
-    seed: int = 0
-    sample_beyond: int = 0
 
 
 @dataclass
@@ -165,97 +160,89 @@ def enumerate_ground_terms(sig: Signature, sort: Sort | None = None, depth: int 
             break
 
 
-def _sample_deeper(sig: Signature, depth: int, count: int, seed: int):
-    """Seeded random well-formed terms of height above ``depth``."""
-    rng = random.Random(seed)
-    reservoir = list(enumerate_ground_terms(sig, depth=depth))
-    if not reservoir:
-        return
-    os_mode = isinstance(sig, OSSignature)
-    emitted = 0
-    attempts = 0
-    seen: set[GroundTerm] = set()
-    while emitted < count and attempts < count * 50:
-        attempts += 1
-        op = rng.choice(sig.operators)
-        if op.arity == 0:
-            continue
-        args = []
-        for s in op.arg_sorts:
-            fits = [
-                t for t in rng.sample(reservoir, min(len(reservoir), 8))
-                if (sig.poset.leq(least_sort(sig, t), s) if os_mode
-                    else ms_sort(sig, t) == s)
-            ]
-            if not fits:
-                break
-            args.append(rng.choice(fits))
-        else:
-            t = GroundTerm(op.constructor, tuple(args))
-            if t not in seen and well_formed_ground(sig, t):
-                seen.add(t)
-                emitted += 1
-                yield t
+# Outcomes of replaying one step in the other algebra.
+MIRRORED, FAILED, SKIPPED = "mirrored", "failed", "skipped"
 
 
-def _translated(tm: TranslationMap, t: GroundTerm) -> GroundTerm:
-    return core_canonicalize(tm, translate_term(tm, t))
+def _identity(t: GroundTerm) -> GroundTerm:
+    return t
 
 
-def check_forward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
-                  cfg: BisimConfig = BisimConfig()) -> BisimReport:
-    """Every source step must be mirrored by a translated step."""
+def _mirror(alg, subject: GroundTerm, rule_index: int, lift, target: GroundTerm,
+            ms: MSAlgebra, cfg: BisimConfig) -> str:
+    """Replay rule ``rule_index`` of ``alg`` on ``subject``, looking for ``target``.
+
+    ``lift`` takes ``alg``'s results into core canonical many-sorted form.
+    The subject's own redexes come first, then its bounded class against
+    that of ``target``; a miss fails only when both classes were exhausted.
+    """
+    for result in rule_results(alg, subject, rule_index):
+        if lift(result) is target:
+            return MIRRORED
+    cls_subject = e_class_bounded(alg, subject, cfg.eclass_depth, cfg.eclass_max)
+    cls_target = e_class_bounded(ms, target, cfg.eclass_depth, cfg.eclass_max)
+    target_members = set(cls_target.members)
+    for u in cls_subject.members:
+        for result in rule_results(alg, u, rule_index):
+            if lift(result) in target_members:
+                return MIRRORED
+    if cls_subject.exhausted and cls_target.exhausted:
+        return FAILED
+    return SKIPPED
+
+
+def _sweep(direction: str, terms, alg, ms: MSAlgebra, cfg: BisimConfig,
+           obligations, missing: str) -> BisimReport:
+    """Check one direction on at most ``cfg.max_terms`` of ``terms``.
+
+    ``obligations(t)`` gives ``(step, subject, lift, target)`` for each
+    step of ``t``, or ``None`` when ``t`` has no counterpart in ``alg``.
+    ``missing`` explains a failure; it is formatted only then.
+    """
     report = BisimReport()
-    terms = enumerate_ground_terms(os.signature, depth=cfg.term_depth)
+    failures = report.forward_failures if direction == "forward" else report.backward_failures
     for t in terms:
         if report.terms_checked >= cfg.max_terms:
             report.truncated = True
             break
         report.terms_checked += 1
-        for step in direct_steps(os, t):
+        steps = obligations(t)
+        if steps is None:
+            report.not_in_image += 1
+            continue
+        for step, subject, lift, target in steps:
             report.steps_checked += 1
-            _check_forward_step(os, ms, tm, cfg, t, step, report)
-    if cfg.sample_beyond:
-        for t in _sample_deeper(os.signature, cfg.term_depth,
-                                cfg.sample_beyond, cfg.seed):
-            report.terms_checked += 1
-            for step in direct_steps(os, t):
-                report.steps_checked += 1
-                _check_forward_step(os, ms, tm, cfg, t, step, report)
+            outcome = _mirror(alg, subject, step.rule_index, lift, target, ms, cfg)
+            if outcome == SKIPPED:
+                report.skipped_unexhausted += 1
+            elif outcome == FAILED:
+                failures.append(Counterexample(
+                    direction=direction,
+                    source_term=step.bridging_term,
+                    rule_index=step.rule_index,
+                    rule=step.rule,
+                    witness=step,
+                    missing=missing.format(subject=subject, target=target),
+                ))
     return report
 
 
-def _check_forward_step(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
-                        cfg: BisimConfig, t: GroundTerm, step: RewriteStep,
-                        report: BisimReport) -> None:
-    source = _translated(tm, t)
-    # A many-sorted step preserves the subject's sort exactly, so a
-    # sort-decreasing root step shows up wrapped in the right-side casts.
-    top = least_sort(os.signature, t)
-    target = core_canonicalize(tm, translate_term(tm, step.result, expected=top))
-    # Fast path: the mirrored redex usually sits on the translated term.
-    for result in rule_results(ms, source, step.rule_index):
-        if result is target:
-            return
-    cls_source = e_class_bounded(ms, source, cfg.eclass_depth, cfg.eclass_max)
-    cls_target = e_class_bounded(ms, target, cfg.eclass_depth, cfg.eclass_max)
-    target_members = set(cls_target.members)
-    for u in cls_source.members:
-        for result in rule_results(ms, u, step.rule_index):
-            if result in target_members:
-                return
-    if cls_source.exhausted and cls_target.exhausted:
-        report.forward_failures.append(Counterexample(
-            direction="forward",
-            source_term=t,
-            rule_index=step.rule_index,
-            rule=step.rule,
-            witness=step,
-            missing="no many-sorted step reaches the translated result "
-                    f"{target!r}",
-        ))
-    else:
-        report.skipped_unexhausted += 1
+def check_forward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
+                  cfg: BisimConfig = BisimConfig()) -> BisimReport:
+    """Every source step must be mirrored by a translated step."""
+    def obligations(t: GroundTerm):
+        # A many-sorted step preserves the subject's sort exactly, so a
+        # sort-decreasing root step shows up wrapped in the right-side casts.
+        top = least_sort(os.signature, t)
+        return [
+            (step, translate_term(tm, t), _identity,
+             translate_term(tm, step.result, expected=top))
+            for step in direct_steps(os, t)
+        ]
+
+    return _sweep("forward", enumerate_ground_terms(os.signature, depth=cfg.term_depth),
+                  ms, ms, cfg, obligations,
+                  "no many-sorted step reaches the translated result {target!r}")
 
 
 def check_backward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
@@ -265,53 +252,21 @@ def check_backward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
     Terms outside the translation's image cannot mirror any source term;
     they are skipped and counted.
     """
-    report = BisimReport()
-    for p in enumerate_ground_terms(ms.signature, depth=cfg.term_depth):
-        if report.terms_checked >= cfg.max_terms:
-            report.truncated = True
-            break
-        report.terms_checked += 1
+    def obligations(p: GroundTerm):
         canonical = core_canonicalize(ms.signature, p)
         preimage = strip_casts(tm, canonical)
-        if _translated(tm, preimage) is not canonical:
-            report.not_in_image += 1
-            continue
-        for step in direct_steps(ms, canonical):
-            report.steps_checked += 1
-            _check_backward_step(os, ms, tm, cfg, preimage, step, report)
-    return report
+        if translate_term(tm, preimage) is not canonical:
+            return None
+        top = ms_sort(ms.signature, canonical)
 
+        def lift(result: GroundTerm) -> GroundTerm:
+            return translate_term(tm, result, expected=top)
 
-def _check_backward_step(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
-                         cfg: BisimConfig, t: GroundTerm, step: RewriteStep,
-                         report: BisimReport) -> None:
-    target = step.result  # already canonical
-    top = ms_sort(ms.signature, step.bridging_term)
+        return [(step, preimage, lift, step.result) for step in direct_steps(ms, canonical)]
 
-    def lifted(result: GroundTerm) -> GroundTerm:
-        return core_canonicalize(tm, translate_term(tm, result, expected=top))
-
-    for result in rule_results(os, t, step.rule_index):
-        if lifted(result) is target:
-            return
-    cls_os = e_class_bounded(os, t, cfg.eclass_depth, cfg.eclass_max)
-    cls_target = e_class_bounded(ms, target, cfg.eclass_depth, cfg.eclass_max)
-    target_members = set(cls_target.members)
-    for u in cls_os.members:
-        for result in rule_results(os, u, step.rule_index):
-            if lifted(result) in target_members:
-                return
-    if cls_os.exhausted and cls_target.exhausted:
-        report.backward_failures.append(Counterexample(
-            direction="backward",
-            source_term=step.bridging_term,
-            rule_index=step.rule_index,
-            rule=step.rule,
-            witness=step,
-            missing=f"no order-sorted step from {t!r} maps onto {target!r}",
-        ))
-    else:
-        report.skipped_unexhausted += 1
+    return _sweep("backward", enumerate_ground_terms(ms.signature, depth=cfg.term_depth),
+                  os, ms, cfg, obligations,
+                  "no order-sorted step from {subject!r} maps onto {target!r}")
 
 
 def run_bisim(os: OSAlgebra, cfg: BisimConfig = BisimConfig()) -> BisimReport:

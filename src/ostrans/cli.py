@@ -144,7 +144,6 @@ def _cmd_bisim(args) -> int:
         eclass_depth=args.eclass_depth,
         eclass_max=args.eclass_max,
         max_terms=args.max_terms,
-        seed=args.seed,
     )
     report = run_bisim(alg, cfg)
     if args.format == "json-lines":
@@ -215,7 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eclass-depth", type=int, default=5)
     p.add_argument("--eclass-max", type=int, default=10_000)
     p.add_argument("--max-terms", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bisim)
 
     for p in sub.choices.values():

@@ -286,12 +286,14 @@ def _sorts_of_os(sig: OSSignature, t: Term) -> frozenset[Sort]:
     key = (t.constructor, child_sets)
     result = sig._sort_set_cache.get(key)
     if result is None:
+        # Only the buckets of the components the first child's set touches
+        # can admit it; the set spans several on an invalid signature.
+        comps = {sig._component[s] for s in child_sets[0]} if child_sets else (None,)
         acc: set[Sort] = set()
-        for op in sig.ops_named(t.constructor):
-            if op.arity != len(child_sets):
-                continue
-            if all(s in cs for s, cs in zip(op.arg_sorts, child_sets)):
-                acc |= sig.poset.supersorts(op.target_sort)
+        for comp in comps:
+            for op in sig._by_shape.get((t.constructor, len(child_sets), comp), ()):
+                if all(s in cs for s, cs in zip(op.arg_sorts, child_sets)):
+                    acc |= sig.poset.supersorts(op.target_sort)
         result = sig._sort_set_cache[key] = frozenset(acc)
     if ground:
         cache[t] = result

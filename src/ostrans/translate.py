@@ -73,6 +73,7 @@ class TranslationMap:
     canonical_path_of: dict[tuple[Sort, Sort], tuple[Sort, ...]]
     cast_pair_of: dict[str, tuple[Sort, Sort]] = field(init=False, repr=False)
     original_name_of: dict[str, str] = field(init=False, repr=False)
+    # Translations of ground terms, by term: ``(translation, sort)``.
     _tr_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # The map's ``CastTable``, built on first use.
     _cast_index: object = field(init=False, repr=False, compare=False, default=None)
@@ -84,7 +85,6 @@ class TranslationMap:
         self.original_name_of = {
             name: op.constructor for op, name in self.rename_of.items()
         }
-        self._tr_cache = {}
 
     def canonical_path(self, start: Sort, end: Sort) -> tuple[Sort, ...]:
         """The chosen chain from ``start`` up to ``end``; raises ``NoPath``."""
@@ -92,18 +92,6 @@ class TranslationMap:
             return self.canonical_path_of[(start, end)]
         except KeyError:
             raise NoPath(f"no subsort path from {start!r} to {end!r}") from None
-
-    def wrap(self, t: Term, start: Sort, end: Sort) -> Term:
-        """Wrap ``t`` in the canonical cast chain from ``start`` to ``end``."""
-        if start == end:
-            return t
-        return self.wrap_along(t, self.canonical_path(start, end))
-
-    def wrap_along(self, t: Term, path: tuple[Sort, ...]) -> Term:
-        cls = _node_cls(t)
-        for lo, hi in zip(path, path[1:]):
-            t = cls(self.casts[(lo, hi)].constructor, (t,))
-        return t
 
 
 # --- cast bookkeeping -------------------------------------------------------
@@ -140,14 +128,18 @@ class CastTable:
         except KeyError:
             raise NoPath(f"no cast chain from {lo!r} to {hi!r}") from None
 
-    def wrap_canonical(self, t: Term, lo: Sort, hi: Sort) -> Term:
-        if lo == hi:
-            return t
-        cls = GroundTerm if isinstance(t, GroundTerm) else PNode
-        path = self.canonical_path(lo, hi)
+    def wrap_along(self, t: Term, path: tuple[Sort, ...]) -> Term:
+        """Wrap ``t`` in the cast chain along ``path``, bottom first."""
+        cls = _node_cls(t)
         for a, b in zip(path, path[1:]):
             t = cls(self.name_of[(a, b)], (t,))
         return t
+
+    def wrap_canonical(self, t: Term, lo: Sort, hi: Sort) -> Term:
+        """Wrap ``t`` in the canonical cast chain from ``lo`` up to ``hi``."""
+        if lo == hi:
+            return t
+        return self.wrap_along(t, self.canonical_path(lo, hi))
 
 
 def cast_table(source) -> CastTable:
@@ -270,19 +262,18 @@ def translate_term(tm: TranslationMap, t: Term, expected: Sort | None = None) ->
     When ``expected`` is given the root is wrapped up to it as well.
     """
     ground = isinstance(t, GroundTerm)
-    if ground:
-        hit = tm._tr_cache.get((t, expected))
-        if hit is not None:
-            return hit
-    out, sort = _translate(tm, t)
+    hit = tm._tr_cache.get(t) if ground else None
+    if hit is None:
+        hit = _translate(tm, t)
+        if ground:
+            tm._tr_cache[t] = hit
+    out, sort = hit
     if expected is not None and sort != expected:
         if expected not in tm.source.poset.supersorts(sort):
             raise UntranslatableSort(
                 f"cannot cast {print_term(t)} from {sort!r} up to {expected!r}"
             )
-        out = tm.wrap(out, sort, expected)
-    if ground:
-        tm._tr_cache[(t, expected)] = out
+        out = cast_table(tm).wrap_canonical(out, sort, expected)
     return out
 
 
@@ -313,6 +304,7 @@ def generate_core_equations(tm: TranslationMap) -> tuple[Equation, ...]:
     still equates every pair of chains.
     """
     poset = tm.source.poset
+    table = cast_table(tm)
     out: list[Equation] = []
     for bottom in sorted(poset.sorts):
         for top in sorted(poset.supersorts(bottom)):
@@ -325,12 +317,12 @@ def generate_core_equations(tm: TranslationMap) -> tuple[Equation, ...]:
                 continue
             canon = tm.canonical_path(bottom, top)
             var = Var("A", bottom)
-            lhs = tm.wrap_along(var, canon)
+            lhs = table.wrap_along(var, canon)
             for x in first_edges:
                 if x == canon[1]:
                     continue
                 via = (bottom, top) if x == top else (bottom,) + tm.canonical_path(x, top)
-                out.append(Equation(lhs, tm.wrap_along(var, via)))
+                out.append(Equation(lhs, table.wrap_along(var, via)))
     return tuple(out)
 
 

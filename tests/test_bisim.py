@@ -20,6 +20,7 @@ from ostrans import (
     direct_steps,
     e_class_bounded,
     enumerate_ground_terms,
+    least_sort,
     run_bisim,
     strip_casts,
     translate_algebra,
@@ -191,7 +192,85 @@ def test_forward_failure_is_reported_when_mirror_is_wrong():
     ce = report.forward_failures[0]
     assert ce.direction == "forward"
     assert ce.rule_index == 0
+    assert ce.source_term is G("f", (G("c"),))
+    assert ce.missing == "no many-sorted step reaches the translated result c"
     assert report.skipped_unexhausted == 0
+
+
+def _doctored_pair(equations=()):
+    """A one-sort source with ``f(X) => X`` and a many-sorted side whose
+    only rule is ``f(X) => f(f(X))``, so no step of either is mirrored.
+    ``equations`` are added to both sides."""
+    from ostrans import MSAlgebra, Operator, OSSignature, Var as V
+    sig = OSSignature(["a"], [], [Operator("c", (), "a"), Operator("f", ("a",), "a"),
+                                  Operator("g", ("a",), "a")])
+    x = V("X", "a")
+    os_alg = OSAlgebra(sig, equations, (Rule(PNode("f", (x,)), x),))
+    ms_alg, tm = translate_algebra(os_alg)
+    wrong_rule = Rule(PNode("f", (x,)), PNode("f", (PNode("f", (x,)),)))
+    doctored = MSAlgebra(ms_alg.signature, ms_alg.equations, (wrong_rule,),
+                         ms_alg.core_equations)
+    return os_alg, doctored, tm
+
+
+def test_backward_failure_is_reported_when_mirror_is_wrong():
+    os_alg, doctored, tm = _doctored_pair()
+    report = check_backward(os_alg, doctored, tm, BisimConfig(term_depth=2))
+    assert report.steps_checked == 5
+    assert len(report.backward_failures) == 5
+    assert report.forward_failures == [] and report.skipped_unexhausted == 0
+    assert report.verdict == "fail"
+    ce = report.backward_failures[0]
+    assert (ce.direction, ce.source_term, ce.rule_index, ce.missing) == (
+        "backward", G("f", (G("c"),)), 0,
+        "no order-sorted step from f(c) maps onto f(f(c))",
+    )
+
+
+def test_unmirrored_step_is_skipped_when_a_class_is_cut_by_budget():
+    # ``X = g(X)`` makes every class infinite, so neither class search
+    # reaches a fixpoint and the unmirrored step is skipped, not failed.
+    from ostrans import Equation, Var as V
+    x = V("X", "a")
+    os_alg, doctored, tm = _doctored_pair((Equation(x, PNode("g", (x,))),))
+    cfg = BisimConfig(term_depth=1, eclass_depth=2, eclass_max=20)
+    for check in (check_forward, check_backward):
+        report = check(os_alg, doctored, tm, cfg)
+        assert (report.steps_checked, report.skipped_unexhausted) == (1, 1), check
+        assert report.passed and report.verdict == "inconclusive"
+
+
+def test_translations_are_core_canonical(imp, imp_real):
+    # The checker compares translations by identity without canonicalizing
+    # them, which is sound only because they come out canonical.
+    rng = random.Random(20261018)
+    subjects = [(imp, 2), (imp_real, 2)] + [(random_algebra(rng), 3) for _ in range(60)]
+    checked = 0
+    for alg, depth in subjects:
+        sig = alg.signature
+        terms = list(enumerate_ground_terms(sig, depth=depth))
+        for tie_break in ("lex", "revlex"):
+            _, tm = translate_algebra(alg, tie_break=tie_break)
+            for t in terms:
+                for expected in (None, *sig.poset.supersorts(least_sort(sig, t))):
+                    out = translate_term(tm, t, expected=expected)
+                    assert core_canonicalize(tm, out) is out, (t, expected, tie_break)
+                    checked += 1
+    assert checked > 100_000
+
+
+def test_forward_check_never_canonicalizes(imp, imp_translated, monkeypatch):
+    ms, tm = imp_translated
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return core_canonicalize(*args)
+
+    monkeypatch.setattr(bisim, "core_canonicalize", counted)
+    report = check_forward(imp, ms, tm, BisimConfig(term_depth=2))
+    assert report.passed and report.steps_checked > 0
+    assert calls == []
 
 
 def test_run_bisim_random_algebras():
