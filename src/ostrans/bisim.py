@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import NotStrictlySensible
 from .rewrite import (
     RewriteStep,
     core_canonicalize,
@@ -37,7 +36,6 @@ from .terms import (
     ms_sort,
 )
 from .translate import TranslationMap, strip_casts, translate_algebra, translate_term
-from .validity import validate_algebra
 
 
 @dataclass(frozen=True)
@@ -270,12 +268,6 @@ def check_backward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
 
 
 def run_bisim(os: OSAlgebra, cfg: BisimConfig = BisimConfig()) -> BisimReport:
-    """Translate, run both directions and merge the reports."""
-    report = validate_algebra(os)
-    if not report.translatable:
-        raise NotStrictlySensible(
-            "algebra fails translation preconditions: "
-            + "; ".join(kind for kind, _ in report.violations)
-        )
+    """Translate (which validates), run both directions, merge the reports."""
     ms, tm = translate_algebra(os)
     return check_forward(os, ms, tm, cfg).merge(check_backward(os, ms, tm, cfg))

@@ -195,22 +195,27 @@ def choose_canonical(paths, tie_break: str = "lex") -> tuple[Sort, ...]:
     raise ValueError(f"unknown tie_break {tie_break!r}")
 
 
+def compute_canonical_paths(
+    poset: SortPoset, tie_break: str
+) -> dict[tuple[Sort, Sort], tuple[Sort, ...]]:
+    """The canonical path of every related pair of distinct sorts, in order."""
+    paths: dict[tuple[Sort, Sort], tuple[Sort, ...]] = {}
+    for lo in sorted(poset.sorts):
+        for hi in sorted(poset.supersorts(lo)):
+            if hi != lo:
+                paths[(lo, hi)] = choose_canonical(poset.enumerate_paths(lo, hi), tie_break)
+    return paths
+
+
 def find_diamonds(poset: SortPoset, tie_break: str = "lex") -> tuple[Diamond, ...]:
     """Every pair of sorts joined by two or more declared-pair paths.
 
     Each non-canonical path is reported once, against the canonical path
     of its endpoints.
     """
-    out: list[Diamond] = []
-    for bottom in sorted(poset.sorts):
-        for top in sorted(poset.supersorts(bottom)):
-            if top == bottom:
-                continue
-            paths = poset.enumerate_paths(bottom, top)
-            if len(paths) < 2:
-                continue
-            canon = choose_canonical(paths, tie_break)
-            for path in paths:
-                if path != canon:
-                    out.append(Diamond(bottom, top, canon, path))
-    return tuple(out)
+    return tuple(
+        Diamond(bottom, top, canon, path)
+        for (bottom, top), canon in compute_canonical_paths(poset, tie_break).items()
+        for path in poset.enumerate_paths(bottom, top)
+        if path != canon
+    )

@@ -5,9 +5,9 @@ modulo the equation set is undecidable in general, the engine closes a
 term under bidirectional equation application only up to a depth and size
 budget and reports whether a fixpoint was reached.  Core equality (the
 congruence identifying different cast chains between the same two sorts)
-is instead decided exactly: every maximal cast chain is rewritten to the
-canonical chain for its endpoints, and the many-sorted engine matches,
-deduplicates and compares terms through that normal form.
+is instead decided exactly: ``CastTable.canonical`` rewrites every maximal
+cast chain to the canonical chain for its endpoints, and the many-sorted
+engine matches, deduplicates and compares terms through that normal form.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .terms import (
     Operator,
     OSSignature,
     Pattern,
-    PNode,
     Rule,
     Sort,
     Substitution,
@@ -111,37 +110,11 @@ def replace_at(t: GroundTerm, pos: Position, new: GroundTerm) -> GroundTerm:
 
 
 def core_canonicalize(source, t: Term) -> Term:
-    """Rewrite every maximal cast chain to its canonical chain.
+    """The core-equality normal form of ``t``: see ``CastTable.canonical``.
 
-    The output is the core-equality normal form: two terms are core-equal
-    exactly when their canonical forms are identical.  Idempotent; works
-    on patterns as well as ground terms.
+    ``source`` is anything ``cast_table`` accepts.
     """
-    return _canon(cast_table(source), t)
-
-
-def _canon(table: CastTable, t: Term) -> Term:
-    if isinstance(t, Var):
-        return t
-    ground = isinstance(t, GroundTerm)
-    if ground:
-        hit = table._canon_cache.get(t)
-        if hit is not None:
-            return hit
-    if not table.is_cast(t.constructor):
-        cls = GroundTerm if ground else PNode
-        out = cls(t.constructor, tuple(_canon(table, a) for a in t.args))
-    else:
-        top = table.sup_of[t.constructor]
-        bottom = table.sub_of[t.constructor]
-        u = t.args[0]
-        while not isinstance(u, Var) and table.is_cast(u.constructor):
-            bottom = table.sub_of[u.constructor]
-            u = u.args[0]
-        out = table.wrap_canonical(_canon(table, u), bottom, top)
-    if ground:
-        table._canon_cache[t] = out
-    return out
+    return cast_table(source).canonical(t)
 
 
 # --- matching ---------------------------------------------------------------
@@ -384,7 +357,7 @@ def _redexes(index: RedexIndex, u: GroundTerm, only: int | None = None):
                 continue
             result = replace_at(u, pos, instance)
             if table is not None:
-                result = _canon(table, result)
+                result = table.canonical(result)
             elif not well_formed_ground(sig, result):
                 continue
             yield i, pos, subst, result

@@ -21,7 +21,7 @@ from .errors import (
     RenameCollision,
     UntranslatableSort,
 )
-from .poset import SortPoset, build_poset, choose_canonical
+from .poset import SortPoset, build_poset, compute_canonical_paths
 from .terms import (
     Equation,
     GroundTerm,
@@ -56,68 +56,25 @@ def _node_cls(t: Term):
     return GroundTerm if isinstance(t, GroundTerm) else PNode
 
 
-@dataclass
-class TranslationMap:
-    """Audit record of one translation run; also drives term translation.
-
-    ``casts`` is a bijection between declared subsort pairs and generated
-    unary operators; ``canonical_path_of`` fixes one chain per related
-    sort pair, chosen by ``tie_break``.
-    """
-
-    source: OSSignature
-    tie_break: str
-    representative_of: dict[Operator, Operator]
-    rename_of: dict[Operator, str]
-    casts: dict[tuple[Sort, Sort], Operator]
-    canonical_path_of: dict[tuple[Sort, Sort], tuple[Sort, ...]]
-    cast_pair_of: dict[str, tuple[Sort, Sort]] = field(init=False, repr=False)
-    original_name_of: dict[str, str] = field(init=False, repr=False)
-    # Translations of ground terms, by term: ``(translation, sort)``.
-    _tr_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # The map's ``CastTable``, built on first use.
-    _cast_index: object = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        self.cast_pair_of = {
-            op.constructor: pair for pair, op in self.casts.items()
-        }
-        self.original_name_of = {
-            name: op.constructor for op, name in self.rename_of.items()
-        }
-
-    def canonical_path(self, start: Sort, end: Sort) -> tuple[Sort, ...]:
-        """The chosen chain from ``start`` up to ``end``; raises ``NoPath``."""
-        try:
-            return self.canonical_path_of[(start, end)]
-        except KeyError:
-            raise NoPath(f"no subsort path from {start!r} to {end!r}") from None
-
-
 # --- cast bookkeeping -------------------------------------------------------
 
 class CastTable:
-    """Cast operators of a translated signature, plus canonical chains.
+    """Cast operators of a translated signature, canonical chains, normal forms.
 
     A translation builds one table, which its map and its many-sorted
     signature share, so both canonicalize along the same chains.
     """
 
-    def __init__(self, pairs: dict[tuple[Sort, Sort], str], sorts, canonical_paths=None):
+    def __init__(self, pairs: dict[tuple[Sort, Sort], str], poset: SortPoset,
+                 canonical_paths: dict[tuple[Sort, Sort], tuple[Sort, ...]]):
         self.name_of = dict(pairs)
-        self.sub_of = {name: lo for (lo, hi), name in pairs.items()}
-        self.sup_of = {name: hi for (lo, hi), name in pairs.items()}
-        self.poset = build_poset(sorts, pairs.keys())
-        # A signature read from a file carries no tie-break: lex is used.
-        self.canonical_path_of = (
-            dict(canonical_paths)
-            if canonical_paths is not None
-            else compute_canonical_paths(self.poset, "lex")
-        )
+        self.pair_of = {name: pair for pair, name in pairs.items()}
+        self.poset = poset
+        self.canonical_path_of = canonical_paths
         self._canon_cache: dict[GroundTerm, GroundTerm] = {}
 
     def is_cast(self, name: str) -> bool:
-        return name in self.sub_of
+        return name in self.pair_of
 
     def leq(self, a: Sort, b: Sort) -> bool:
         return self.poset.leq(a, b)
@@ -141,32 +98,99 @@ class CastTable:
             return t
         return self.wrap_along(t, self.canonical_path(lo, hi))
 
+    def canonical(self, t: Term) -> Term:
+        """Rewrite every maximal cast chain of ``t`` to its canonical chain.
+
+        The output is the core-equality normal form: two terms are
+        core-equal exactly when their canonical forms are identical.
+        Idempotent; works on patterns as well as ground terms.  One
+        bottom-up pass with an explicit stack, so deep terms cannot
+        exhaust the recursion limit.  Ground results are cached.
+        """
+        cache = self._canon_cache
+        hit = cache.get(t)
+        if hit is not None:
+            return hit
+        ground = isinstance(t, GroundTerm)
+        # The cache holds ground terms; a pattern's nodes are kept per call.
+        done = cache if ground else {}
+        cls = GroundTerm if ground else PNode
+        pair_of = self.pair_of
+        stack = [t]
+        while stack:
+            node = stack[-1]
+            if node in done:
+                stack.pop()
+                continue
+            # ``node`` is a maximal cast chain from ``bottom`` up to ``top``
+            # over ``core``, or its own core when ``top`` is None.
+            core, bottom, top = node, None, None
+            while not isinstance(core, Var) and core.constructor in pair_of:
+                bottom, hi = pair_of[core.constructor]
+                top = top or hi
+                core = core.args[0]
+            if not isinstance(core, Var):
+                missing = [a for a in core.args if a not in done]
+                if missing:
+                    stack += missing
+                    continue
+                core = cls(core.constructor, tuple([done[a] for a in core.args]))
+            stack.pop()
+            done[node] = core if top is None else self.wrap_canonical(core, bottom, top)
+        return done[t]
+
+
+@dataclass
+class TranslationMap:
+    """Audit record of one translation run; also drives term translation.
+
+    ``casts`` is a bijection between declared subsort pairs and generated
+    unary operators; ``canonical_path_of`` fixes one chain per related
+    sort pair, chosen by ``tie_break``.  ``table`` holds both, over the
+    source's subsort poset, and is shared with the translated signature.
+    """
+
+    source: OSSignature
+    tie_break: str
+    representative_of: dict[Operator, Operator]
+    rename_of: dict[Operator, str]
+    casts: dict[tuple[Sort, Sort], Operator]
+    canonical_path_of: dict[tuple[Sort, Sort], tuple[Sort, ...]]
+    original_name_of: dict[str, str] = field(init=False, repr=False)
+    table: CastTable = field(init=False, repr=False, compare=False)
+    # Translations of ground terms, by term: ``(translation, sort)``.
+    _tr_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        self.original_name_of = {
+            name: op.constructor for op, name in self.rename_of.items()
+        }
+        self.table = CastTable(
+            {pair: op.constructor for pair, op in self.casts.items()},
+            self.source.poset,
+            self.canonical_path_of,
+        )
+
 
 def cast_table(source) -> CastTable:
-    """The cast table of a translation map, signature or algebra."""
+    """The cast table of a translation map, signature or algebra.
+
+    A translated signature shares its map's table; a signature read from
+    a ``.msa`` file carries no tie-break and gets a lex table on first use.
+    """
     if isinstance(source, CastTable):
         return source
+    if isinstance(source, TranslationMap):
+        return source.table
     if isinstance(source, MSAlgebra):
         source = source.signature
-    if not isinstance(source, (TranslationMap, MSSignature)):
+    if not isinstance(source, MSSignature):
         raise TypeError(f"cannot derive a cast table from {type(source).__name__}")
-    table = source._cast_index
-    if table is not None:
-        return table
-    if isinstance(source, TranslationMap):
-        table = CastTable(
-            pairs={pair: op.constructor for pair, op in source.casts.items()},
-            sorts=source.source.sorts,
-            canonical_paths=source.canonical_path_of,
-        )
-    else:
-        table = CastTable(
-            pairs={(op.arg_sorts[0], op.target_sort): op.constructor
-                   for op in source.non_core},
-            sorts=source.sorts,
-        )
-    source._cast_index = table
-    return table
+    if source._cast_index is None:
+        pairs = {(op.arg_sorts[0], op.target_sort): op.constructor for op in source.non_core}
+        poset = build_poset(source.sorts, pairs)
+        source._cast_index = CastTable(pairs, poset, compute_canonical_paths(poset, "lex"))
+    return source._cast_index
 
 
 def select_representatives(
@@ -239,20 +263,6 @@ def generate_cast_operators(
     return casts
 
 
-def compute_canonical_paths(
-    poset: SortPoset, tie_break: str
-) -> dict[tuple[Sort, Sort], tuple[Sort, ...]]:
-    paths: dict[tuple[Sort, Sort], tuple[Sort, ...]] = {}
-    for lo in poset.sorts:
-        for hi in poset.supersorts(lo):
-            if lo == hi:
-                continue
-            paths[(lo, hi)] = choose_canonical(
-                poset.enumerate_paths(lo, hi), tie_break
-            )
-    return paths
-
-
 def translate_term(tm: TranslationMap, t: Term, expected: Sort | None = None) -> Term:
     """Translate one term or pattern bottom-up.
 
@@ -273,7 +283,7 @@ def translate_term(tm: TranslationMap, t: Term, expected: Sort | None = None) ->
             raise UntranslatableSort(
                 f"cannot cast {print_term(t)} from {sort!r} up to {expected!r}"
             )
-        out = cast_table(tm).wrap_canonical(out, sort, expected)
+        out = tm.table.wrap_canonical(out, sort, expected)
     return out
 
 
@@ -303,8 +313,8 @@ def generate_core_equations(tm: TranslationMap) -> tuple[Equation, ...]:
     count below the square of the sort count while the congruence closure
     still equates every pair of chains.
     """
-    poset = tm.source.poset
-    table = cast_table(tm)
+    table = tm.table
+    poset = table.poset
     out: list[Equation] = []
     for bottom in sorted(poset.sorts):
         for top in sorted(poset.supersorts(bottom)):
@@ -315,13 +325,13 @@ def generate_core_equations(tm: TranslationMap) -> tuple[Equation, ...]:
             ]
             if len(first_edges) < 2:
                 continue
-            canon = tm.canonical_path(bottom, top)
+            canon = table.canonical_path(bottom, top)
             var = Var("A", bottom)
             lhs = table.wrap_along(var, canon)
             for x in first_edges:
                 if x == canon[1]:
                     continue
-                via = (bottom, top) if x == top else (bottom,) + tm.canonical_path(x, top)
+                via = (bottom, top) if x == top else (bottom,) + table.canonical_path(x, top)
                 out.append(Equation(lhs, table.wrap_along(var, via)))
     return tuple(out)
 
@@ -386,7 +396,7 @@ def translate_algebra(
         operators=tuple(core_ops) + tuple(casts.values()),
         non_core=frozenset(casts.values()),
     )
-    signature._cast_index = cast_table(tm)
+    signature._cast_index = tm.table
     return MSAlgebra(signature, equations, rules, core_equations=core), tm
 
 
@@ -395,11 +405,28 @@ def strip_casts(tm: TranslationMap, t: GroundTerm) -> GroundTerm:
 
     Every well-formed translated term strips to a well-formed source
     term; composition with ``translate_term`` recovers the original up
-    to core equality.
+    to core equality.  One bottom-up pass with an explicit stack.
     """
-    while t.constructor in tm.cast_pair_of:
-        t = t.args[0]
-    original = tm.original_name_of.get(t.constructor)
-    if original is None:
-        raise IllFormedTerm(f"constructor {t.constructor!r} is not a translated name")
-    return GroundTerm(original, tuple(strip_casts(tm, a) for a in t.args))
+    pair_of = tm.table.pair_of
+    original_name_of = tm.original_name_of
+    done: dict[GroundTerm, GroundTerm] = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        core = node
+        while core.constructor in pair_of:
+            core = core.args[0]
+        original = original_name_of.get(core.constructor)
+        if original is None:
+            raise IllFormedTerm(f"constructor {core.constructor!r} is not a translated name")
+        missing = [a for a in core.args if a not in done]
+        if missing:
+            # Reversed, so the leftmost bad constructor is reported first.
+            stack += reversed(missing)
+            continue
+        stack.pop()
+        done[node] = GroundTerm(original, tuple([done[a] for a in core.args]))
+    return done[t]

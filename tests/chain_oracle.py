@@ -66,7 +66,7 @@ def segment_of(tm: TranslationMap, eq: Equation):
     def side_path(p) -> tuple[str, ...]:
         names = []
         while isinstance(p, PNode):
-            names.append(tm.cast_pair_of[p.constructor])
+            names.append(tm.table.pair_of[p.constructor])
             p = p.args[0]
         names.reverse()
         path = [names[0][0]]

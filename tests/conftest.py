@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from importlib import resources
 
 import pytest
@@ -34,3 +35,27 @@ def imp_translated(imp):
 @pytest.fixture(scope="session")
 def imp_real_translated(imp_real):
     return translate_algebra(imp_real)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count calls to a function under every name an ``ostrans`` module binds.
+
+    ``count_calls(fn)`` returns a list that collects the arguments of each
+    call until the test ends.
+    """
+    def install(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "ostrans" or name.startswith("ostrans."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    return install

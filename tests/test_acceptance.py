@@ -235,7 +235,7 @@ def test_09_tie_break_independence(imp_real):
     with criterion(9, "tie-break-independence"):
         _, tm_lex = translate_algebra(imp_real, tie_break="lex")
         _, tm_rev = translate_algebra(imp_real, tie_break="revlex")
-        assert tm_lex.canonical_path("nat", "AExp") != tm_rev.canonical_path("nat", "AExp")
+        assert tm_lex.table.canonical_path("nat", "AExp") != tm_rev.table.canonical_path("nat", "AExp")
         sig = imp_real.signature
         depth3 = list(enumerate_ground_terms(sig, depth=3))
         for t in depth3 + _depth4_signature_witnesses(sig, depth3):

@@ -25,6 +25,7 @@ from ostrans import (
     strip_casts,
     translate_algebra,
     translate_term,
+    validate_algebra,
 )
 
 G = GroundTerm
@@ -131,6 +132,12 @@ def test_run_bisim_rejects_sort_increasing_rule(imp):
     bad = OSAlgebra(imp.signature, imp.equations, imp.rules + (bad_rule,))
     with pytest.raises(NotStrictlySensible):
         run_bisim(bad, BisimConfig(term_depth=1))
+
+
+def test_run_bisim_validates_once(imp, count_calls):
+    calls = count_calls(validate_algebra)
+    run_bisim(imp, BisimConfig(term_depth=1))
+    assert len(calls) == 1
 
 
 def test_translation_preserves_equivalence_classes(imp, imp_translated):

@@ -386,8 +386,8 @@ def test_translation_matches_overload_scans(name, alg):
     assert (ms.equations, ms.rules) == (ms_ref.equations, ms_ref.rules)
     assert ms.signature.operators == ms_ref.signature.operators
     assert list(tm.representative_of.items()) == list(tm_ref.representative_of.items())
-    assert (tm.rename_of, tm.casts, tm.canonical_path_of) == (
-        tm_ref.rename_of, tm_ref.casts, tm_ref.canonical_path_of)
+    assert (tm.rename_of, tm.casts, tm.table.canonical_path_of) == (
+        tm_ref.rename_of, tm_ref.casts, tm_ref.table.canonical_path_of)
     assert [_outcome(translate_term, tm, t) for t in terms] == want_terms
 
 

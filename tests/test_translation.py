@@ -19,12 +19,15 @@ from ostrans import (
     UntranslatableSort,
     Var,
     build_poset,
+    cast_table,
     core_canonicalize,
     enumerate_ground_terms,
     generate_cast_operators,
     generate_core_equations,
     least_sort,
     ms_sort,
+    parse_spec,
+    print_spec,
     rename_constructors,
     select_representatives,
     strip_casts,
@@ -118,16 +121,16 @@ def test_generate_cast_operators_edges():
 
 def test_canonical_path_choice(imp_translated, imp_real_translated):
     _, tm = imp_translated
-    assert tm.canonical_path("nat", "AExp") == ("nat", "int", "AExp")
+    assert tm.table.canonical_path("nat", "AExp") == ("nat", "int", "AExp")
     _, tmr = imp_real_translated
-    assert tmr.canonical_path("nat", "AExp") == ("nat", "int", "AExp")
+    assert tmr.table.canonical_path("nat", "AExp") == ("nat", "int", "AExp")
     with pytest.raises(NoPath):
-        tm.canonical_path("bool", "AExp")
+        tm.table.canonical_path("bool", "AExp")
 
 
 def test_canonical_path_revlex(imp_real):
     _, tm = translate_algebra(imp_real, tie_break="revlex")
-    assert tm.canonical_path("nat", "AExp") == ("nat", "real", "AExp")
+    assert tm.table.canonical_path("nat", "AExp") == ("nat", "real", "AExp")
 
 
 def test_translate_term_equation_side(imp_translated):
@@ -292,6 +295,52 @@ def test_strip_casts_round_trip(imp, imp_translated):
     _, tm = imp_translated
     for t in enumerate_ground_terms(imp.signature, depth=2):
         assert strip_casts(tm, translate_term(tm, t)) is t
+
+
+def test_map_and_signature_share_one_table(imp_real):
+    ms, tm = translate_algebra(imp_real)
+    assert tm.table is cast_table(ms) is cast_table(tm)
+    assert tm.table.poset is tm.source.poset
+
+
+def test_reparsed_signature_builds_its_own_lex_table(imp_real):
+    ms, tm = translate_algebra(imp_real)
+    reparsed = parse_spec(print_spec(ms), kind="msa").signature
+    table = cast_table(reparsed)
+    assert table is cast_table(reparsed) and table is not tm.table
+    assert table.poset == tm.table.poset
+    assert (table.name_of, table.canonical_path_of) == (tm.table.name_of, tm.table.canonical_path_of)
+    with pytest.raises(TypeError):
+        cast_table(imp_real.signature)
+
+
+def test_translate_algebra_builds_no_poset(imp_real, count_calls):
+    calls = count_calls(build_poset)
+    translate_algebra(imp_real)
+    assert calls == []
+
+
+def test_deep_terms_canonicalize_and_strip(imp_real):
+    # Deeper than the interpreter's recursion limit, on a fresh table.
+    ms, tm = translate_algebra(imp_real)
+    nat = ZERO
+    for _ in range(5_000):
+        nat = G("s", (nat,))
+    via_real = G("Cast_real_to_AExp", (G("Cast_nat_to_real", (nat,)),))
+    via_int = G("Cast_int_to_AExp", (G("Cast_nat_to_int", (nat,)),))
+    assert core_canonicalize(ms.signature, via_real) is via_int
+    assert core_canonicalize(ms.signature, via_int) is via_int
+    assert strip_casts(tm, via_real) is nat
+    # A chain to rewrite at every level of a deep sum.
+    real0 = G("Cast_real_to_AExp", (G("Cast_nat_to_real", (ZERO,)),))
+    int0 = G("Cast_int_to_AExp", (G("Cast_nat_to_int", (ZERO,)),))
+    lhs, rhs, source = real0, int0, ZERO
+    for _ in range(5_000):
+        lhs = G("+AExp", (real0, lhs))
+        rhs = G("+AExp", (int0, rhs))
+        source = G("+", (ZERO, source))
+    assert core_canonicalize(ms.signature, lhs) is rhs
+    assert strip_casts(tm, lhs) is source
 
 
 def test_tie_break_independence_small(imp_real):
