@@ -22,7 +22,7 @@ from .rewrite import (
     core_canonicalize,
     direct_steps,
     e_class_bounded,
-    rule_results,
+    results_by_rule,
 )
 from .terms import (
     GroundTerm,
@@ -166,22 +166,24 @@ def _identity(t: GroundTerm) -> GroundTerm:
     return t
 
 
-def _mirror(alg, subject: GroundTerm, rule_index: int, lift, target: GroundTerm,
-            ms: MSAlgebra, cfg: BisimConfig) -> str:
+def _mirror(alg, subject: GroundTerm, groups: dict, rule_index: int, lift,
+            target: GroundTerm, ms: MSAlgebra, cfg: BisimConfig) -> str:
     """Replay rule ``rule_index`` of ``alg`` on ``subject``, looking for ``target``.
 
-    ``lift`` takes ``alg``'s results into core canonical many-sorted form.
-    The subject's own redexes come first, then its bounded class against
-    that of ``target``; a miss fails only when both classes were exhausted.
+    ``groups`` holds ``results_by_rule(alg, subject)``.  ``lift`` takes
+    ``alg``'s results into core canonical many-sorted form.  The
+    subject's own redexes come first, then its bounded class against that
+    of ``target``; a miss fails only when both classes were exhausted.
     """
-    for result in rule_results(alg, subject, rule_index):
+    for result in groups.get(rule_index, ()):
         if lift(result) is target:
             return MIRRORED
     cls_subject = e_class_bounded(alg, subject, cfg.eclass_depth, cfg.eclass_max)
     cls_target = e_class_bounded(ms, target, cfg.eclass_depth, cfg.eclass_max)
     target_members = set(cls_target.members)
     for u in cls_subject.members:
-        for result in rule_results(alg, u, rule_index):
+        member_groups = groups if u is subject else results_by_rule(alg, u)
+        for result in member_groups.get(rule_index, ()):
             if lift(result) in target_members:
                 return MIRRORED
     if cls_subject.exhausted and cls_target.exhausted:
@@ -195,6 +197,7 @@ def _sweep(direction: str, terms, alg, ms: MSAlgebra, cfg: BisimConfig,
 
     ``obligations(t)`` gives ``(step, subject, lift, target)`` for each
     step of ``t``, or ``None`` when ``t`` has no counterpart in ``alg``.
+    Each subject's results are computed once, for all of its steps.
     ``missing`` explains a failure; it is formatted only then.
     """
     report = BisimReport()
@@ -208,9 +211,13 @@ def _sweep(direction: str, terms, alg, ms: MSAlgebra, cfg: BisimConfig,
         if steps is None:
             report.not_in_image += 1
             continue
+        groups_of: dict[GroundTerm, dict] = {}
         for step, subject, lift, target in steps:
             report.steps_checked += 1
-            outcome = _mirror(alg, subject, step.rule_index, lift, target, ms, cfg)
+            groups = groups_of.get(subject)
+            if groups is None:
+                groups = groups_of[subject] = results_by_rule(alg, subject)
+            outcome = _mirror(alg, subject, groups, step.rule_index, lift, target, ms, cfg)
             if outcome == SKIPPED:
                 report.skipped_unexhausted += 1
             elif outcome == FAILED:

@@ -195,27 +195,29 @@ def choose_canonical(paths, tie_break: str = "lex") -> tuple[Sort, ...]:
     raise ValueError(f"unknown tie_break {tie_break!r}")
 
 
+def _paths_by_pair(poset: SortPoset):
+    """``((lo, hi), paths)`` for every related pair of distinct sorts, in order."""
+    for lo in sorted(poset.sorts):
+        for hi in sorted(poset.supersorts(lo)):
+            if hi != lo:
+                yield (lo, hi), poset.enumerate_paths(lo, hi)
+
+
 def compute_canonical_paths(
     poset: SortPoset, tie_break: str
 ) -> dict[tuple[Sort, Sort], tuple[Sort, ...]]:
     """The canonical path of every related pair of distinct sorts, in order."""
-    paths: dict[tuple[Sort, Sort], tuple[Sort, ...]] = {}
-    for lo in sorted(poset.sorts):
-        for hi in sorted(poset.supersorts(lo)):
-            if hi != lo:
-                paths[(lo, hi)] = choose_canonical(poset.enumerate_paths(lo, hi), tie_break)
-    return paths
+    return {pair: choose_canonical(paths, tie_break) for pair, paths in _paths_by_pair(poset)}
 
 
 def find_diamonds(poset: SortPoset, tie_break: str = "lex") -> tuple[Diamond, ...]:
     """Every pair of sorts joined by two or more declared-pair paths.
 
     Each non-canonical path is reported once, against the canonical path
-    of its endpoints.
+    of its endpoints.  The paths of each pair are enumerated once.
     """
-    return tuple(
-        Diamond(bottom, top, canon, path)
-        for (bottom, top), canon in compute_canonical_paths(poset, tie_break).items()
-        for path in poset.enumerate_paths(bottom, top)
-        if path != canon
-    )
+    diamonds = []
+    for (bottom, top), paths in _paths_by_pair(poset):
+        canon = choose_canonical(paths, tie_break)
+        diamonds += (Diamond(bottom, top, canon, path) for path in paths if path != canon)
+    return tuple(diamonds)

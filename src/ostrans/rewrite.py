@@ -8,6 +8,10 @@ congruence identifying different cast chains between the same two sorts)
 is instead decided exactly: ``CastTable.canonical`` rewrites every maximal
 cast chain to the canonical chain for its endpoints, and the many-sorted
 engine matches, deduplicates and compares terms through that normal form.
+
+Every search for redexes goes through one loop, ``_redexes``: a
+``RedexIndex`` finds the root matches of each subterm once, and a term's
+results are composed from its children's memoised result lists.
 """
 
 from __future__ import annotations
@@ -228,7 +232,7 @@ CLEAN = object()
 
 
 class RedexIndex:
-    """Two-level index over (left side, right side) pairs, with a redex memo.
+    """Two-level index over (left side, right side) pairs, with redex memos.
 
     Pairs are bucketed by the head constructor and arity of their left
     side; for a many-sorted algebra, by the head under any casts, since
@@ -243,9 +247,11 @@ class RedexIndex:
     ``memo`` gives every subterm the search has visited one entry: its
     root hits, ``(pair index, sorted substitution, right-side
     instance)``; ``()`` when it has none but a proper subterm has some;
-    or ``CLEAN`` when no position in it has a hit, so the search never
-    descends there.  Hits depend on the subterm alone, never on its
-    context.
+    or ``CLEAN`` when no position in it has a hit.  ``results`` holds the
+    result list (see ``_redexes``) of each proper subterm of a searched
+    term that is not ``CLEAN``, never that of the searched term itself, so
+    it grows with the subterms terms share, not with the terms searched.
+    Hits and results depend on the subterm alone, never on its context.
     """
 
     def __init__(self, alg, pairs, complete: bool = True):
@@ -274,6 +280,7 @@ class RedexIndex:
         self.anywhere = tuple(anywhere)
         self.by_head = {key: tuple(sorted(ix + anywhere)) for key, ix in buckets.items()}
         self.memo: dict[GroundTerm, object] = {}
+        self.results: dict[GroundTerm, list] = {}
 
     def _root_hits(self, t: GroundTerm) -> tuple:
         core = _core(self.table, t)
@@ -292,24 +299,34 @@ class RedexIndex:
                 found.append((i, tuple(sorted(m.items())), apply_substitution(sig, rhs, m)))
         return tuple(found)
 
-    def fill(self, t: GroundTerm) -> None:
-        """Give ``t`` and all its subterms a memo entry, children first."""
-        memo = self.memo
-        stack = [t]
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
+    def _compose(self, node: GroundTerm) -> list:
+        """The result list of ``node``, from its root hits and its children's lists.
+
+        Each result is one new node over cached arguments, so canonicalizing
+        it or checking it (an ill-formed one is dropped, and all above it)
+        reads that node alone.
+        """
+        table, sig, memo = self.table, self.sig, self.memo
+        ctor, args = node.constructor, node.args
+        out = []
+        for i, subst, result in memo[node]:
+            if table is not None:
+                result = table.canonical(result)
+            elif not well_formed_ground(sig, result):
                 continue
-            missing = [a for a in node.args if a not in memo]
-            if missing:
-                stack += missing
+            out.append((i, (), subst, result))
+        for k, a in enumerate(args):
+            if memo[a] is CLEAN:
                 continue
-            stack.pop()
-            hits = self._root_hits(node)
-            if not hits and all(memo[a] is CLEAN for a in node.args):
-                hits = CLEAN
-            memo[node] = hits
+            head, tail = args[:k], args[k + 1:]
+            for i, pos, subst, r in self.results[a]:
+                result = GroundTerm(ctor, head + (r,) + tail)
+                if table is not None:
+                    result = table.canonical(result)
+                elif not well_formed_ground(sig, result):
+                    continue
+                out.append((i, (k,) + pos, subst, result))
+        return out
 
 
 def _rule_index(alg) -> RedexIndex:
@@ -337,40 +354,46 @@ def _equation_index(alg) -> RedexIndex:
     return index
 
 
-def _redexes(index: RedexIndex, u: GroundTerm, only: int | None = None):
-    """Yield ``(pair index, position, substitution, result)`` for ``u``.
+def _redexes(index: RedexIndex, u: GroundTerm) -> list:
+    """``(pair index, position, substitution, result)`` for every redex of ``u``.
 
-    Positions come in preorder, then pairs in index order.  Many-sorted
-    results are core-canonicalized; order-sorted results that are not
-    well-formed are dropped.  ``only`` restricts the search to one pair.
+    Positions come in preorder, then pairs in index order.  The list is
+    composed bottom-up: a subterm's root hits come first, then, child by
+    child, each result of the child put back under the subterm's head.
+    Many-sorted results are core-canonicalized; order-sorted results that
+    are not well-formed are dropped.  The list may be a memoised one:
+    callers only read it.
     """
-    sig = index.sig
-    table = index.table
-    memo = index.memo
-    if u not in memo:
-        index.fill(u)
-    stack: list[tuple[Position, GroundTerm]] = [] if memo[u] is CLEAN else [((), u)]
-    while stack:
-        pos, node = stack.pop()
-        for i, subst, instance in memo[node]:
-            if only is not None and i != only:
-                continue
-            result = replace_at(u, pos, instance)
-            if table is not None:
-                result = table.canonical(result)
-            elif not well_formed_ground(sig, result):
-                continue
-            yield i, pos, subst, result
-        args = node.args
-        for k in range(len(args) - 1, -1, -1):
-            if memo[args[k]] is not CLEAN:
-                stack.append((pos + (k,), args[k]))
+    results, memo = index.results, index.memo
+    hit = results.get(u)
+    if hit is not None:
+        return hit
+    # One bottom-up pass: the memo entry, then the result list, of each
+    # subterm that has neither yet.
+    stack = [u]
+    while True:
+        node = stack[-1]
+        pending = [a for a in node.args
+                   if a not in memo or (memo[a] is not CLEAN and a not in results)]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        if node not in memo:
+            hits = index._root_hits(node)
+            memo[node] = CLEAN if not hits and all(memo[a] is CLEAN for a in node.args) else hits
+        if not stack:
+            return [] if memo[u] is CLEAN else index._compose(u)
+        if memo[node] is not CLEAN and node not in results:
+            results[node] = index._compose(node)
 
 
-def rule_results(alg, u: GroundTerm, rule_index: int):
-    """Results of applying one rule anywhere on ``u``, in position order."""
-    for _, _, _, result in _redexes(_rule_index(alg), u, only=rule_index):
-        yield result
+def results_by_rule(alg, u: GroundTerm) -> dict[int, list[GroundTerm]]:
+    """The results of each rule on ``u``, by rule index, in position order."""
+    groups: dict[int, list[GroundTerm]] = {}
+    for i, _, _, result in _redexes(_rule_index(alg), u):
+        groups.setdefault(i, []).append(result)
+    return groups
 
 
 # --- equational closure -----------------------------------------------------

@@ -81,12 +81,25 @@ Substitution = dict[str, GroundTerm]
 
 
 def print_term(t: Term) -> str:
-    """Render a term or pattern in the prefix spec grammar."""
-    if isinstance(t, Var):
-        return f"{t.name}:{t.sort}"
-    if not t.args:
-        return t.constructor
-    return f"{t.constructor}({', '.join(print_term(a) for a in t.args)})"
+    """Render a term or pattern in the prefix spec grammar, without recursion."""
+    out: list[str] = []
+    stack: list = [t]  # Terms still to print, and the punctuation between them.
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+        elif type(node) is Var:
+            out.append(f"{node.name}:{node.sort}")
+        elif node.args:
+            out.append(node.constructor + "(")
+            args = node.args
+            stack.append(")")
+            for i in range(len(args) - 1, 0, -1):
+                stack += (args[i], ", ")
+            stack.append(args[0])
+        else:
+            out.append(node.constructor)
+    return "".join(out)
 
 
 @dataclass(frozen=True, order=True)

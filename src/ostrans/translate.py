@@ -137,7 +137,10 @@ class CastTable:
                 core = cls(core.constructor, tuple([done[a] for a in core.args]))
             stack.pop()
             done[node] = core if top is None else self.wrap_canonical(core, bottom, top)
-        return done[t]
+        out = done[t]
+        if ground:
+            cache[out] = out  # A fixpoint: a term built over ``out`` reads it back.
+        return out
 
 
 @dataclass

@@ -8,6 +8,7 @@ from gen_algebras import random_algebra
 from ostrans import (
     BisimConfig,
     GroundTerm,
+    MSAlgebra,
     NotStrictlySensible,
     OSAlgebra,
     PNode,
@@ -21,12 +22,14 @@ from ostrans import (
     e_class_bounded,
     enumerate_ground_terms,
     least_sort,
+    replace_at,
     run_bisim,
     strip_casts,
     translate_algebra,
     translate_term,
     validate_algebra,
 )
+from ostrans.rewrite import results_by_rule
 
 G = GroundTerm
 ZERO = G("0")
@@ -138,6 +141,20 @@ def test_run_bisim_validates_once(imp, count_calls):
     calls = count_calls(validate_algebra)
     run_bisim(imp, BisimConfig(term_depth=1))
     assert len(calls) == 1
+
+
+def test_run_bisim_replays_each_subject_once(imp, count_calls):
+    # Results are composed from memoised child results, never rebuilt
+    # along a spine, and a many-sorted subject is searched once for all of
+    # its steps.
+    spine = count_calls(replace_at)
+    grouped = count_calls(results_by_rule)
+    report = run_bisim(imp, BisimConfig(term_depth=2))
+    assert report.verdict == "pass"
+    assert spine == []
+    ms_subjects = [u for alg, u in grouped if isinstance(alg, MSAlgebra)]
+    assert ms_subjects and len(ms_subjects) == len(set(ms_subjects))
+    assert report.steps_checked > len(grouped)
 
 
 def test_translation_preserves_equivalence_classes(imp, imp_translated):

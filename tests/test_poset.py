@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gen_algebras import random_dag_pairs
 from ostrans import CycleDetected, UnknownSort, build_poset, choose_canonical, find_diamonds
+from ostrans.poset import SortPoset, compute_canonical_paths
 
 IMP_SORTS = ["nat", "int", "AExp", "Id", "bool", "BExp", "Block", "Stmt", "Map", "Pgm"]
 IMP_PAIRS = [
@@ -166,6 +167,39 @@ def test_find_diamonds_against_oracle():
         for d in find_diamonds(poset):
             got[(d.bottom, d.top)] = got.get((d.bottom, d.top), 0) + 1
         assert got == expected
+
+
+def test_find_diamonds_walks_each_pair_once(monkeypatch):
+    # A method, so patched on the class: one path walk per related pair,
+    # with diamonds in the order of the canonical-path table.
+    poset = build_poset(
+        ["a", "b", "c", "d", "e"],
+        [("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d"), ("c", "e"), ("d", "e")],
+    )
+    walked = []
+    enumerate_paths = SortPoset.enumerate_paths
+
+    def counted(self, start, end):
+        walked.append((start, end))
+        return enumerate_paths(self, start, end)
+
+    for tie_break in ("lex", "revlex"):
+        want = tuple(
+            (bottom, top, canon, path)
+            for (bottom, top), canon in compute_canonical_paths(poset, tie_break).items()
+            for path in poset.enumerate_paths(bottom, top)
+            if path != canon
+        )
+        monkeypatch.setattr(SortPoset, "enumerate_paths", counted)
+        walked.clear()
+        got = find_diamonds(poset, tie_break)
+        monkeypatch.undo()
+        related = [
+            (a, b) for a in sorted(poset.sorts) for b in sorted(poset.supersorts(a)) if a != b
+        ]
+        assert walked == related
+        assert len(want) >= 4
+        assert tuple((d.bottom, d.top, d.path_a, d.path_b) for d in got) == want
 
 
 def test_choose_canonical_tie_breaks():

@@ -6,10 +6,11 @@ order.  It matches with its own copy of the plain recursive matchers, so
 a fault in the engine's compiled matcher cannot hide in the reference.
 The engine narrows the candidates with a two-level index (head, then
 argument heads), matches compiled left sides, memoises root hits per
-interned subterm and skips subterms with no redex; all of these are pure
-speed-ups, so every step and every class member must come out the same
-and in the same order, on a fresh algebra (memo cold) and on a second
-pass (memo warm).
+interned subterm, skips subterms with no redex and composes a term's
+results from its children's memoised result lists; all of these are
+pure speed-ups, so every step and every class member must come out the
+same and in the same order, on a fresh algebra (memo cold) and on a
+second pass (memo warm).
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def _block_tower(height):
 
 
 def test_redex_under_redex_free_constructors():
-    # The walk must descend through 300 redex-free blocks to find the
+    # The search must go through 300 redex-free blocks to find the
     # redexes at the bottom, and skip the rest, with the memo cold and warm.
     tower = _block_tower(300)
     os_alg = _fixture("imp.osa")
@@ -296,7 +297,7 @@ def test_overloads_told_apart_by_operator():
 
 
 def test_match_count_stays_small(monkeypatch):
-    # A count, not a time: the index and the pruned walk keep the matcher
+    # A count, not a time: the index and the redex memo keep the matcher
     # off almost every subterm of a depth-2 check of IMP.
     alg = _fixture("imp.osa")
     ms_alg, tm = translate_algebra(alg)
@@ -327,3 +328,35 @@ def test_every_match_goes_through_the_module_function(monkeypatch):
     monkeypatch.setattr(rewrite, "match_pattern", counted)
     assert _steps(fresh, u) == want
     assert calls
+
+
+def test_child_results_reused_under_two_parents(monkeypatch):
+    # One child with redexes under two different parents: each index
+    # composes its result list once and reuses it, while a subject's own
+    # list is never kept, so the rule search composes it on every call.
+    os_alg = _fixture("imp.osa")
+    ms_alg, tm = translate_algebra(os_alg)
+    child = GroundTerm("-", (GroundTerm("true"),))
+    parents = [GroundTerm("+", (child, GroundTerm("-", (GroundTerm("false"),)))),
+               GroundTerm("-", (child,))]
+    composed = []
+    compose = rewrite.RedexIndex._compose
+
+    def counted(index, node):
+        composed.append((index, node))
+        return compose(index, node)
+
+    monkeypatch.setattr(rewrite.RedexIndex, "_compose", counted)
+    for alg, shared in ((os_alg, child), (ms_alg, translate_term(tm, child))):
+        subjects = parents if alg is os_alg else [translate_term(tm, p) for p in parents]
+        assert all(shared in u.args for u in subjects)
+        for memo in ("cold", "warm"):
+            for u in subjects:
+                assert _steps(alg, u) == naive_direct_steps(alg, u), (memo, u)
+                got = e_class_bounded(alg, u, ECLASS_DEPTH, ECLASS_MAX)
+                want = naive_e_class(alg, u, ECLASS_DEPTH, ECLASS_MAX)
+                assert (got.members, got.depth_used, got.exhausted) == want, (memo, u)
+        for index in (alg._rule_index, alg._equation_index):
+            assert [n for i, n in composed if i is index].count(shared) == 1
+        by_rules = [n for i, n in composed if i is alg._rule_index]
+        assert [by_rules.count(u) for u in subjects] == [2, 2]

@@ -25,11 +25,13 @@ from ostrans import (
     generate_core_equations,
     match_pattern,
     ms_sort,
+    parse_spec,
     positions,
     replace_at,
     rewrite_step,
     rewrite_trace,
     subterm_at,
+    translate_algebra,
     translate_term,
 )
 
@@ -63,6 +65,38 @@ def test_position_helpers_handle_deep_terms():
     order = _postorder_index(t)
     assert len(order) == height + 1
     assert order[bottom] == 0 and order[()] == height
+
+
+def test_deep_terms_rewrite_on_both_sides(imp_text):
+    # -(s^2000(0)) and its translation, deeper than the recursion limit.
+    # least_sort and translate_term still recurse, so the tower is
+    # translated level by level, which fills their caches bottom-up; the
+    # redex search and the class search must not recurse themselves.
+    alg = parse_spec(imp_text)
+    ms, tm = translate_algebra(alg)
+    t = ZERO
+    for _ in range(2_000):
+        t = G("s", (t,))
+        translate_term(tm, t)
+    t = G("-", (t,))
+    for a, u in ((alg, t), (ms, translate_term(tm, t))):
+        assert direct_steps(a, u) == []
+        cls = e_class_bounded(a, u, 2, 50)
+        assert cls.members[0] is u and len(cls.members) > 1
+
+
+def test_only_proper_subterms_keep_result_lists(imp_text):
+    # A result list per subject would grow with every term a check visits;
+    # only the subterms that later subjects share keep theirs.
+    alg = parse_spec(imp_text)
+    ms, tm = translate_algebra(alg)
+    t = G("+", (G("-", (G("true"),)), G("-", (G("false"),))))
+    for a, u in ((alg, t), (ms, translate_term(tm, t))):
+        steps = direct_steps(a, u)
+        assert {s.position for s in steps} == {(), (0,), (1,)}
+        results = a._rule_index.results
+        assert u not in results
+        assert all(c in results for c in u.args)
 
 
 # --- matching ----------------------------------------------------------------

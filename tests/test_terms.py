@@ -21,6 +21,7 @@ from ostrans import (
     least_sort,
     ms_sort,
     print_term,
+    translate_term,
     sorts_of,
     variables_of,
     well_formed_ground,
@@ -180,3 +181,35 @@ def test_print_term_forms(imp):
     assert print_term(G("+", (ZERO, S0))) == "+(0, s(0))"
     assert print_term(ZERO) == "0"
     assert print_term(Var("A", "nat")) == "A:nat"
+
+
+def _print_recursive(t) -> str:
+    """The recursive printer that ``print_term`` replaced, as an oracle."""
+    if isinstance(t, Var):
+        return f"{t.name}:{t.sort}"
+    if not t.args:
+        return t.constructor
+    return f"{t.constructor}({', '.join(_print_recursive(a) for a in t.args)})"
+
+
+def test_print_term_matches_recursive_printer(imp, imp_real, imp_translated, imp_real_translated):
+    terms = []
+    for alg in (imp, imp_real, imp_translated[0], imp_real_translated[0]):
+        for stmt in alg.equations + alg.rules:
+            terms += (stmt.lhs, stmt.rhs)
+    for alg in (imp, imp_real):
+        terms += enumerate_ground_terms(alg.signature, depth=2)
+    for ms, tm in (imp_translated, imp_real_translated):
+        terms += (translate_term(tm, t) for t in enumerate_ground_terms(tm.source, depth=2))
+    assert len(terms) > 1000
+    for t in terms:
+        assert print_term(t) == _print_recursive(t)
+
+
+def test_print_term_deep():
+    # Deeper than the interpreter's recursion limit.
+    height = 5_000
+    t = ZERO
+    for _ in range(height):
+        t = G("s", (t,))
+    assert print_term(G("+", (t, TRUE))) == "+(" + "s(" * height + "0" + ")" * height + ", true)"
