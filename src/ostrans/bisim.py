@@ -20,9 +20,9 @@ from itertools import product
 from .rewrite import (
     RewriteStep,
     core_canonicalize,
-    direct_steps,
     e_class_bounded,
     results_by_rule,
+    rule_redexes,
 )
 from .terms import (
     GroundTerm,
@@ -191,14 +191,17 @@ def _mirror(alg, subject: GroundTerm, groups: dict, rule_index: int, lift,
     return SKIPPED
 
 
-def _sweep(direction: str, terms, alg, ms: MSAlgebra, cfg: BisimConfig,
+def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
            obligations, missing: str) -> BisimReport:
     """Check one direction on at most ``cfg.max_terms`` of ``terms``.
 
-    ``obligations(t)`` gives ``(step, subject, lift, target)`` for each
-    step of ``t``, or ``None`` when ``t`` has no counterpart in ``alg``.
-    Each subject's results are computed once, for all of its steps.
-    ``missing`` explains a failure; it is formatted only then.
+    ``obligations(t)`` gives ``(bridging, redexes, subject, lift, target_of)``,
+    or ``None`` when ``t`` has no counterpart in ``alg``: each entry of
+    ``redexes`` is a step of ``other`` on ``bridging`` (see
+    ``rule_redexes``), to be replayed as rule ``i`` of ``alg`` on
+    ``subject``, looking for ``target_of(result)``.  The subject's results
+    are computed once, for all of its steps.  A failure alone builds its
+    witness ``RewriteStep``; ``missing`` explains it.
     """
     report = BisimReport()
     failures = report.forward_failures if direction == "forward" else report.backward_failures
@@ -207,26 +210,28 @@ def _sweep(direction: str, terms, alg, ms: MSAlgebra, cfg: BisimConfig,
             report.truncated = True
             break
         report.terms_checked += 1
-        steps = obligations(t)
-        if steps is None:
+        found = obligations(t)
+        if found is None:
             report.not_in_image += 1
             continue
-        groups_of: dict[GroundTerm, dict] = {}
-        for step, subject, lift, target in steps:
+        bridging, redexes, subject, lift, target_of = found
+        groups = None
+        for i, pos, subst, result in redexes:
             report.steps_checked += 1
-            groups = groups_of.get(subject)
             if groups is None:
-                groups = groups_of[subject] = results_by_rule(alg, subject)
-            outcome = _mirror(alg, subject, groups, step.rule_index, lift, target, ms, cfg)
+                groups = results_by_rule(alg, subject)
+            target = target_of(result)
+            outcome = _mirror(alg, subject, groups, i, lift, target, ms, cfg)
             if outcome == SKIPPED:
                 report.skipped_unexhausted += 1
             elif outcome == FAILED:
+                rule = other.rules[i]
                 failures.append(Counterexample(
                     direction=direction,
-                    source_term=step.bridging_term,
-                    rule_index=step.rule_index,
-                    rule=step.rule,
-                    witness=step,
+                    source_term=bridging,
+                    rule_index=i,
+                    rule=rule,
+                    witness=RewriteStep(i, rule, pos, subst, bridging, result),
                     missing=missing.format(subject=subject, target=target),
                 ))
     return report
@@ -236,17 +241,21 @@ def check_forward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
                   cfg: BisimConfig = BisimConfig()) -> BisimReport:
     """Every source step must be mirrored by a translated step."""
     def obligations(t: GroundTerm):
+        redexes = rule_redexes(os, t)
+        if not redexes:
+            # Nothing to replay: leave ``t`` untranslated.
+            return t, redexes, None, None, None
         # A many-sorted step preserves the subject's sort exactly, so a
         # sort-decreasing root step shows up wrapped in the right-side casts.
         top = least_sort(os.signature, t)
-        return [
-            (step, translate_term(tm, t), _identity,
-             translate_term(tm, step.result, expected=top))
-            for step in direct_steps(os, t)
-        ]
+
+        def target_of(result: GroundTerm) -> GroundTerm:
+            return translate_term(tm, result, expected=top)
+
+        return t, redexes, translate_term(tm, t), _identity, target_of
 
     return _sweep("forward", enumerate_ground_terms(os.signature, depth=cfg.term_depth),
-                  ms, ms, cfg, obligations,
+                  ms, os, ms, cfg, obligations,
                   "no many-sorted step reaches the translated result {target!r}")
 
 
@@ -267,10 +276,10 @@ def check_backward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
         def lift(result: GroundTerm) -> GroundTerm:
             return translate_term(tm, result, expected=top)
 
-        return [(step, preimage, lift, step.result) for step in direct_steps(ms, canonical)]
+        return canonical, rule_redexes(ms, canonical), preimage, lift, _identity
 
     return _sweep("backward", enumerate_ground_terms(ms.signature, depth=cfg.term_depth),
-                  os, ms, cfg, obligations,
+                  os, ms, ms, cfg, obligations,
                   "no order-sorted step from {subject!r} maps onto {target!r}")
 
 

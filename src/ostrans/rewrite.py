@@ -11,15 +11,22 @@ engine matches, deduplicates and compares terms through that normal form.
 
 Every search for redexes goes through one loop, ``_redexes``: a
 ``RedexIndex`` finds the root matches of each subterm once, and a term's
-results are composed from its children's memoised result lists.
+results are composed from its children's memoised result lists.  Each
+new node the search meets or builds costs one lookup keyed by facts about
+its children: its candidate left sides by (core head, core argument
+heads), its core normal form by the fixpoint rule of
+``CastTable.canonical``, its order-sorted well-formedness by its
+children's least sorts, and its translation (``translate``) by
+(constructor, child least sorts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
-from .errors import BudgetExceeded
+from .errors import AmbiguousSort, BudgetExceeded, IllFormedTerm
 from .terms import (
     GroundTerm,
     MSAlgebra,
@@ -240,9 +247,12 @@ class RedexIndex:
     variable join every bucket.  Each bucket entry also carries the core
     heads of its left side's arguments, and is skipped when one differs
     from the subject's; both matchers would fail on it.  These are the
-    first two levels of a discrimination tree.  The index only filters:
-    candidates are still tried in pair order through ``match_pattern``,
-    on left sides compiled once (``lhs``).
+    first two levels of a discrimination tree.  What passes both levels
+    depends only on the subterm's (core head, core argument heads), so
+    ``candidates`` memoises it under that key: a new subterm costs one
+    lookup.  The index only filters: candidates are still tried in pair
+    order through ``match_pattern``, on left sides compiled once
+    (``lhs``).
 
     ``memo`` gives every subterm the search has visited one entry: its
     root hits, ``(pair index, sorted substitution, right-side
@@ -252,6 +262,10 @@ class RedexIndex:
     term that is not ``CLEAN``, never that of the searched term itself, so
     it grows with the subterms terms share, not with the terms searched.
     Hits and results depend on the subterm alone, never on its context.
+    Each result node passes ``finish`` once: many-sorted, the core normal
+    form, which a node over recorded fixpoints reaches in one lookup;
+    order-sorted, a well-formedness check through the least sort, one
+    lookup per (constructor, child least sorts).
     """
 
     def __init__(self, alg, pairs, complete: bool = True):
@@ -279,20 +293,32 @@ class RedexIndex:
             buckets.setdefault((core.constructor, len(core.args)), []).append((i, arg_heads))
         self.anywhere = tuple(anywhere)
         self.by_head = {key: tuple(sorted(ix + anywhere)) for key, ix in buckets.items()}
+        # (core head, core argument heads) -> pair indices that pass both levels.
+        self.candidates: dict[tuple, tuple[int, ...]] = {}
         self.memo: dict[GroundTerm, object] = {}
         self.results: dict[GroundTerm, list] = {}
+        # ``None`` drops an ill-formed order-sorted result.
+        self.finish = (self.table.canonical if self.table is not None
+                       else partial(_checked_os, self.sig))
+
+    def _filter(self, key: tuple) -> tuple[int, ...]:
+        head, arg_heads = key
+        return tuple(
+            i for i, wanted in self.by_head.get((head, len(arg_heads)), self.anywhere)
+            if all(arg_heads[j] == h for j, h in wanted)
+        )
 
     def _root_hits(self, t: GroundTerm) -> tuple:
         core = _core(self.table, t)
-        candidates = self.by_head.get((core.constructor, len(core.args)), self.anywhere)
+        key = (core.constructor, tuple([_core(self.table, a).constructor for a in core.args]))
+        candidates = self.candidates.get(key)
+        if candidates is None:
+            candidates = self.candidates[key] = self._filter(key)
         if not candidates:
             return ()
-        heads = [_core(self.table, a).constructor for a in core.args]
         sig = self.sig
         found = []
-        for i, arg_heads in candidates:
-            if any(heads[j] != h for j, h in arg_heads):
-                continue
+        for i in candidates:
             m = match_pattern(sig, self.lhs[i], t)
             if m is not None:
                 rhs = self.pairs[i][1]
@@ -302,31 +328,42 @@ class RedexIndex:
     def _compose(self, node: GroundTerm) -> list:
         """The result list of ``node``, from its root hits and its children's lists.
 
-        Each result is one new node over cached arguments, so canonicalizing
-        it or checking it (an ill-formed one is dropped, and all above it)
-        reads that node alone.
+        Each composed result is one new node over arguments whose normal
+        forms and sorts are cached, so canonicalizing it or checking it (an
+        ill-formed one is dropped, and all above it) reads that node alone.
         """
-        table, sig, memo = self.table, self.sig, self.memo
+        memo, finish = self.memo, self.finish
         ctor, args = node.constructor, node.args
         out = []
         for i, subst, result in memo[node]:
-            if table is not None:
-                result = table.canonical(result)
-            elif not well_formed_ground(sig, result):
-                continue
-            out.append((i, (), subst, result))
+            result = finish(result)
+            if result is not None:
+                out.append((i, (), subst, result))
         for k, a in enumerate(args):
             if memo[a] is CLEAN:
                 continue
             head, tail = args[:k], args[k + 1:]
             for i, pos, subst, r in self.results[a]:
-                result = GroundTerm(ctor, head + (r,) + tail)
-                if table is not None:
-                    result = table.canonical(result)
-                elif not well_formed_ground(sig, result):
-                    continue
-                out.append((i, (k,) + pos, subst, result))
+                result = finish(GroundTerm(ctor, head + (r,) + tail))
+                if result is not None:
+                    out.append((i, (k,) + pos, subst, result))
         return out
+
+
+def _checked_os(sig: OSSignature, t: GroundTerm) -> GroundTerm | None:
+    """``t`` when it is well-formed, else ``None``; checked through least sorts.
+
+    No operator admitting the children's least sorts means no operator
+    admits any of their sorts, so ``IllFormedTerm`` is exact; an ambiguous
+    least sort says nothing, so the sort sets decide.
+    """
+    try:
+        least_sort(sig, t)
+    except IllFormedTerm:
+        return None
+    except AmbiguousSort:
+        return t if well_formed_ground(sig, t) else None
+    return t
 
 
 def _rule_index(alg) -> RedexIndex:
@@ -388,10 +425,19 @@ def _redexes(index: RedexIndex, u: GroundTerm) -> list:
             results[node] = index._compose(node)
 
 
+def rule_redexes(alg, u: GroundTerm) -> list:
+    """``(rule index, position, substitution, result)`` of every rule redex of ``u``.
+
+    The steps of ``direct_steps``, in the same order, without building a
+    ``RewriteStep`` for each.  Callers only read the list.
+    """
+    return _redexes(_rule_index(alg), u)
+
+
 def results_by_rule(alg, u: GroundTerm) -> dict[int, list[GroundTerm]]:
     """The results of each rule on ``u``, by rule index, in position order."""
     groups: dict[int, list[GroundTerm]] = {}
-    for i, _, _, result in _redexes(_rule_index(alg), u):
+    for i, _, _, result in rule_redexes(alg, u):
         groups.setdefault(i, []).append(result)
     return groups
 
@@ -460,7 +506,7 @@ def direct_steps(alg, u: GroundTerm) -> list[RewriteStep]:
             bridging_term=u,
             result=result,
         )
-        for i, pos, subst, result in _redexes(_rule_index(alg), u)
+        for i, pos, subst, result in rule_redexes(alg, u)
     ]
 
 

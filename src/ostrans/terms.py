@@ -284,19 +284,62 @@ def sorts_of(sig: Signature, t: Term) -> frozenset[Sort]:
     return _sorts_of_ms(sig, t)
 
 
+def fold_term(t: Term, cache: dict, leaf, combine, context):
+    """The value of ``t``, computed children first with an explicit stack.
+
+    ``leaf(context, v)`` is the value of a variable and ``combine(context,
+    node, values)`` that of an application, given its children's values
+    in order.  Ground subterms are read from ``cache`` when present and
+    stored there, so a subterm shared within ``t`` is computed once.
+    Nodes are combined in the order a recursive left-to-right pass would
+    visit them, so a raised error names the same subterm.
+    """
+    values: list = []
+    # A node to visit, or a 1-tuple holding a node whose children's values
+    # are the last ones on ``values``.
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            node = node[0]
+            n = len(node.args)
+            value = combine(context, node, tuple(values[len(values) - n:]))
+            del values[len(values) - n:]
+            if type(node) is GroundTerm:
+                cache[node] = value
+            values.append(value)
+        elif type(node) is Var:
+            values.append(leaf(context, node))
+        elif type(node) is GroundTerm and node in cache:
+            values.append(cache[node])
+        else:
+            stack.append((node,))
+            stack += reversed(node.args)
+    return values[0]
+
+
 def _sorts_of_os(sig: OSSignature, t: Term) -> frozenset[Sort]:
-    if isinstance(t, Var):
-        if t.sort not in sig.sorts:
-            return frozenset()
-        return sig.poset.supersorts(t.sort)
     cache = sig._sorts_cache
-    ground = isinstance(t, GroundTerm)
-    if ground:
+    if type(t) is GroundTerm:
         hit = cache.get(t)
         if hit is not None:
             return hit
-    child_sets = tuple(_sorts_of_os(sig, a) for a in t.args)
-    key = (t.constructor, child_sets)
+        # One new node over cached children: no stack.
+        child_sets = tuple([cache.get(a) for a in t.args])
+        if None not in child_sets:
+            hit = cache[t] = _sort_set(sig, t, child_sets)
+            return hit
+    return fold_term(t, cache, _var_sort_set, _sort_set, sig)
+
+
+def _var_sort_set(sig: OSSignature, v: Var) -> frozenset[Sort]:
+    return sig.poset.supersorts(v.sort) if v.sort in sig.sorts else frozenset()
+
+
+def _sort_set(sig: OSSignature, t: Term, child_sets: tuple) -> frozenset[Sort]:
+    """Every sort of ``t``, given the sort sets of its children."""
+    constructor = t.constructor
+    key = (constructor, child_sets)
     result = sig._sort_set_cache.get(key)
     if result is None:
         # Only the buckets of the components the first child's set touches
@@ -304,12 +347,10 @@ def _sorts_of_os(sig: OSSignature, t: Term) -> frozenset[Sort]:
         comps = {sig._component[s] for s in child_sets[0]} if child_sets else (None,)
         acc: set[Sort] = set()
         for comp in comps:
-            for op in sig._by_shape.get((t.constructor, len(child_sets), comp), ()):
+            for op in sig._by_shape.get((constructor, len(child_sets), comp), ()):
                 if all(s in cs for s, cs in zip(op.arg_sorts, child_sets)):
                     acc |= sig.poset.supersorts(op.target_sort)
         result = sig._sort_set_cache[key] = frozenset(acc)
-    if ground:
-        cache[t] = result
     return result
 
 
@@ -319,26 +360,24 @@ def _sorts_of_ms(sig: MSSignature, t: Term) -> frozenset[Sort]:
 
 
 def _ms_sort_opt(sig: MSSignature, t: Term) -> Sort | None:
-    if isinstance(t, Var):
-        return t.sort if t.sort in sig.sorts else None
-    # Only ground terms are cached: hashing a pattern walks all of it.
-    ground = isinstance(t, GroundTerm)
-    if ground:
+    # Only ground terms are cached: hashing a pattern walks all of it.  An
+    # ill-formed term is cached as "", so no shared subterm is walked twice.
+    if type(t) is GroundTerm:
         hit = sig._sort_cache.get(t)
         if hit is not None:
-            return hit
-    child_sorts = []
-    for a in t.args:
-        cs = _ms_sort_opt(sig, a)
-        if cs is None:
-            return None
-        child_sorts.append(cs)
-    op = sig.lookup(t.constructor, tuple(child_sorts))
-    if op is None:
-        return None
-    if ground:
-        sig._sort_cache[t] = op.target_sort
-    return op.target_sort
+            return hit or None
+    return fold_term(t, sig._sort_cache, _ms_var_sort, _ms_sort_at, sig) or None
+
+
+def _ms_var_sort(sig: MSSignature, v: Var) -> Sort:
+    return v.sort if v.sort in sig.sorts else ""
+
+
+def _ms_sort_at(sig: MSSignature, t: Term, child_sorts: tuple) -> Sort:
+    if "" in child_sorts:
+        return ""
+    op = sig.lookup(t.constructor, child_sorts)
+    return "" if op is None else op.target_sort
 
 
 def ms_sort(sig: MSSignature, t: Term) -> Sort:
@@ -361,17 +400,29 @@ def least_sort(sig: OSSignature, t: Term) -> Sort:
     sort of a pattern.  Raises ``IllFormedTerm`` when no operator admits
     the children and ``AmbiguousSort`` when the admitting operators have
     no common least target (input outside the strictly sensible fragment).
+    A node over children with cached sorts is one lookup and no stack;
+    anything else is one bottom-up pass with an explicit stack.
     """
-    if isinstance(t, Var):
-        if t.sort not in sig.sorts:
-            raise UnknownSort(f"unknown sort {t.sort!r}")
-        return t.sort
-    ground = isinstance(t, GroundTerm)
-    if ground:
-        hit = sig._least_cache.get(t)
+    cache = sig._least_cache
+    if type(t) is GroundTerm:
+        hit = cache.get(t)
         if hit is not None:
             return hit
-    child_sorts = tuple(least_sort(sig, a) for a in t.args)
+        child_sorts = tuple([cache.get(a) for a in t.args])
+        if None not in child_sorts:
+            hit = cache[t] = _least_at(sig, t, child_sorts)
+            return hit
+    return fold_term(t, cache, _var_sort, _least_at, sig)
+
+
+def _var_sort(sig: OSSignature, v: Var) -> Sort:
+    if v.sort not in sig.sorts:
+        raise UnknownSort(f"unknown sort {v.sort!r}")
+    return v.sort
+
+
+def _least_at(sig: OSSignature, t: Term, child_sorts: tuple[Sort, ...]) -> Sort:
+    """Least sort of ``t`` given the least sorts of its children."""
     leq = sig.poset.leq
     targets = [op.target_sort for op in sig.admitting(t.constructor, child_sorts)]
     if not targets:
@@ -380,8 +431,6 @@ def least_sort(sig: OSSignature, t: Term) -> Sort:
         )
     for cand in targets:
         if all(leq(cand, other) for other in targets):
-            if ground:
-                sig._least_cache[t] = cand
             return cand
     raise AmbiguousSort(
         f"term {print_term(t)} has incomparable candidate sorts {sorted(set(targets))}"
@@ -466,16 +515,20 @@ class Rule:
         return f"{print_term(self.lhs)} => {print_term(self.rhs)}"
 
 
-def _check_statement(sig: Signature, lhs: Pattern, rhs: Pattern, what: str) -> None:
+def _check_statement(sig: Signature, lhs: Pattern, rhs: Pattern, what: str) -> list:
+    """Check one statement's variables and sides; the sort set of each side."""
     seen = variables_of(lhs)
     for name, sort in variables_of(rhs).items():
         if seen.setdefault(name, sort) != sort:
             raise InconsistentAnnotation(
                 f"variable {name} annotated {seen[name]!r} and {sort!r} across the {what}"
             )
+    side_sorts = []
     for side, label in ((lhs, "left"), (rhs, "right")):
-        if not sorts_of(sig, side):
+        side_sorts.append(sorts_of(sig, side))
+        if not side_sorts[-1]:
             raise IllFormedTerm(f"{label} side of {what} is ill-formed: {print_term(side)}")
+    return side_sorts
 
 
 def _check_rule_shape(lhs: Pattern, rhs: Pattern) -> None:
@@ -541,14 +594,15 @@ class MSAlgebra:
         self._equation_index = None
         if not self.core_equations <= set(self.equations):
             raise InvalidSignature("core equations must be a subset of the equations")
+        # A many-sorted side's sort set is its one sort.
         for eq in self.equations:
-            _check_statement(signature, eq.lhs, eq.rhs, "equation")
-            if ms_sort(signature, eq.lhs) != ms_sort(signature, eq.rhs):
+            lhs_sorts, rhs_sorts = _check_statement(signature, eq.lhs, eq.rhs, "equation")
+            if lhs_sorts != rhs_sorts:
                 raise IllFormedTerm(f"equation sides have different sorts: {eq!r}")
         for rule in self.rules:
-            _check_statement(signature, rule.lhs, rule.rhs, "rule")
+            lhs_sorts, rhs_sorts = _check_statement(signature, rule.lhs, rule.rhs, "rule")
             _check_rule_shape(rule.lhs, rule.rhs)
-            if ms_sort(signature, rule.lhs) != ms_sort(signature, rule.rhs):
+            if lhs_sorts != rhs_sorts:
                 raise IllFormedTerm(f"rule sides have different sorts: {rule!r}")
 
     def __eq__(self, other) -> bool:

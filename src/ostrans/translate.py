@@ -35,6 +35,7 @@ from .terms import (
     Sort,
     Term,
     Var,
+    fold_term,
     least_sort,
     print_term,
 )
@@ -103,19 +104,30 @@ class CastTable:
 
         The output is the core-equality normal form: two terms are
         core-equal exactly when their canonical forms are identical.
-        Idempotent; works on patterns as well as ground terms.  One
+        Idempotent; works on patterns as well as ground terms.  Ground
+        results are cached, each normal form as a fixpoint (it maps to
+        itself).  A ground node whose head is not a cast and whose
+        arguments are all recorded fixpoints is its own normal form: it is
+        recorded and returned with no walk.  Anything else takes one
         bottom-up pass with an explicit stack, so deep terms cannot
-        exhaust the recursion limit.  Ground results are cached.
+        exhaust the recursion limit.
         """
         cache = self._canon_cache
         hit = cache.get(t)
         if hit is not None:
             return hit
         ground = isinstance(t, GroundTerm)
+        pair_of = self.pair_of
+        if ground and t.constructor not in pair_of:
+            for a in t.args:
+                if cache.get(a) is not a:
+                    break
+            else:
+                cache[t] = t
+                return t
         # The cache holds ground terms; a pattern's nodes are kept per call.
         done = cache if ground else {}
         cls = GroundTerm if ground else PNode
-        pair_of = self.pair_of
         stack = [t]
         while stack:
             node = stack[-1]
@@ -163,6 +175,9 @@ class TranslationMap:
     table: CastTable = field(init=False, repr=False, compare=False)
     # Translations of ground terms, by term: ``(translation, sort)``.
     _tr_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # One plan per (constructor, child least sorts): the representative's
+    # final name, argument sorts and target sort.
+    _plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.original_name_of = {
@@ -274,36 +289,72 @@ def translate_term(tm: TranslationMap, t: Term, expected: Sort | None = None) ->
     representative demands, the canonical cast chain bridges the gap.
     When ``expected`` is given the root is wrapped up to it as well.
     """
-    ground = isinstance(t, GroundTerm)
-    hit = tm._tr_cache.get(t) if ground else None
-    if hit is None:
+    if type(t) is GroundTerm:
+        hit = tm._tr_cache.get(t)
+        if hit is None:
+            hit = tm._tr_cache[t] = _translate(tm, t)
+    else:
         hit = _translate(tm, t)
-        if ground:
-            tm._tr_cache[t] = hit
     out, sort = hit
     if expected is not None and sort != expected:
-        if expected not in tm.source.poset.supersorts(sort):
-            raise UntranslatableSort(
-                f"cannot cast {print_term(t)} from {sort!r} up to {expected!r}"
-            )
-        out = tm.table.wrap_canonical(out, sort, expected)
+        out = _lift(tm, t, out, sort, expected)
     return out
 
 
+def _lift(tm: TranslationMap, t: Term, out: Term, sort: Sort, expected: Sort) -> Term:
+    """Wrap ``out``, the translation of ``t`` at ``sort``, up to ``expected``."""
+    if expected not in tm.source.poset.supersorts(sort):
+        raise UntranslatableSort(
+            f"cannot cast {print_term(t)} from {sort!r} up to {expected!r}"
+        )
+    return tm.table.wrap_canonical(out, sort, expected)
+
+
 def _translate(tm: TranslationMap, t: Term) -> tuple[Term, Sort]:
-    if isinstance(t, Var):
-        return t, t.sort
+    """``(translation, sort)`` of ``t``; ground results are cached by term.
+
+    A ground node whose children are all translated is one plan lookup and
+    no stack.  Anything else first checks the sorts of everything below
+    the root, then takes one bottom-up pass with an explicit stack.
+    """
+    if type(t) is Var:
+        return _translate_var(tm, t)
+    cache = tm._tr_cache
+    if type(t) is GroundTerm:
+        children = [cache.get(a) for a in t.args]
+        if None not in children:
+            return _translate_node(tm, t, children)
+    for a in t.args:
+        least_sort(tm.source, a)
+    return fold_term(t, cache, _translate_var, _translate_node, tm)
+
+
+def _translate_var(tm: TranslationMap, v: Var) -> tuple[Term, Sort]:
+    return v, v.sort
+
+
+def _translate_node(tm: TranslationMap, t: Term, children) -> tuple[Term, Sort]:
+    """Translate the node ``t`` given its children's ``(translation, sort)``."""
     src = tm.source
-    admitting = src.admitting(t.constructor, tuple(least_sort(src, a) for a in t.args))
-    if not admitting:
-        raise IllFormedTerm(f"no operator admits {print_term(t)}")
-    rep = tm.representative_of[admitting[0]]
-    cls = _node_cls(t)
-    new_args = []
-    for a, want in zip(t.args, rep.arg_sorts):
-        ta = translate_term(tm, a, expected=want)
-        new_args.append(ta)
-    return cls(tm.rename_of[rep], tuple(new_args)), rep.target_sort
+    if type(t) is GroundTerm:
+        least = src._least_cache
+        child_sorts = tuple([least.get(a) or least_sort(src, a) for a in t.args])
+    else:
+        child_sorts = tuple([least_sort(src, a) for a in t.args])
+    key = (t.constructor, child_sorts)
+    plan = tm._plans.get(key)
+    if plan is None:
+        admitting = src.admitting(t.constructor, child_sorts)
+        if not admitting:
+            raise IllFormedTerm(f"no operator admits {print_term(t)}")
+        rep = tm.representative_of[admitting[0]]
+        plan = tm._plans[key] = (tm.rename_of[rep], rep.arg_sorts, rep.target_sort)
+    name, arg_sorts, target = plan
+    args = tuple([
+        out if sort == want else _lift(tm, a, out, sort, want)
+        for a, (out, sort), want in zip(t.args, children, arg_sorts)
+    ])
+    return _node_cls(t)(name, args), target
 
 
 def generate_core_equations(tm: TranslationMap) -> tuple[Equation, ...]:

@@ -13,6 +13,7 @@ from ostrans import (
     OSAlgebra,
     PNode,
     Rule,
+    RewriteStep,
     bisim,
     cast_table,
     check_backward,
@@ -157,6 +158,15 @@ def test_run_bisim_replays_each_subject_once(imp, count_calls):
     assert report.steps_checked > len(grouped)
 
 
+def test_run_bisim_builds_no_steps_when_nothing_fails(imp, count_calls):
+    # Replayed steps stay plain tuples; only a counterexample gets a
+    # RewriteStep, as its witness.
+    built = count_calls(RewriteStep)
+    report = run_bisim(imp, BisimConfig(term_depth=2))
+    assert report.verdict == "pass" and report.steps_checked > 0
+    assert built == []
+
+
 def test_translation_preserves_equivalence_classes(imp, imp_translated):
     # Source-equal terms must translate into one translated class: every
     # member found by the bounded source closure lands, after translation
@@ -218,6 +228,8 @@ def test_forward_failure_is_reported_when_mirror_is_wrong():
     assert ce.rule_index == 0
     assert ce.source_term is G("f", (G("c"),))
     assert ce.missing == "no many-sorted step reaches the translated result c"
+    assert ce.witness == direct_steps(os_alg, ce.source_term)[0]
+    assert ce.witness.result is G("c")
     assert report.skipped_unexhausted == 0
 
 
@@ -249,6 +261,8 @@ def test_backward_failure_is_reported_when_mirror_is_wrong():
         "backward", G("f", (G("c"),)), 0,
         "no order-sorted step from f(c) maps onto f(f(c))",
     )
+    assert ce.witness == direct_steps(doctored, ce.source_term)[0]
+    assert ce.witness.result is G("f", (G("f", (G("c"),)),))
 
 
 def test_unmirrored_step_is_skipped_when_a_class_is_cut_by_budget():

@@ -4,7 +4,8 @@ No linter ships with the test dependencies, so this reads each module's
 syntax tree.  ``__init__.py`` is exempt from the import check: its
 imports are the public API.  A top-level function or class must be named
 somewhere besides its own definition: in the package, its tests or the
-benchmark.
+benchmark.  The top-level functions that recurse are pinned, so deep
+terms cannot meet a new recursive walk.
 """
 
 from __future__ import annotations
@@ -103,3 +104,52 @@ def test_guard_sees_a_dead_definition():
     source = "def used():\n    pass\n\n\nclass Dead:\n    pass\n\n\nused()\n"
     tree = ast.parse(source)
     assert _dead(_top_level_definitions(tree), [source]) == ["Dead"]
+
+
+def _recursive(tree: ast.Module) -> list[str]:
+    """Top-level functions that call themselves, directly or through one
+    other top-level function of the same module."""
+    functions = {
+        node.name: node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    calls = {
+        name: {
+            c.func.id for c in ast.walk(node)
+            if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+        } & functions.keys()
+        for name, node in functions.items()
+    }
+    return sorted(
+        name for name, callees in calls.items()
+        if name in callees or any(name in calls[g] for g in callees)
+    )
+
+
+# The recursive functions left in the package, pinned.  All four recurse
+# over patterns (rule and equation sides), never over subject terms.
+# Entries may only be deleted: a new recursive walk fails here, and a
+# function rewritten without recursion must leave the list.
+RECURSIVE = {
+    "rewrite.py": ["_compile_core", "_match_ms", "_match_os"],
+    "terms.py": ["apply_substitution"],
+}
+
+
+def test_recursive_functions_are_pinned():
+    found = {}
+    for path in MODULES:
+        names = _recursive(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            found[path.name] = names
+    assert found == RECURSIVE
+
+
+def test_guard_sees_recursion():
+    source = (
+        "def walk(t):\n    return [walk(a) for a in t]\n\n\n"
+        "def even(n):\n    return n == 0 or odd(n - 1)\n\n\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n\n\n"
+        "def flat(t):\n    return len(t)\n"
+    )
+    assert _recursive(ast.parse(source)) == ["even", "odd", "walk"]

@@ -23,11 +23,13 @@ import pytest
 
 from gen_algebras import random_algebra
 from ostrans import (
+    AmbiguousSort,
     BisimConfig,
     GroundTerm,
     MSAlgebra,
     MSSignature,
     Operator,
+    OSAlgebra,
     OSSignature,
     PNode,
     Rule,
@@ -44,6 +46,7 @@ from ostrans import (
     match_pattern,
     ms_sort,
     parse_spec,
+    print_term,
     rewrite,
     translate_algebra,
     translate_term,
@@ -360,3 +363,68 @@ def test_child_results_reused_under_two_parents(monkeypatch):
             assert [n for i, n in composed if i is index].count(shared) == 1
         by_rules = [n for i, n in composed if i is alg._rule_index]
         assert [by_rules.count(u) for u in subjects] == [2, 2]
+
+
+def test_subjects_not_in_core_normal_form():
+    # A subject need not be canonical: beside an argument with a redex it
+    # may hold Cast_real_to_AExp(Cast_nat_to_real(t)), whose canonical
+    # chain goes through int.  Every result puts that sibling back under a
+    # head that is not a cast, and must still come out canonical.
+    ms_alg, _ = translate_algebra(_fixture("imp_real.osa"))
+    table = cast_table(ms_alg)
+    zero = GroundTerm("0")
+    neg = GroundTerm("Cast_int_to_AExp", (GroundTerm("-int", (GroundTerm("Cast_nat_to_int", (zero,)),)),))
+    ident = GroundTerm("Cast_Id_to_AExp", (GroundTerm("v", (zero,)),))
+    subjects = []
+    for core in (zero, GroundTerm("s", (zero,))):
+        chain = GroundTerm("Cast_real_to_AExp", (GroundTerm("Cast_nat_to_real", (core,)),))
+        assert table.canonical(chain) is not chain
+        subjects += [
+            GroundTerm("+AExp", (chain, neg)),
+            GroundTerm("+AExp", (neg, chain)),
+            GroundTerm("<=", (chain, GroundTerm("+AExp", (neg, ident)))),
+            GroundTerm("seq", (GroundTerm("assign", (GroundTerm("v", (zero,)), chain)),
+                               GroundTerm("assign", (GroundTerm("v", (zero,)), neg)))),
+        ]
+    for memo in ("cold", "warm"):
+        for u in subjects:
+            steps = _steps(ms_alg, u)
+            assert steps and steps == naive_direct_steps(ms_alg, u), (memo, u)
+            assert all(table.canonical(s[4]) is s[4] for s in steps), (memo, u)
+
+
+def _ambiguous_algebra():
+    """A signature that is not preregular: f(k) has sorts B1 and B2, no least one.
+
+    ``m => k`` composes ambiguous results under g and h; ``k => n`` composes
+    ill-formed ones (no f takes a J); ``p => f(k)`` has an ambiguous right
+    side at the root.  No rule has a variable, since matching one needs the
+    least sort of what it captures.
+    """
+    ops = [Operator("k", (), "K"), Operator("m", (), "K"), Operator("n", (), "J"),
+           Operator("p", (), "T"), Operator("f", ("K",), "B1"), Operator("f", ("K",), "B2"),
+           Operator("g", ("T",), "T"), Operator("h", ("B1",), "T")]
+    sig = OSSignature(["K", "J", "B1", "B2", "T"], [("B1", "T"), ("B2", "T")], ops)
+    k = PNode("k")
+    rules = (Rule(PNode("m"), k), Rule(k, PNode("n")), Rule(PNode("p"), PNode("f", (k,))))
+    return OSAlgebra(sig, (), rules)
+
+
+def test_ambiguous_results_are_checked_by_sort_sets():
+    # The search checks a composed result through its least sort.  An
+    # ambiguous one says nothing, so the sort sets must decide, as the
+    # naive loop's ``well_formed_ground`` does.
+    alg = _ambiguous_algebra()
+    sig = alg.signature
+    G = GroundTerm
+    fk, fm, p = G("f", (G("k"),)), G("f", (G("m"),)), G("p")
+    subjects = [fm, G("g", (fm,)), G("h", (fm,)), G("g", (fk,)), G("g", (G("g", (fm,)),)),
+                p, G("g", (p,)), G("g", (G("g", (p,)),))]
+    with pytest.raises(AmbiguousSort):
+        least_sort(sig, fk)
+    for memo in ("cold", "warm"):
+        for u in subjects:
+            assert _steps(alg, u) == naive_direct_steps(alg, u), (memo, u)
+    kept = {s[4] for u in subjects for s in _steps(alg, u)}
+    assert {fk, G("g", (fk,)), G("h", (fk,)), G("g", (G("g", (fk,)),))} <= kept
+    assert not any("n" in print_term(r) for r in kept)

@@ -68,21 +68,37 @@ def test_position_helpers_handle_deep_terms():
 
 
 def test_deep_terms_rewrite_on_both_sides(imp_text):
-    # -(s^2000(0)) and its translation, deeper than the recursion limit.
-    # least_sort and translate_term still recurse, so the tower is
-    # translated level by level, which fills their caches bottom-up; the
-    # redex search and the class search must not recurse themselves.
+    # -(s^2000(0)) and its translation, deeper than the recursion limit,
+    # with every cache cold: neither the translation, the redex search nor
+    # the class search may recurse.
     alg = parse_spec(imp_text)
     ms, tm = translate_algebra(alg)
     t = ZERO
     for _ in range(2_000):
         t = G("s", (t,))
-        translate_term(tm, t)
     t = G("-", (t,))
     for a, u in ((alg, t), (ms, translate_term(tm, t))):
         assert direct_steps(a, u) == []
         cls = e_class_bounded(a, u, 2, 50)
         assert cls.members[0] is u and len(cls.members) > 1
+
+
+def test_redex_beside_a_deep_sibling_on_both_sides(imp_text):
+    # +(s^2000(0), -(0)): the redex sits beside a tower whose sorts were
+    # never computed, so checking the composed result +(s^2000(0), 0)
+    # computes them, and must not recurse.
+    alg = parse_spec(imp_text)
+    ms, tm = translate_algebra(alg)
+    tower = ZERO
+    for _ in range(2_000):
+        tower = G("s", (tower,))
+    u = G("+", (tower, G("-", (ZERO,))))
+    want = G("+", (tower, ZERO))
+    steps = direct_steps(alg, u)
+    assert [(s.rule_index, s.position, s.result) for s in steps] == [(0, (1,), want)]
+    ms_steps = direct_steps(ms, translate_term(tm, u))
+    assert [(s.rule_index, s.position) for s in ms_steps] == [(0, (1, 0))]
+    assert ms_steps[0].result is translate_term(tm, want)
 
 
 def test_only_proper_subterms_keep_result_lists(imp_text):

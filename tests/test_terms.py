@@ -213,3 +213,41 @@ def test_print_term_deep():
     for _ in range(height):
         t = G("s", (t,))
     assert print_term(G("+", (t, TRUE))) == "+(" + "s(" * height + "0" + ")" * height + ", true)"
+
+
+def _fresh_signature(sig):
+    return OSSignature(sig.sorts, sig.subsort_pairs, sig.operators)
+
+
+def test_sorts_of_deep_terms(imp):
+    # Deeper than the interpreter's recursion limit, each cache cold.
+    height = 5_000
+    tower, pattern, bad = ZERO, Var("X", "nat"), TRUE
+    for _ in range(height):
+        tower, pattern, bad = G("s", (tower,)), PNode("s", (pattern,)), G("s", (bad,))
+    neg = G("-", (tower,))
+    assert least_sort(_fresh_signature(imp.signature), neg) == "int"
+    assert sorts_of(_fresh_signature(imp.signature), neg) == {"int", "AExp"}
+    sig = _fresh_signature(imp.signature)
+    assert (sorts_of(sig, neg), least_sort(sig, neg)) == ({"int", "AExp"}, "int")
+    # Patterns are not cached; an ill-formed tower names its lowest bad node.
+    assert least_sort(sig, PNode("-", (pattern,))) == "int"
+    assert sorts_of(sig, pattern) == {"nat", "int", "AExp"}
+    with pytest.raises(IllFormedTerm, match=r"^no operator admits s\(true\) "):
+        least_sort(sig, bad)
+    assert sorts_of(sig, bad) == frozenset()
+    assert not well_formed_ground(sig, G("-", (bad,)))
+
+
+def test_shared_ill_formed_subterms_are_walked_once():
+    # 2^60 paths through 61 distinct nodes: a pass that did not cache the
+    # ill-formed ones would never finish.
+    f = Operator("f", ("a", "a"), "a")
+    ms_sig = MSSignature(["a"], [Operator("c", (), "a"), f])
+    os_sig = OSSignature(["a"], [], [Operator("c", (), "a"), f])
+    t = G("g")
+    for _ in range(60):
+        t = G("f", (t, t))
+    assert not well_formed_ground(ms_sig, t) and not well_formed_ground(os_sig, t)
+    with pytest.raises(IllFormedTerm, match=r"^no operator admits g "):
+        least_sort(os_sig, t)

@@ -343,6 +343,20 @@ def test_deep_terms_canonicalize_and_strip(imp_real):
     assert strip_casts(tm, lhs) is source
 
 
+def test_translate_term_deep(imp_text):
+    # Deeper than the interpreter's recursion limit, every cache cold.
+    _, tm = translate_algebra(parse_spec(imp_text))
+    tower = ZERO
+    for _ in range(5_000):
+        tower = G("s", (tower,))
+    neg, ident = G("-", (tower,)), G("v", (tower,))
+    neg_int = G("-int", (G("Cast_nat_to_int", (tower,)),))
+    assert translate_term(tm, neg, expected="AExp") is G("Cast_int_to_AExp", (neg_int,))
+    want = G("+AExp", (G("Cast_int_to_AExp", (neg_int,)), G("Cast_Id_to_AExp", (ident,))))
+    assert translate_term(tm, G("+", (neg, ident))) is want
+    assert strip_casts(tm, want) is G("+", (neg, ident))
+
+
 def test_tie_break_independence_small(imp_real):
     ms_a, tm_a = translate_algebra(imp_real, tie_break="lex")
     ms_b, tm_b = translate_algebra(imp_real, tie_break="revlex")
