@@ -292,8 +292,17 @@ def fold_term(t: Term, cache: dict, leaf, combine, context):
     in order.  Ground subterms are read from ``cache`` when present and
     stored there, so a subterm shared within ``t`` is computed once.
     Nodes are combined in the order a recursive left-to-right pass would
-    visit them, so a raised error names the same subterm.
+    visit them, so a raised error names the same subterm.  A ground node
+    over cached children is one ``combine`` and no stack.
     """
+    if type(t) is GroundTerm:
+        hit = cache.get(t)
+        if hit is not None:
+            return hit
+        children = tuple([cache.get(a) for a in t.args])
+        if None not in children:
+            hit = cache[t] = combine(context, t, children)
+            return hit
     values: list = []
     # A node to visit, or a 1-tuple holding a node whose children's values
     # are the last ones on ``values``.
@@ -319,17 +328,7 @@ def fold_term(t: Term, cache: dict, leaf, combine, context):
 
 
 def _sorts_of_os(sig: OSSignature, t: Term) -> frozenset[Sort]:
-    cache = sig._sorts_cache
-    if type(t) is GroundTerm:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        # One new node over cached children: no stack.
-        child_sets = tuple([cache.get(a) for a in t.args])
-        if None not in child_sets:
-            hit = cache[t] = _sort_set(sig, t, child_sets)
-            return hit
-    return fold_term(t, cache, _var_sort_set, _sort_set, sig)
+    return fold_term(t, sig._sorts_cache, _var_sort_set, _sort_set, sig)
 
 
 def _var_sort_set(sig: OSSignature, v: Var) -> frozenset[Sort]:
@@ -362,10 +361,6 @@ def _sorts_of_ms(sig: MSSignature, t: Term) -> frozenset[Sort]:
 def _ms_sort_opt(sig: MSSignature, t: Term) -> Sort | None:
     # Only ground terms are cached: hashing a pattern walks all of it.  An
     # ill-formed term is cached as "", so no shared subterm is walked twice.
-    if type(t) is GroundTerm:
-        hit = sig._sort_cache.get(t)
-        if hit is not None:
-            return hit or None
     return fold_term(t, sig._sort_cache, _ms_var_sort, _ms_sort_at, sig) or None
 
 
@@ -400,19 +395,10 @@ def least_sort(sig: OSSignature, t: Term) -> Sort:
     sort of a pattern.  Raises ``IllFormedTerm`` when no operator admits
     the children and ``AmbiguousSort`` when the admitting operators have
     no common least target (input outside the strictly sensible fragment).
-    A node over children with cached sorts is one lookup and no stack;
-    anything else is one bottom-up pass with an explicit stack.
+    One bottom-up pass (``fold_term``), so a node over children with
+    cached sorts is one lookup and no stack.
     """
-    cache = sig._least_cache
-    if type(t) is GroundTerm:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        child_sorts = tuple([cache.get(a) for a in t.args])
-        if None not in child_sorts:
-            hit = cache[t] = _least_at(sig, t, child_sorts)
-            return hit
-    return fold_term(t, cache, _var_sort, _least_at, sig)
+    return fold_term(t, sig._least_cache, _var_sort, _least_at, sig)
 
 
 def _var_sort(sig: OSSignature, v: Var) -> Sort:

@@ -289,11 +289,8 @@ def translate_term(tm: TranslationMap, t: Term, expected: Sort | None = None) ->
     representative demands, the canonical cast chain bridges the gap.
     When ``expected`` is given the root is wrapped up to it as well.
     """
-    if type(t) is GroundTerm:
-        hit = tm._tr_cache.get(t)
-        if hit is None:
-            hit = tm._tr_cache[t] = _translate(tm, t)
-    else:
+    hit = tm._tr_cache.get(t) if type(t) is GroundTerm else None
+    if hit is None:
         hit = _translate(tm, t)
     out, sort = hit
     if expected is not None and sort != expected:
@@ -313,20 +310,15 @@ def _lift(tm: TranslationMap, t: Term, out: Term, sort: Sort, expected: Sort) ->
 def _translate(tm: TranslationMap, t: Term) -> tuple[Term, Sort]:
     """``(translation, sort)`` of ``t``; ground results are cached by term.
 
-    A ground node whose children are all translated is one plan lookup and
-    no stack.  Anything else first checks the sorts of everything below
-    the root, then takes one bottom-up pass with an explicit stack.
+    First checks the sorts of everything below the root, so an ill-formed
+    subterm is reported by ``least_sort``, then takes one ``fold_term``
+    pass: a ground node whose children are all translated is one plan
+    lookup and no stack.
     """
-    if type(t) is Var:
-        return _translate_var(tm, t)
-    cache = tm._tr_cache
-    if type(t) is GroundTerm:
-        children = [cache.get(a) for a in t.args]
-        if None not in children:
-            return _translate_node(tm, t, children)
-    for a in t.args:
-        least_sort(tm.source, a)
-    return fold_term(t, cache, _translate_var, _translate_node, tm)
+    if type(t) is not Var:
+        for a in t.args:
+            least_sort(tm.source, a)
+    return fold_term(t, tm._tr_cache, _translate_var, _translate_node, tm)
 
 
 def _translate_var(tm: TranslationMap, v: Var) -> tuple[Term, Sort]:
@@ -334,17 +326,17 @@ def _translate_var(tm: TranslationMap, v: Var) -> tuple[Term, Sort]:
 
 
 def _translate_node(tm: TranslationMap, t: Term, children) -> tuple[Term, Sort]:
-    """Translate the node ``t`` given its children's ``(translation, sort)``."""
-    src = tm.source
-    if type(t) is GroundTerm:
-        least = src._least_cache
-        child_sorts = tuple([least.get(a) or least_sort(src, a) for a in t.args])
-    else:
-        child_sorts = tuple([least_sort(src, a) for a in t.args])
-    key = (t.constructor, child_sorts)
+    """Translate the node ``t`` given its children's ``(translation, sort)``.
+
+    In a strictly sensible algebra the operators admitting a node share
+    one target sort, its representative's included, so a child's
+    translated sort is its least sort: the plan key needs no sort pass,
+    and translating a pattern sorts each node once.
+    """
+    key = (t.constructor, tuple([sort for _, sort in children]))
     plan = tm._plans.get(key)
     if plan is None:
-        admitting = src.admitting(t.constructor, child_sorts)
+        admitting = tm.source.admitting(t.constructor, key[1])
         if not admitting:
             raise IllFormedTerm(f"no operator admits {print_term(t)}")
         rep = tm.representative_of[admitting[0]]

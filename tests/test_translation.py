@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gen_algebras import random_algebra
+from ostrans import terms
 from ostrans import (
     Equation,
     GroundTerm,
@@ -28,6 +29,7 @@ from ostrans import (
     ms_sort,
     parse_spec,
     print_spec,
+    print_term,
     rename_constructors,
     select_representatives,
     strip_casts,
@@ -355,6 +357,23 @@ def test_translate_term_deep(imp_text):
     want = G("+AExp", (G("Cast_int_to_AExp", (neg_int,)), G("Cast_Id_to_AExp", (ident,))))
     assert translate_term(tm, G("+", (neg, ident))) is want
     assert strip_casts(tm, want) is G("+", (neg, ident))
+
+
+def test_translating_a_pattern_sorts_each_node_once(imp_text, count_calls):
+    # Patterns are not cached, so a node's least sort must come with its
+    # child's translation: sorting every child afresh is quadratic.
+    _, tm = translate_algebra(parse_spec(imp_text))
+    tower = Var("X", "nat")
+    for _ in range(5_000):
+        tower = PNode("s", (tower,))
+    passes = count_calls(terms.fold_term)
+    got = translate_term(tm, PNode("-", (tower,)), expected="AExp")
+    # The sort check below the root, the translation, one per new plan.
+    assert len(passes) <= 4
+    # Patterns compare structurally, which recurses; their prints do not.
+    assert print_term(got) == print_term(PNode("Cast_int_to_AExp", (
+        PNode("-int", (PNode("Cast_nat_to_int", (tower,)),)),
+    )))
 
 
 def test_tie_break_independence_small(imp_real):
