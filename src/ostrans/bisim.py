@@ -10,10 +10,19 @@ a source step.  Both directions replay steps through one routine,
 ``_mirror``.  Verdicts are only recorded as failures when the bounded
 class searches involved reached a fixpoint; otherwise the step counts as
 skipped.
+
+Enumeration builds each term of height ``h`` once, from argument tuples
+that hold a term of height ``h - 1``, and sorts it with one lookup per
+(constructor, child least sorts).  A sweep pauses CPython's cyclic
+garbage collector (``_collector_paused``): what it allocates lives to
+the end of the run and forms no cycles, so a collection would free
+nothing.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -108,53 +117,50 @@ def enumerate_ground_terms(sig: Signature, sort: Sort | None = None, depth: int 
     Constants have height zero.  Order-sorted enumeration admits a term
     wherever its least sort fits; with ``sort`` given, only terms whose
     sort fits ``sort`` (exactly, for many-sorted signatures) are yielded.
-    The order is deterministic: by height, then by operator declaration.
+    The order is deterministic: by height, then by operator declaration,
+    then by the product order of the argument pools.
     """
     os_mode = isinstance(sig, OSSignature)
+    sort_of = least_sort if os_mode else ms_sort
+    poset = sig.poset if os_mode else None
+    # The pools a term of each sort joins, and whether it is yielded.
+    joins = {s: tuple(poset.supersorts(s)) if os_mode else (s,) for s in sig.sorts}
+    wanted = {
+        s: sort is None or (poset.leq(s, sort) if os_mode else s == sort)
+        for s in sig.sorts
+    }
     pool: dict[Sort, list[GroundTerm]] = {s: [] for s in sig.sorts}
-    height: dict[GroundTerm, int] = {}
 
-    def admit(t: GroundTerm, h: int) -> Sort:
-        height[t] = h
-        ts = least_sort(sig, t) if os_mode else ms_sort(sig, t)
-        if os_mode:
-            for s in sig.poset.supersorts(ts):
-                pool[s].append(t)
-        else:
-            pool[ts].append(t)
-        return ts
-
-    def wanted(ts: Sort) -> bool:
-        if sort is None:
-            return True
-        return sig.poset.leq(ts, sort) if os_mode else ts == sort
-
-    for op in sig.operators:
-        if op.arity == 0:
-            t = GroundTerm(op.constructor)
-            if t not in height:
-                if wanted(admit(t, 0)):
-                    yield t
-
-    for h in range(1, depth + 1):
+    # Terms of the height being built.  Overloads sharing a constructor
+    # can build the same term twice, but only within one height.  A dict
+    # holds them in less memory than a set.
+    layer: dict[GroundTerm, None] = {}
+    # Constants come out whatever the depth.
+    for h in range(max(depth, 0) + 1):
         snapshot = {s: tuple(ts) for s, ts in pool.items()}
-        grew = False
+        # Above the constants, a tuple over the snapshot has height ``h``
+        # when it holds a term of height ``h - 1``.
+        previous, layer = layer.keys(), {}
         for op in sig.operators:
-            if op.arity == 0:
+            if (op.arity == 0) != (h == 0):
                 continue
             candidates = [snapshot[s] for s in op.arg_sorts]
             if not all(candidates):
                 continue
+            constructor = op.constructor
             for combo in product(*candidates):
-                if max(height[c] for c in combo) != h - 1:
+                if h and previous.isdisjoint(combo):
                     continue
-                t = GroundTerm(op.constructor, combo)
-                if t in height:
+                t = GroundTerm(constructor, combo)
+                if t in layer:
                     continue
-                grew = True
-                if wanted(admit(t, h)):
+                layer[t] = None
+                ts = sort_of(sig, t)
+                for s in joins[ts]:
+                    pool[s].append(t)
+                if wanted[ts]:
                     yield t
-        if not grew:
+        if not layer:
             break
 
 
@@ -191,6 +197,26 @@ def _mirror(alg, subject: GroundTerm, groups: dict, rule_index: int, lift,
     return SKIPPED
 
 
+@contextmanager
+def _collector_paused():
+    """Keep CPython's cyclic garbage collector off inside the block.
+
+    A sweep allocates an interned term, cache entries and result lists for
+    every node it meets and keeps nearly all of them, so its allocations
+    keep triggering collections, and each older-generation one walks the
+    whole intern pool and the per-term caches again.  Yet the sweep makes
+    no reference cycles for a collection to free.  The collector's
+    previous state comes back on the way out, also on error.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
            obligations, missing: str) -> BisimReport:
     """Check one direction on at most ``cfg.max_terms`` of ``terms``.
@@ -205,35 +231,36 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
     """
     report = BisimReport()
     failures = report.forward_failures if direction == "forward" else report.backward_failures
-    for t in terms:
-        if report.terms_checked >= cfg.max_terms:
-            report.truncated = True
-            break
-        report.terms_checked += 1
-        found = obligations(t)
-        if found is None:
-            report.not_in_image += 1
-            continue
-        bridging, redexes, subject, lift, target_of = found
-        groups = None
-        for i, pos, subst, result in redexes:
-            report.steps_checked += 1
-            if groups is None:
-                groups = results_by_rule(alg, subject)
-            target = target_of(result)
-            outcome = _mirror(alg, subject, groups, i, lift, target, ms, cfg)
-            if outcome == SKIPPED:
-                report.skipped_unexhausted += 1
-            elif outcome == FAILED:
-                rule = other.rules[i]
-                failures.append(Counterexample(
-                    direction=direction,
-                    source_term=bridging,
-                    rule_index=i,
-                    rule=rule,
-                    witness=RewriteStep(i, rule, pos, subst, bridging, result),
-                    missing=missing.format(subject=subject, target=target),
-                ))
+    with _collector_paused():
+        for t in terms:
+            if report.terms_checked >= cfg.max_terms:
+                report.truncated = True
+                break
+            report.terms_checked += 1
+            found = obligations(t)
+            if found is None:
+                report.not_in_image += 1
+                continue
+            bridging, redexes, subject, lift, target_of = found
+            groups = None
+            for i, pos, subst, result in redexes:
+                report.steps_checked += 1
+                if groups is None:
+                    groups = results_by_rule(alg, subject)
+                target = target_of(result)
+                outcome = _mirror(alg, subject, groups, i, lift, target, ms, cfg)
+                if outcome == SKIPPED:
+                    report.skipped_unexhausted += 1
+                elif outcome == FAILED:
+                    rule = other.rules[i]
+                    failures.append(Counterexample(
+                        direction=direction,
+                        source_term=bridging,
+                        rule_index=i,
+                        rule=rule,
+                        witness=RewriteStep(i, rule, pos, subst, bridging, result),
+                        missing=missing.format(subject=subject, target=target),
+                    ))
     return report
 
 

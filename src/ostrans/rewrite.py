@@ -40,6 +40,7 @@ from .terms import (
     Term,
     Var,
     apply_substitution,
+    inhabits,
     least_sort,
     ms_sort,
     print_term,
@@ -190,7 +191,7 @@ def _match_os(sig: OSSignature, p: Pattern, t: GroundTerm, binding: Substitution
         old = binding.get(p.name)
         if old is not None:
             return old is t
-        if not sig.poset.leq(least_sort(sig, t), p.sort):
+        if not inhabits(sig, t, p.sort):
             return False
         binding[p.name] = t
         return True

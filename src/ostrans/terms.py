@@ -148,8 +148,11 @@ class OSSignature:
     _sorts_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _least_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # Operator resolution depends only on the constructor and the sorts of
-    # the children, so both memos are keyed by those, not by terms.
+    # the children, so these memos are keyed by those, not by terms.
     _admitting_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # Least sorts found by ``_least_at``; failures are not stored, so they
+    # raise again on every call.
+    _least_at_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _sort_set_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __init__(self, sorts, subsort_pairs, operators):
@@ -175,6 +178,7 @@ class OSSignature:
         self._sorts_cache = {}
         self._least_cache = {}
         self._admitting_cache = {}
+        self._least_at_cache = {}
         self._sort_set_cache = {}
 
     def __eq__(self, other) -> bool:
@@ -409,18 +413,36 @@ def _var_sort(sig: OSSignature, v: Var) -> Sort:
 
 def _least_at(sig: OSSignature, t: Term, child_sorts: tuple[Sort, ...]) -> Sort:
     """Least sort of ``t`` given the least sorts of its children."""
+    key = (t.constructor, child_sorts)
+    hit = sig._least_at_cache.get(key)
+    if hit is not None:
+        return hit
     leq = sig.poset.leq
-    targets = [op.target_sort for op in sig.admitting(t.constructor, child_sorts)]
+    targets = [op.target_sort for op in sig.admitting(*key)]
     if not targets:
         raise IllFormedTerm(
             f"no operator admits {print_term(t)} (children sorted {child_sorts})"
         )
     for cand in targets:
         if all(leq(cand, other) for other in targets):
+            sig._least_at_cache[key] = cand
             return cand
     raise AmbiguousSort(
         f"term {print_term(t)} has incomparable candidate sorts {sorted(set(targets))}"
     )
+
+
+def inhabits(sig: OSSignature, t: Term, sort: Sort) -> bool:
+    """Whether the order-sorted term ``t`` has sort ``sort``.
+
+    That is, whether its least sort lies at or below ``sort``.  A term
+    over a signature that is not preregular may have no least sort; its
+    sort set decides then.  An ill-formed term raises ``IllFormedTerm``.
+    """
+    try:
+        return sig.poset.leq(least_sort(sig, t), sort)
+    except AmbiguousSort:
+        return sort in sorts_of(sig, t)
 
 
 def term_sort(sig: Signature, t: Term) -> Sort:
@@ -464,7 +486,7 @@ def apply_substitution(sig: Signature, p: Pattern, h: Substitution) -> GroundTer
         if image is None:
             raise UnboundVariable(f"variable {p.name} has no binding")
         if isinstance(sig, OSSignature):
-            ok = sig.poset.leq(least_sort(sig, image), p.sort)
+            ok = inhabits(sig, image, p.sort)
         else:
             ok = ms_sort(sig, image) == p.sort
         if not ok:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from ostrans import (
     e_class_bounded,
     enumerate_ground_terms,
     least_sort,
+    parse_spec,
     replace_at,
     run_bisim,
     strip_casts,
@@ -30,7 +32,7 @@ from ostrans import (
     translate_term,
     validate_algebra,
 )
-from ostrans.rewrite import results_by_rule
+from ostrans.rewrite import results_by_rule, rule_redexes
 
 G = GroundTerm
 ZERO = G("0")
@@ -165,6 +167,45 @@ def test_run_bisim_builds_no_steps_when_nothing_fails(imp, count_calls):
     report = run_bisim(imp, BisimConfig(term_depth=2))
     assert report.verdict == "pass" and report.steps_checked > 0
     assert built == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_bisim_pauses_the_collector_and_restores_it(imp, monkeypatch, enabled):
+    seen = []
+
+    def recording(alg, u):
+        seen.append(gc.isenabled())
+        return rule_redexes(alg, u)
+
+    monkeypatch.setattr(bisim, "rule_redexes", recording)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run_bisim(imp, BisimConfig(term_depth=1)).passed
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen and not any(seen)
+
+
+def test_run_bisim_restores_the_collector_when_the_sweep_raises(imp, monkeypatch):
+    def failing(alg, u):
+        raise RuntimeError("sweep failed")
+
+    monkeypatch.setattr(bisim, "rule_redexes", failing)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="sweep failed"):
+        run_bisim(imp, BisimConfig(term_depth=1))
+    assert gc.isenabled()
+
+
+def test_run_bisim_leaves_no_cyclic_garbage(imp_text):
+    # The collector is off while the sweeps run, so whatever cycles they
+    # made would pile up until it came back on: there must be none.
+    alg = parse_spec(imp_text)
+    gc.collect()
+    assert run_bisim(alg, BisimConfig(term_depth=2)).passed
+    assert gc.collect() == 0
 
 
 def test_translation_preserves_equivalence_classes(imp, imp_translated):

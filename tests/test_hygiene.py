@@ -209,3 +209,44 @@ def test_guard_sees_recursive_methods_and_nested_functions():
         "    return build(t)\n"
     )
     assert _recursive(ast.parse(source)) == ["Parser.term", "outer.build"]
+
+
+# Calls that switch the process-global cyclic garbage collector.
+GC_SWITCHES = frozenset({"disable", "enable", "freeze"})
+
+
+def _gc_switchers(tree: ast.Module) -> list[str]:
+    """Names of the functions that call ``gc.disable``, ``gc.enable`` or
+    ``gc.freeze``: ``<module>`` for a call outside any, and ``<import>``
+    for a name imported from ``gc``, whose calls would not be seen.
+    """
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, *_SCOPES)):
+            for call in _own_calls(node):
+                f = call.func
+                if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                        and f.value.id == "gc" and f.attr in GC_SWITCHES):
+                    found.add(getattr(node, "name", "<module>"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.add("<import>")
+    return sorted(found)
+
+
+def test_collector_is_switched_in_one_function():
+    found = [
+        f"{path.name}:{name}" for path in MODULES
+        for name in _gc_switchers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == ["bisim.py:_collector_paused"]
+
+
+def test_guard_sees_collector_switches():
+    source = (
+        "import gc\nfrom gc import freeze\n\n"
+        "gc.enable()\n\n\n"
+        "def paused():\n    gc.disable()\n    gc.collect()\n\n\n"
+        "class Run:\n    def go(self):\n        def inner():\n            gc.freeze()\n"
+        "        return gc.isenabled()\n"
+    )
+    assert _gc_switchers(ast.parse(source)) == ["<import>", "<module>", "inner", "paused"]

@@ -33,6 +33,7 @@ from ostrans import (
     OSSignature,
     PNode,
     Rule,
+    SortViolation,
     Var,
     apply_substitution,
     cast_table,
@@ -398,8 +399,8 @@ def _ambiguous_algebra():
 
     ``m => k`` composes ambiguous results under g and h; ``k => n`` composes
     ill-formed ones (no f takes a J); ``p => f(k)`` has an ambiguous right
-    side at the root.  No rule has a variable, since matching one needs the
-    least sort of what it captures.
+    side at the root.  No rule has a variable, since the reference matcher
+    asks for the least sort of what a variable captures.
     """
     ops = [Operator("k", (), "K"), Operator("m", (), "K"), Operator("n", (), "J"),
            Operator("p", (), "T"), Operator("f", ("K",), "B1"), Operator("f", ("K",), "B2"),
@@ -428,3 +429,22 @@ def test_ambiguous_results_are_checked_by_sort_sets():
     kept = {s[4] for u in subjects for s in _steps(alg, u)}
     assert {fk, G("g", (fk,)), G("h", (fk,)), G("g", (G("g", (fk,)),))} <= kept
     assert not any("n" in print_term(r) for r in kept)
+
+
+def test_variables_capture_terms_with_no_least_sort():
+    # f(k) has no least sort, but its sort set holds B1, B2 and T: a
+    # variable of any of those sorts captures it, in matching and in
+    # substitution alike; one of sort K does not.
+    G = GroundTerm
+    sig = _ambiguous_algebra().signature
+    x = Var("X", "T")
+    alg = OSAlgebra(sig, (), (Rule(PNode("g", (x,)), x),))
+    fk = G("f", (G("k"),))
+    steps = direct_steps(alg, G("g", (fk,)))
+    assert [(s.rule_index, s.position, s.substitution, s.result) for s in steps] == [
+        (0, (), (("X", fk),), fk)
+    ]
+    assert match_pattern(sig, PNode("h", (Var("Y", "B1"),)), G("h", (fk,))) == {"Y": fk}
+    assert apply_substitution(sig, x, {"X": fk}) is fk
+    with pytest.raises(SortViolation):
+        apply_substitution(sig, Var("X", "K"), {"X": fk})

@@ -54,8 +54,8 @@ def test_least_sort_ill_formed(imp):
         least_sort(imp.signature, G("s", (TRUE,)))
 
 
-def test_least_sort_ambiguous():
-    sig = OSSignature(
+def _ambiguous_signature():
+    return OSSignature(
         sorts={"a", "x", "y"},
         subsort_pairs=set(),
         operators=[
@@ -64,8 +64,29 @@ def test_least_sort_ambiguous():
             Operator("f", ("a",), "y"),
         ],
     )
+
+
+def test_least_sort_ambiguous():
     with pytest.raises(AmbiguousSort):
-        least_sort(sig, G("f", (G("c"),)))
+        least_sort(_ambiguous_signature(), G("f", (G("c"),)))
+
+
+def test_least_sort_memo_keeps_successes_only(imp):
+    # A failure is not memoised: it raises again, with the same message.
+    sig = _fresh_signature(imp.signature)
+    ambiguous = _ambiguous_signature()
+    for s, t, error in ((sig, G("s", (TRUE,)), IllFormedTerm),
+                        (ambiguous, G("f", (G("c"),)), AmbiguousSort)):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as raised:
+                least_sort(s, t)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        key = (t.constructor, tuple(least_sort(s, a) for a in t.args))
+        assert key not in s._least_at_cache
+    assert least_sort(sig, S0) == "nat"
+    assert sig._least_at_cache[("s", ("nat",))] == "nat"
 
 
 def test_least_sort_unique_on_enumerated_terms(imp):
