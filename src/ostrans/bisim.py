@@ -51,13 +51,18 @@ from .translate import TranslationMap, strip_casts, translate_algebra, translate
 class BisimConfig:
     """Budgets for one bisimulation run.
 
-    Depth and size budgets are positive.
+    The term depth is at least 0; the class and term budgets are at
+    least 1.  Other values raise ``ValueError``.
     """
 
     term_depth: int = 3
     eclass_depth: int = 5
     eclass_max: int = 10_000
     max_terms: int = 100_000
+
+    def __post_init__(self):
+        if self.term_depth < 0 or min(self.eclass_depth, self.eclass_max, self.max_terms) < 1:
+            raise ValueError(f"term_depth must be at least 0 and budgets at least 1: {self}")
 
 
 @dataclass

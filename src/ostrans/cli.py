@@ -25,6 +25,19 @@ from .translate import translate_algebra
 from .validity import validate_algebra
 
 
+def _at_least(floor: int):
+    """An argparse type: an integer no smaller than ``floor``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+    return parse
+
+
 def _styled(text: str, code: str) -> str:
     if os.environ.get("OSTR_COLOR", "1") == "0" or not sys.stdout.isatty():
         return text
@@ -204,16 +217,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="leftmost-innermost",
                    choices=("leftmost-innermost", "leftmost-outermost",
                             "exhaustive-breadth"))
-    p.add_argument("--eclass-depth", type=int, default=5)
-    p.add_argument("--eclass-max", type=int, default=10_000)
+    p.add_argument("--eclass-depth", type=_at_least(1), default=5)
+    p.add_argument("--eclass-max", type=_at_least(1), default=10_000)
     p.set_defaults(func=_cmd_rewrite)
 
     p = sub.add_parser("bisim", help="check the bisimulation empirically")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--eclass-depth", type=int, default=5)
-    p.add_argument("--eclass-max", type=int, default=10_000)
-    p.add_argument("--max-terms", type=int, default=100_000)
+    p.add_argument("--depth", type=_at_least(0), default=3)
+    p.add_argument("--eclass-depth", type=_at_least(1), default=5)
+    p.add_argument("--eclass-max", type=_at_least(1), default=10_000)
+    p.add_argument("--max-terms", type=_at_least(1), default=100_000)
     p.set_defaults(func=_cmd_bisim)
 
     for p in sub.choices.values():

@@ -44,7 +44,7 @@ from .terms import (
     least_sort,
     ms_sort,
     print_term,
-    variables_of,
+    side_facts,
     well_formed_ground,
 )
 from .translate import CastTable, cast_table
@@ -54,10 +54,14 @@ Position = tuple[int, ...]
 
 @dataclass(frozen=True)
 class RewriteConfig:
-    """Budgets for the bounded equational closure."""
+    """Budgets for the bounded equational closure; both are at least 1."""
 
     eclass_depth: int = 5
     eclass_max: int = 10_000
+
+    def __post_init__(self):
+        if min(self.eclass_depth, self.eclass_max) < 1:
+            raise ValueError(f"budgets must be at least 1: {self}")
 
 
 @dataclass(frozen=True)
@@ -382,9 +386,10 @@ def _equation_index(alg) -> RedexIndex:
     if index is None:
         dirs = []
         complete = True
+        sig = alg.signature
         for eq in alg.equations:
             for src, dst in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-                if set(variables_of(dst)) <= set(variables_of(src)):
+                if side_facts(sig, dst)[0].keys() <= side_facts(sig, src)[0].keys():
                     dirs.append((src, dst))
                 else:
                     complete = False

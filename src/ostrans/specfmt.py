@@ -1,4 +1,4 @@
-"""Text format for algebras: tokenizer, parser, elaboration and printer.
+"""Text format for algebras: scanner, parser, elaboration and printer.
 
 The grammar is prefix-only abstract syntax:
 
@@ -18,11 +18,19 @@ translated constructor names parse back.  ``#`` starts a line comment.
 Order-sorted files use the ``.osa`` extension and may declare subsorts;
 many-sorted ``.msa`` files must not, and their cast-named operators are
 the non-core ones.
+
+One regular expression scans the text into token values; a value fixes
+its token's kind.  The parser walks the values by index, recording token
+indices, and works out a line and column only for a diagnostic.  Terms
+are parsed and built with explicit stacks, so any depth parses.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain, islice
+from typing import NamedTuple
 
 from .errors import (
     CastNameReserved,
@@ -44,213 +52,212 @@ from .terms import (
     Rule,
     Var,
     print_term,
+    side_facts,
     sorts_of,
-    variables_of,
 )
 from .translate import is_reserved_name
 
 _KEYWORDS = frozenset({"algebra", "sorts", "subsorts", "op", "eq", "rule"})
-# An identifier is an optional symbol run followed by an alphanumeric
-# tail: "seq", "0", "+", "-int", "+AExp", "<=", ".Map".
-_SYM = frozenset("+-*/!?@$%^&~|.")
-_ALNUM = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+# The kind of every token value that is not an identifier.
+_KIND = {"=": "EQ", "<": "LT", "(": "LPAREN", ")": "RPAREN", ",": "COMMA",
+         ":": "COLON", ";": "SEMI", "->": "ARROW", "=>": "DARROW", "": "EOF",
+         **dict.fromkeys(_KEYWORDS, "KW")}
+# One token per match, then the whitespace and comments after it;
+# ``_LEADING`` skips those before the first.  An identifier is an optional
+# symbol run, which stops before "->", then an alphanumeric tail: "seq",
+# "0", "+", "-int", "+AExp", "<=", ".Map".  Any other single character
+# matches the last branch and is unexpected.
+_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+_LEADING = re.compile(_SKIP)
+_TOKEN = re.compile(
+    r"(->|=>|<=\w*|[=<(),:;]|(?:-(?!>)|[+*/!?@$%^&~|.])+\w*|\w+|.)" + _SKIP, re.ASCII
+)
+_ONE_CHAR = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_=<(),:;+-*/!?@$%^&~|."
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+def _scan(text: str) -> list[str]:
+    """The token values of ``text`` in order, then ``""`` for the end of input."""
+    values = _TOKEN.findall(text, _LEADING.match(text).end())
+    odd = [v for v in set(values) if len(v) == 1 and v not in _ONE_CHAR]
+    if odd:
+        i = min(map(values.index, odd))
+        raise SpecSyntaxError(f"unexpected character {values[i]!r}", *_position(text, i))
+    values.append("")
+    return values
 
 
-_PUNCT = {"=": "EQ", "<": "LT", "(": "LPAREN", ")": "RPAREN", ",": "COMMA",
-          ":": "COLON", ";": "SEMI"}
+def _positions(text: str):
+    """Line and column of each token of ``text``, then of the end of input.
+
+    A comment runs to the end of its line, so only the end of input can
+    follow one on the same line; it takes the comment's column.
+    """
+    starts = (m.start() for m in _TOKEN.finditer(text, _LEADING.match(text).end()))
+    line, line_start, last = 1, 0, 0
+    for start in chain(starts, (len(text),)):
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, start) + 1
+        comment = text.find("#", max(last, line_start), start)
+        last = start
+        yield line, (start if comment < 0 else comment) - line_start + 1
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i:i + 2]
-        if two == "->":
-            tokens.append(Token("ARROW", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if two == "=>":
-            tokens.append(Token("DARROW", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if two == "<=":
-            j = i + 2
-            while j < n and text[j] in _ALNUM:
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _ALNUM or ch in _SYM:
-            j = i
-            while j < n and text[j] in _SYM and text[j:j + 2] != "->":
-                j += 1
-            while j < n and text[j] in _ALNUM:
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("KW" if word in _KEYWORDS else "IDENT", word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+def _position(text: str, index: int) -> tuple[int, int]:
+    return next(islice(_positions(text), index, None))
 
 
-# Term syntax trees carry spans until elaboration resolves them.
-TermAst = tuple  # ("const", name, tok) | ("app", name, args, tok) | ("var", name, sort, tok)
+class Token(NamedTuple):
+    """Token ``index`` of a spec text; its position is worked out when read."""
+
+    text: str
+    index: int
+    line = property(lambda self: _position(self.text, self.index)[0])
+    col = property(lambda self: _position(self.text, self.index)[1])
+
+
+# A term is its nodes in preorder, two entries each: the index of the head
+# token and the arity, or -1 for a variable (its sort is two tokens on).
+TermNodes = list
 
 Item = tuple  # ("sorts", [...]), ("subsorts", [...]), ("op", ...), ("eq", ...), ("rule", ...)
+
+# The token between the sides of each kind of statement.
+_BETWEEN = {"eq": "=", "rule": "=>"}
 
 
 @dataclass
 class SpecDocument:
-    """Parsed declarations, in file order, before elaboration."""
+    """Parsed declarations, in file order, naming tokens by index in ``tokens``."""
 
     name: str
     declarations: list[Item]
+    text: str
+    tokens: list[str]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.values = _scan(text)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, index: int):
+        raise SpecSyntaxError(message, *_position(self.text, index))
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def take(self, what: str, value: str | None = None) -> int:
+        """The index of the next token: ``value``, or an identifier if None."""
+        i = self.pos
         self.pos += 1
-        return tok
+        found = self.values[i]
+        if (found in _KIND) if value is None else (found != value):
+            self.fail(f"expected {what}, found {found!r}" if found
+                      else f"expected {what}, found end of input", i)
+        return i
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise SpecSyntaxError(
-                f"expected {what}, found {tok.value!r}" if tok.value
-                else f"expected {what}, found end of input",
-                tok.line, tok.col,
-            )
-        return tok
-
-    def keyword(self, word: str) -> Token:
-        tok = self.next()
-        if tok.kind != "KW" or tok.value != word:
-            raise SpecSyntaxError(
-                f"expected {word!r}, found {tok.value!r}" if tok.value
-                else f"expected {word!r}, found end of input",
-                tok.line, tok.col,
-            )
-        return tok
+    def names(self) -> list[int]:
+        """The indices of the identifiers that follow."""
+        start = self.pos
+        while self.values[self.pos] not in _KIND:
+            self.pos += 1
+        return list(range(start, self.pos))
 
     def parse_document(self) -> SpecDocument:
-        self.keyword("algebra")
-        name = self.expect("IDENT", "an algebra name").value
+        self.take("'algebra'", "algebra")
+        name = self.values[self.take("an algebra name")]
         items: list[Item] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind != "KW":
-                raise SpecSyntaxError(
-                    f"expected a declaration, found {tok.value!r}", tok.line, tok.col
-                )
+        while self.values[self.pos]:
+            if self.values[self.pos] not in _KEYWORDS:
+                self.fail(f"expected a declaration, found {self.values[self.pos]!r}", self.pos)
             items.append(self.parse_item())
-        return SpecDocument(name=name, declarations=items)
+        return SpecDocument(name, items, self.text, self.values)
 
     def parse_item(self) -> Item:
-        tok = self.next()
-        if tok.value == "sorts":
-            names = []
-            while self.peek().kind == "IDENT":
-                names.append(self.next())
+        i = self.pos
+        self.pos += 1
+        word = self.values[i]
+        if word == "sorts":
+            names = self.names()
             if not names:
-                raise SpecSyntaxError("sorts needs at least one name", tok.line, tok.col)
+                self.fail("sorts needs at least one name", i)
             return ("sorts", names)
-        if tok.value == "subsorts":
+        if word == "subsorts":
             pairs = [self.parse_pair()]
-            while self.peek().kind == "SEMI":
-                self.next()
+            while self.values[self.pos] == ";":
+                self.pos += 1
                 pairs.append(self.parse_pair())
             return ("subsorts", pairs)
-        if tok.value == "op":
-            name = self.expect("IDENT", "an operator name")
-            self.expect("COLON", "':'")
-            args = []
-            while self.peek().kind == "IDENT":
-                args.append(self.next())
-            self.expect("ARROW", "'->'")
-            target = self.expect("IDENT", "a target sort")
-            return ("op", name, args, target)
-        if tok.value == "eq":
+        if word == "op":
+            name = self.take("an operator name")
+            self.take("':'", ":")
+            args = self.names()
+            self.take("'->'", "->")
+            return ("op", name, args, self.take("a target sort"))
+        if word in _BETWEEN:
             lhs = self.parse_term()
-            self.expect("EQ", "'='")
-            rhs = self.parse_term()
-            return ("eq", lhs, rhs, tok)
-        if tok.value == "rule":
-            lhs = self.parse_term()
-            self.expect("DARROW", "'=>'")
-            rhs = self.parse_term()
-            return ("rule", lhs, rhs, tok)
-        raise SpecSyntaxError(f"unknown declaration {tok.value!r}", tok.line, tok.col)
+            self.take(f"'{_BETWEEN[word]}'", _BETWEEN[word])
+            return (word, lhs, self.parse_term(), i)
+        self.fail(f"unknown declaration {word!r}", i)
 
-    def parse_pair(self) -> tuple[Token, Token]:
-        lo = self.expect("IDENT", "a sort name")
-        self.expect("LT", "'<'")
-        hi = self.expect("IDENT", "a sort name")
-        return (lo, hi)
+    def parse_pair(self) -> tuple[int, int]:
+        lo = self.take("a sort name")
+        self.take("'<'", "<")
+        return (lo, self.take("a sort name"))
 
-    def parse_term(self) -> TermAst:
-        head = self.expect("IDENT", "a term")
-        nxt = self.peek()
-        if nxt.kind == "LPAREN":
-            self.next()
-            args = [self.parse_term()]
-            while self.peek().kind == "COMMA":
-                self.next()
-                args.append(self.parse_term())
-            self.expect("RPAREN", "')'")
-            return ("app", head.value, args, head)
-        if nxt.kind == "COLON":
-            self.next()
-            sort = self.expect("IDENT", "a sort name")
-            return ("var", head.value, sort.value, head)
-        return ("const", head.value, head)
+    def parse_term(self) -> TermNodes:
+        """One term, in one loop over a stack of open argument lists."""
+        values = self.values
+        nodes: TermNodes = []
+        arity_at: list[int] = []  # where each open application's arity is
+        while True:
+            i = self.take("a term")
+            if values[self.pos] == "(":
+                self.pos += 1
+                arity_at.append(len(nodes) + 1)
+                nodes += (i, 1)
+                continue
+            if values[self.pos] == ":":
+                self.pos += 1
+                self.take("a sort name")
+                nodes += (i, -1)
+            else:
+                nodes += (i, 0)
+            while arity_at:
+                if values[self.pos] == ",":
+                    self.pos += 1
+                    nodes[arity_at[-1]] += 1
+                    break
+                self.take("')'", ")")
+                arity_at.pop()
+            else:
+                return nodes
 
 
 def parse_document(text: str) -> SpecDocument:
     return _Parser(text).parse_document()
+
+
+def _build(values: list[str], nodes: TermNodes, var, app):
+    """The term ``nodes`` describes, from ``var(name, sort)`` and ``app(name, args)``.
+
+    Nodes are taken in reverse preorder, so each application finds its
+    arguments on top of the stack, the first one last.
+    """
+    stack: list = []
+    for k in range(len(nodes) - 2, -1, -2):
+        i, arity = nodes[k], nodes[k + 1]
+        if arity < 0:
+            stack.append(var(values[i], values[i + 2]))
+            continue
+        cut = len(stack) - arity
+        args = stack[cut:]
+        del stack[cut:]
+        args.reverse()
+        stack.append(app(values[i], tuple(args)))
+    return stack[0]
 
 
 def _resolve_cast_profile(name: str, sorts: frozenset[str], op: Operator,
@@ -282,82 +289,74 @@ class _Elaborator:
     def __init__(self, doc: SpecDocument, kind: str):
         self.doc = doc
         self.kind = kind
-        self.sorts: dict[str, Token] = {}
-        self.pairs: dict[tuple[str, str], Token] = {}
-        self.operators: dict[Operator, Token] = {}
+        self.values = doc.tokens
+        # Each declaration, by the index of the token that declares it.
+        self.sorts: dict[str, int] = {}
+        self.pairs: dict[tuple[str, str], int] = {}
+        self.operators: dict[Operator, int] = {}
         self.arities: dict[str, set[int]] = {}
-        self.equations: dict[Equation, Token] = {}
-        self.rules: dict[Rule, Token] = {}
+        self.equations: dict[Equation, int] = {}
+        self.rules: dict[Rule, int] = {}
+
+    def _at(self, index: int) -> tuple[int, int]:
+        return _position(self.doc.text, index)
 
     def run(self):
+        values = self.values
         for item in self.doc.declarations:
             if item[0] == "sorts":
-                for tok in item[1]:
-                    if tok.value in self.sorts:
+                for i in item[1]:
+                    if values[i] in self.sorts:
                         raise DuplicateDeclaration(
-                            f"sort {tok.value!r} declared twice", tok.line, tok.col
+                            f"sort {values[i]!r} declared twice", *self._at(i)
                         )
-                    self.sorts[tok.value] = tok
+                    self.sorts[values[i]] = i
         sort_set = frozenset(self.sorts)
         for item in self.doc.declarations:
             if item[0] == "subsorts":
                 if self.kind == "msa":
-                    tok = item[1][0][0]
                     raise SpecSyntaxError(
-                        "a many-sorted file cannot declare subsorts",
-                        tok.line, tok.col,
+                        "a many-sorted file cannot declare subsorts", *self._at(item[1][0][0])
                     )
                 for lo, hi in item[1]:
                     self._known_sort(lo)
                     self._known_sort(hi)
-                    pair = (lo.value, hi.value)
+                    pair = (values[lo], values[hi])
                     if pair in self.pairs:
                         raise DuplicateDeclaration(
-                            f"subsort pair {lo.value} < {hi.value} declared twice",
-                            lo.line, lo.col,
+                            f"subsort pair {pair[0]} < {pair[1]} declared twice", *self._at(lo)
                         )
                     self.pairs[pair] = lo
             elif item[0] == "op":
                 _, name, args, target = item
-                for tok in args + [target]:
-                    self._known_sort(tok)
-                op = Operator(
-                    name.value,
-                    tuple(tok.value for tok in args),
-                    target.value,
-                )
-                if is_reserved_name(name.value):
+                for i in args + [target]:
+                    self._known_sort(i)
+                op = Operator(values[name], tuple([values[i] for i in args]), values[target])
+                if is_reserved_name(op.constructor):
                     if self.kind == "osa":
                         raise CastNameReserved(
-                            f"constructor {name.value!r} uses the reserved cast"
+                            f"constructor {op.constructor!r} uses the reserved cast"
                             " naming scheme",
-                            name.line, name.col,
+                            *self._at(name),
                         )
-                    _resolve_cast_profile(name.value, sort_set, op, name)
+                    _resolve_cast_profile(op.constructor, sort_set, op, Token(self.doc.text, name))
                 if op in self.operators:
-                    raise DuplicateDeclaration(
-                        f"operator {op!r} declared twice", name.line, name.col
-                    )
+                    raise DuplicateDeclaration(f"operator {op!r} declared twice", *self._at(name))
                 self.operators[op] = name
 
         signature = self._signature()
         for op in self.operators:
             self.arities.setdefault(op.constructor, set()).add(op.arity)
+        statements = {"eq": (Equation, self.equations, "equation"),
+                      "rule": (Rule, self.rules, "rule")}
         for item in self.doc.declarations:
-            if item[0] == "eq":
-                _, lhs_ast, rhs_ast, tok = item
-                eq = Equation(self._pattern(lhs_ast), self._pattern(rhs_ast))
-                self._check_sides(signature, eq.lhs, eq.rhs, tok)
-                if eq in self.equations:
-                    raise DuplicateDeclaration("equation declared twice", tok.line, tok.col)
-                self.equations[eq] = tok
-            elif item[0] == "rule":
-                _, lhs_ast, rhs_ast, tok = item
-                rule = Rule(self._pattern(lhs_ast), self._pattern(rhs_ast))
-                self._check_sides(signature, rule.lhs, rule.rhs, tok)
-                if rule in self.rules:
-                    raise DuplicateDeclaration("rule declared twice", tok.line, tok.col)
-                self.rules[rule] = tok
+            if item[0] in statements:
+                kind, lhs, rhs, i = item
+                cls, seen, what = statements[kind]
+                statement = cls(self._pattern(lhs), self._pattern(rhs))
+                self._check_sides(signature, statement.lhs, statement.rhs, i)
+                if seen.setdefault(statement, i) != i:
+                    raise DuplicateDeclaration(f"{what} declared twice", *self._at(i))
 
         if self.kind == "osa":
             return OSAlgebra(signature, tuple(self.equations), tuple(self.rules))
@@ -375,23 +374,21 @@ class _Elaborator:
         )
         return MSSignature(frozenset(self.sorts), tuple(self.operators), non_core)
 
-    def _known_sort(self, tok: Token) -> None:
-        if tok.value not in self.sorts:
-            raise SpecUnknownSort(f"unknown sort {tok.value!r}", tok.line, tok.col)
+    def _known_sort(self, i: int) -> None:
+        if self.values[i] not in self.sorts:
+            raise SpecUnknownSort(f"unknown sort {self.values[i]!r}", *self._at(i))
 
-    def _pattern(self, ast: TermAst) -> Pattern:
-        if ast[0] == "var":
-            _, name, sort, tok = ast
-            if sort not in self.sorts:
-                raise SpecUnknownSort(f"unknown sort {sort!r}", tok.line, tok.col)
-            return Var(name, sort)
-        if ast[0] == "const":
-            _, name, tok = ast
-            self._known_constructor(name, 0, tok)
-            return PNode(name, ())
-        _, name, args, tok = ast
-        self._known_constructor(name, len(args), tok)
-        return PNode(name, tuple(self._pattern(a) for a in args))
+    def _pattern(self, nodes: TermNodes) -> Pattern:
+        values = self.values
+        # Checked in preorder, so the first offending token is reported.
+        for k in range(0, len(nodes), 2):
+            i, arity = nodes[k], nodes[k + 1]
+            if arity < 0:
+                if values[i + 2] not in self.sorts:
+                    raise SpecUnknownSort(f"unknown sort {values[i + 2]!r}", *self._at(i))
+            elif arity not in self.arities.get(values[i], ()):
+                self._known_constructor(values[i], arity, Token(self.doc.text, i))
+        return _build(values, nodes, Var, PNode)
 
     def _known_constructor(self, name: str, arity: int, tok: Token) -> None:
         arities = self.arities.get(name)
@@ -402,22 +399,19 @@ class _Elaborator:
                 f"constructor {name!r} used with {arity} arguments", tok.line, tok.col
             )
 
-    def _check_sides(self, signature, lhs: Pattern, rhs: Pattern, tok: Token) -> None:
+    def _check_sides(self, signature, lhs: Pattern, rhs: Pattern, i: int) -> None:
         try:
-            seen = variables_of(lhs)
-            rhs_vars = variables_of(rhs)
+            seen, lhs_sort = side_facts(signature, lhs)
+            rhs_vars, rhs_sort = side_facts(signature, rhs)
         except InconsistentAnnotation as exc:
-            raise SpecSyntaxError(str(exc), tok.line, tok.col) from None
+            raise SpecSyntaxError(str(exc), *self._at(i)) from None
         for name, sort in rhs_vars.items():
-            if seen.setdefault(name, sort) != sort:
+            if seen.get(name, sort) != sort:
+                raise SpecSyntaxError(f"variable {name} carries two sorts", *self._at(i))
+        for side, sort, label in ((lhs, lhs_sort, "left"), (rhs, rhs_sort, "right")):
+            if sort is None:
                 raise SpecSyntaxError(
-                    f"variable {name} carries two sorts", tok.line, tok.col
-                )
-        for side, label in ((lhs, "left"), (rhs, "right")):
-            if not sorts_of(signature, side):
-                raise SpecSyntaxError(
-                    f"{label} side is not well-formed: {print_term(side)}",
-                    tok.line, tok.col,
+                    f"{label} side is not well-formed: {print_term(side)}", *self._at(i)
                 )
 
 
@@ -465,34 +459,27 @@ def print_spec(alg, name: str = "spec") -> str:
     for op in alg.signature.operators:
         args = " ".join(op.arg_sorts)
         lines.append(f"op {op.constructor} : {args + ' ' if args else ''}-> {op.target_sort}")
-    if alg.equations:
-        lines.append("")
-        for eq in sorted(alg.equations, key=lambda e: print_term(e.lhs) + print_term(e.rhs)):
-            lines.append(f"eq {print_term(eq.lhs)} = {print_term(eq.rhs)}")
-    if alg.rules:
-        lines.append("")
-        for rule in sorted(alg.rules, key=lambda r: print_term(r.lhs) + print_term(r.rhs)):
-            lines.append(f"rule {print_term(rule.lhs)} => {print_term(rule.rhs)}")
+    for word, statements in (("eq", alg.equations), ("rule", alg.rules)):
+        if statements:
+            lines.append("")
+            # Ordered by the two printed sides run together.
+            sides = sorted([(print_term(s.lhs), print_term(s.rhs)) for s in statements],
+                           key="".join)
+            lines += [f"{word} {lhs} {_BETWEEN[word]} {rhs}" for lhs, rhs in sides]
     return "\n".join(lines) + "\n"
 
 
 def parse_term_text(text: str, signature) -> GroundTerm:
     """Parse a single ground term against a signature (CLI helper)."""
     parser = _Parser(text)
-    ast = parser.parse_term()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise SpecSyntaxError(f"trailing input {tok.value!r}", tok.line, tok.col)
-
-    def build(node: TermAst) -> GroundTerm:
-        if node[0] == "var":
-            raise SpecSyntaxError("ground term expected, found a variable",
-                                  node[3].line, node[3].col)
-        if node[0] == "const":
-            return GroundTerm(node[1])
-        return GroundTerm(node[1], tuple(build(a) for a in node[2]))
-
-    term = build(ast)
+    nodes = parser.parse_term()
+    trailing = parser.values[parser.pos]
+    if trailing:
+        parser.fail(f"trailing input {trailing!r}", parser.pos)
+    for k in range(1, len(nodes), 2):
+        if nodes[k] < 0:
+            parser.fail("ground term expected, found a variable", nodes[k - 1])
+    term = _build(parser.values, nodes, None, GroundTerm)
     if not sorts_of(signature, term):
         raise SpecSyntaxError("term is not well-formed in the signature", 1, 1)
     return term

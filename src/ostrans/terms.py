@@ -154,6 +154,8 @@ class OSSignature:
     # raise again on every call.
     _least_at_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _sort_set_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # ``side_facts`` of statement sides, by identity.
+    _sides: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __init__(self, sorts, subsort_pairs, operators):
         self.sorts = frozenset(sorts)
@@ -180,6 +182,7 @@ class OSSignature:
         self._admitting_cache = {}
         self._least_at_cache = {}
         self._sort_set_cache = {}
+        self._sides = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -227,6 +230,8 @@ class MSSignature:
     # The signature's ``translate.CastTable``: the translation's own table
     # for a translated signature, otherwise built on first use.
     _cast_index: object = field(init=False, repr=False, compare=False, default=None)
+    # ``side_facts`` of statement sides, by identity.
+    _sides: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __init__(self, sorts, operators, non_core=()):
         self.sorts = frozenset(sorts)
@@ -251,6 +256,7 @@ class MSSignature:
         self._by_ctor = {c: tuple(v) for c, v in by_ctor.items()}
         self._sort_cache = {}
         self._cast_index = None
+        self._sides = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -523,28 +529,59 @@ class Rule:
         return f"{print_term(self.lhs)} => {print_term(self.rhs)}"
 
 
-def _check_statement(sig: Signature, lhs: Pattern, rhs: Pattern, what: str) -> list:
-    """Check one statement's variables and sides; the sort set of each side."""
-    seen = variables_of(lhs)
-    for name, sort in variables_of(rhs).items():
-        if seen.setdefault(name, sort) != sort:
+def side_facts(sig: Signature, p: Pattern) -> tuple[dict[str, Sort], Sort | AmbiguousSort | None]:
+    """A statement side's variables (shared: do not change them) and sort.
+
+    The sort is the least or the one sort, None when the side is
+    ill-formed, or the ``AmbiguousSort`` of a well-formed order-sorted
+    side with no least sort.  Raises ``InconsistentAnnotation`` like
+    ``variables_of``.  Worked out once per signature and kept by identity
+    beside the side, since hashing a pattern walks all of it.
+    """
+    hit = sig._sides.get(id(p))
+    if hit is None:
+        variables = variables_of(p)
+        if isinstance(sig, MSSignature):
+            sort = _ms_sort_opt(sig, p)
+        else:
+            # A side whose least sort fails below any ambiguity has an
+            # empty sort set: no operator admits the failing node.
+            try:
+                sort = least_sort(sig, p)
+            except AmbiguousSort as exc:
+                sort = exc if _sorts_of_os(sig, p) else None
+            except (IllFormedTerm, UnknownSort):
+                sort = None
+        hit = sig._sides[id(p)] = (p, variables, sort)
+    return hit[1], hit[2]
+
+
+def recorded_sort(sig: Signature, p: Pattern) -> Sort | None:
+    """The sort ``side_facts`` found for ``p`` over ``sig``, if it found one."""
+    hit = sig._sides.get(id(p))
+    return hit[2] if hit is not None and type(hit[2]) is str else None
+
+
+def _check_statement(sig: Signature, statement, what: str) -> tuple:
+    """Check a statement's variables, sides and, for a rule, shape; its side sorts."""
+    lhs, rhs = statement.lhs, statement.rhs
+    seen, lhs_sort = side_facts(sig, lhs)
+    rhs_vars, rhs_sort = side_facts(sig, rhs)
+    for name, sort in rhs_vars.items():
+        if seen.get(name, sort) != sort:
             raise InconsistentAnnotation(
                 f"variable {name} annotated {seen[name]!r} and {sort!r} across the {what}"
             )
-    side_sorts = []
-    for side, label in ((lhs, "left"), (rhs, "right")):
-        side_sorts.append(sorts_of(sig, side))
-        if not side_sorts[-1]:
+    for side, sort, label in ((lhs, lhs_sort, "left"), (rhs, rhs_sort, "right")):
+        if sort is None:
             raise IllFormedTerm(f"{label} side of {what} is ill-formed: {print_term(side)}")
-    return side_sorts
-
-
-def _check_rule_shape(lhs: Pattern, rhs: Pattern) -> None:
-    if isinstance(lhs, Var):
-        raise IllFormedTerm(f"rule left side must start with a constructor: {print_term(lhs)}")
-    extra = set(variables_of(rhs)) - set(variables_of(lhs))
-    if extra:
-        raise IllFormedTerm(f"rule right side introduces unbound variables {sorted(extra)}")
+    if what == "rule":
+        if isinstance(lhs, Var):
+            raise IllFormedTerm(f"rule left side must start with a constructor: {print_term(lhs)}")
+        extra = set(rhs_vars) - set(seen)
+        if extra:
+            raise IllFormedTerm(f"rule right side introduces unbound variables {sorted(extra)}")
+    return lhs_sort, rhs_sort
 
 
 @dataclass
@@ -558,6 +595,9 @@ class OSAlgebra:
     # directions, built on first use.
     _rule_index: object = field(init=False, repr=False, compare=False, default=None)
     _equation_index: object = field(init=False, repr=False, compare=False, default=None)
+    # The ``validity.ValidityReport``, filled by ``validate_algebra``; the
+    # signature and statements never change, so it cannot go stale.
+    _validity: object = field(init=False, repr=False, compare=False, default=None)
 
     def __init__(self, signature, equations=(), rules=()):
         self.signature = signature
@@ -565,11 +605,10 @@ class OSAlgebra:
         self.rules = tuple(dict.fromkeys(rules))
         self._rule_index = None
         self._equation_index = None
-        for eq in self.equations:
-            _check_statement(signature, eq.lhs, eq.rhs, "equation")
-        for rule in self.rules:
-            _check_statement(signature, rule.lhs, rule.rhs, "rule")
-            _check_rule_shape(rule.lhs, rule.rhs)
+        self._validity = None
+        for statements, what in ((self.equations, "equation"), (self.rules, "rule")):
+            for st in statements:
+                _check_statement(signature, st, what)
 
     def __eq__(self, other) -> bool:
         return (
@@ -602,16 +641,11 @@ class MSAlgebra:
         self._equation_index = None
         if not self.core_equations <= set(self.equations):
             raise InvalidSignature("core equations must be a subset of the equations")
-        # A many-sorted side's sort set is its one sort.
-        for eq in self.equations:
-            lhs_sorts, rhs_sorts = _check_statement(signature, eq.lhs, eq.rhs, "equation")
-            if lhs_sorts != rhs_sorts:
-                raise IllFormedTerm(f"equation sides have different sorts: {eq!r}")
-        for rule in self.rules:
-            lhs_sorts, rhs_sorts = _check_statement(signature, rule.lhs, rule.rhs, "rule")
-            _check_rule_shape(rule.lhs, rule.rhs)
-            if lhs_sorts != rhs_sorts:
-                raise IllFormedTerm(f"rule sides have different sorts: {rule!r}")
+        for statements, what in ((self.equations, "equation"), (self.rules, "rule")):
+            for st in statements:
+                lhs_sort, rhs_sort = _check_statement(signature, st, what)
+                if lhs_sort != rhs_sort:
+                    raise IllFormedTerm(f"{what} sides have different sorts: {st!r}")
 
     def __eq__(self, other) -> bool:
         return (

@@ -38,6 +38,7 @@ from .terms import (
     fold_term,
     least_sort,
     print_term,
+    recorded_sort,
 )
 from .validity import ValidityReport, validate_algebra
 
@@ -311,11 +312,12 @@ def _translate(tm: TranslationMap, t: Term) -> tuple[Term, Sort]:
     """``(translation, sort)`` of ``t``; ground results are cached by term.
 
     First checks the sorts of everything below the root, so an ill-formed
-    subterm is reported by ``least_sort``, then takes one ``fold_term``
+    subterm is reported by ``least_sort``; a statement side that
+    ``side_facts`` sorted needs no check.  Then takes one ``fold_term``
     pass: a ground node whose children are all translated is one plan
     lookup and no stack.
     """
-    if type(t) is not Var:
+    if type(t) is GroundTerm or (type(t) is PNode and recorded_sort(tm.source, t) is None):
         for a in t.args:
             least_sort(tm.source, a)
     return fold_term(t, tm._tr_cache, _translate_var, _translate_node, tm)
@@ -391,16 +393,15 @@ def translate_equations(tm: TranslationMap, equations) -> tuple[Equation, ...]:
 
 
 def translate_rules(tm: TranslationMap, rules) -> tuple[Rule, ...]:
-    """Translate rules, casting each right side up to its left side's sort."""
+    """Translate rules, casting each right side up to its left side's sort.
+
+    A side's translated sort is its least sort, so the left side's
+    translation gives the sort to cast to.
+    """
     out = []
     for rule in rules:
-        lhs_sort = least_sort(tm.source, rule.lhs)
-        out.append(
-            Rule(
-                translate_term(tm, rule.lhs),
-                translate_term(tm, rule.rhs, expected=lhs_sort),
-            )
-        )
+        lhs, lhs_sort = _translate(tm, rule.lhs)
+        out.append(Rule(lhs, translate_term(tm, rule.rhs, expected=lhs_sort)))
     return tuple(out)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import AmbiguousSort
 from .poset import SortPoset
-from .terms import Operator, OSAlgebra, least_sort
+from .terms import Operator, OSAlgebra, side_facts
 
 Violation = tuple[str, tuple]
 
@@ -64,9 +64,7 @@ def _overload_groups(alg: OSAlgebra) -> dict[Operator, tuple[Operator, ...]]:
     never argument-compatible; ``argument_compatible`` still decides
     within a bucket.
     """
-    component = {
-        s: i for i, comp in enumerate(alg.signature.poset.components()) for s in comp
-    }
+    component = alg.signature._component
     buckets: dict[tuple, list[Operator]] = {}
     for op in alg.signature.operators:
         key = (op.constructor, tuple(component[s] for s in op.arg_sorts))
@@ -139,35 +137,39 @@ def check_maximal_argument_bounding(
     return not violations, reps, violations
 
 
-def check_equations_sort_equal(alg: OSAlgebra) -> tuple[bool, list[Violation]]:
-    """Both sides of every equation must have the same sort."""
+def _check_side_sorts(alg: OSAlgebra, statements, fits, kind: str):
+    """Statements whose side sorts, ``fits(lhs, rhs)``, are not as required."""
     sig = alg.signature
     violations: list[Violation] = []
-    for eq in alg.equations:
-        try:
-            if least_sort(sig, eq.lhs) != least_sort(sig, eq.rhs):
-                violations.append(("equation_sorts_differ", (eq,)))
-        except AmbiguousSort:
-            violations.append(("ambiguous_pattern_sort", (eq,)))
+    for st in statements:
+        lhs, rhs = side_facts(sig, st.lhs)[1], side_facts(sig, st.rhs)[1]
+        if isinstance(lhs, AmbiguousSort) or isinstance(rhs, AmbiguousSort):
+            violations.append(("ambiguous_pattern_sort", (st,)))
+        elif not fits(lhs, rhs):
+            violations.append((kind, (st,)))
     return not violations, violations
+
+
+def check_equations_sort_equal(alg: OSAlgebra) -> tuple[bool, list[Violation]]:
+    """Both sides of every equation must have the same sort."""
+    return _check_side_sorts(alg, alg.equations, lambda lhs, rhs: lhs == rhs,
+                             "equation_sorts_differ")
 
 
 def check_rules_sort_decreasing(alg: OSAlgebra) -> tuple[bool, list[Violation]]:
     """The right side's sort must lie at or below the left side's."""
-    sig = alg.signature
-    poset = sig.poset
-    violations: list[Violation] = []
-    for rule in alg.rules:
-        try:
-            if not poset.leq(least_sort(sig, rule.rhs), least_sort(sig, rule.lhs)):
-                violations.append(("rule_not_sort_decreasing", (rule,)))
-        except AmbiguousSort:
-            violations.append(("ambiguous_pattern_sort", (rule,)))
-    return not violations, violations
+    leq = alg.signature.poset.leq
+    return _check_side_sorts(alg, alg.rules, lambda lhs, rhs: leq(rhs, lhs),
+                             "rule_not_sort_decreasing")
 
 
 def validate_algebra(alg: OSAlgebra) -> ValidityReport:
-    """Run every translation precondition and collect the combined report."""
+    """Run every translation precondition and collect the combined report.
+
+    The report is kept on the algebra, so later calls return it as is.
+    """
+    if alg._validity is not None:
+        return alg._validity
     top_violations = alg.signature.poset.check_unique_tops()
     sensible, v1 = check_sensible(alg)
     strong, v2 = check_strong_sensible(alg)
@@ -177,7 +179,7 @@ def validate_algebra(alg: OSAlgebra) -> ValidityReport:
     violations = (
         [("unique_top", v) for v in top_violations] + v1 + v2 + v3 + v4 + v5
     )
-    return ValidityReport(
+    alg._validity = ValidityReport(
         sensible=sensible,
         strong_sensible=strong,
         maximal_argument_bounding=maxarg,
@@ -187,3 +189,4 @@ def validate_algebra(alg: OSAlgebra) -> ValidityReport:
         violations=violations,
         representative_of=reps,
     )
+    return alg._validity

@@ -14,6 +14,7 @@ from ostrans import (
     OSAlgebra,
     PNode,
     Rule,
+    RewriteConfig,
     RewriteStep,
     bisim,
     cast_table,
@@ -375,3 +376,22 @@ def test_verdict_is_three_way():
     failing = BisimReport(skipped_unexhausted=1, truncated=True,
                           backward_failures=[object()])
     assert not failing.passed and failing.verdict == "fail"
+
+
+@pytest.mark.parametrize("config,budgets", [
+    (BisimConfig, {"term_depth": -1}),
+    (BisimConfig, {"eclass_depth": 0}),
+    (BisimConfig, {"eclass_max": 0}),
+    (BisimConfig, {"max_terms": -3}),
+    (RewriteConfig, {"eclass_depth": 0}),
+    (RewriteConfig, {"eclass_max": 0}),
+])
+def test_budgets_below_their_floor_are_refused(config, budgets):
+    with pytest.raises(ValueError, match="at least"):
+        config(**budgets)
+
+
+def test_depth_zero_checks_the_constants(imp):
+    cfg = BisimConfig(term_depth=0, eclass_depth=1, eclass_max=1, max_terms=1_000)
+    report = run_bisim(imp, cfg)
+    assert report.passed and report.terms_checked > 0

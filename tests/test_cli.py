@@ -135,3 +135,25 @@ def test_output_is_reproducible(imp_path, capsys):
     first = capsys.readouterr().out
     main(["translate", imp_path])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("args", [
+    ["bisim", "--depth", "-1"],
+    ["bisim", "--eclass-depth", "0"],
+    ["bisim", "--eclass-max", "0"],
+    ["bisim", "--max-terms", "0"],
+    ["rewrite", "--term", "0", "--eclass-depth", "0"],
+    ["rewrite", "--term", "0", "--eclass-max", "-2"],
+])
+def test_budgets_below_their_floor_are_usage_errors(imp_path, capsys, args):
+    with pytest.raises(SystemExit) as info:
+        main([args[0], imp_path, *args[1:]])
+    assert info.value.code == 2
+    assert f"argument {args[-2]}: must be at least" in capsys.readouterr().err
+
+
+def test_non_integer_budget_is_a_usage_error(imp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["bisim", imp_path, "--depth", "two"])
+    assert info.value.code == 2
+    assert "argument --depth: invalid int value: 'two'" in capsys.readouterr().err

@@ -167,14 +167,12 @@ def _recursive(tree: ast.Module) -> list[str]:
     )
 
 
-# The recursive functions left in the package, pinned.  Four recurse over
-# patterns (rule and equation sides), never over subject terms; three are
-# the spec parser and its elaboration of parsed terms.
+# The recursive functions left in the package, pinned.  All four recurse
+# over patterns (rule and equation sides), never over subject terms.
 # Entries may only be deleted: a new recursive walk fails here, and a
 # function rewritten without recursion must leave the list.
 RECURSIVE = {
     "rewrite.py": ["_compile_core", "_match_ms", "_match_os"],
-    "specfmt.py": ["_Elaborator._pattern", "_Parser.parse_term", "parse_term_text.build"],
     "terms.py": ["apply_substitution"],
 }
 

@@ -10,6 +10,11 @@ overload checks.  Validity reports (violations in order), term sorts and
 translations must come out the same on the fixtures, a renamed four-copy
 spec, random translatable algebras and random signatures that fail
 validation.
+
+The spec scanner is checked against the character loop it replaced, on
+the fixtures, the benchmark's wide specs, their printed translations,
+edge cases and seeded mutations; ``parse_spec`` on those mutations must
+give the outcomes recorded in ``tests/data/spec_mutation_outcomes.txt``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from itertools import combinations, islice, product
 import pytest
 
 from gen_algebras import random_algebra, random_dag_pairs
+from spec_inputs import OUTCOMES, mutated_specs, outcome, wide_spec
 from ostrans import (
     AmbiguousSort,
     CastNameReserved,
@@ -52,7 +58,15 @@ from ostrans import (
     translate_term,
     validate_algebra,
 )
-from ostrans.specfmt import Token, _Elaborator, _resolve_cast_profile, parse_document
+from ostrans.specfmt import (
+    _KIND,
+    Token,
+    _Elaborator,
+    _positions,
+    _resolve_cast_profile,
+    _scan,
+    parse_document,
+)
 
 COPIES = 4
 
@@ -88,6 +102,79 @@ def _renamed_copies(text, copies):
 
 
 # --- oracles: the scans the lookups replaced ----------------------------------
+
+_KEYWORDS = frozenset({"algebra", "sorts", "subsorts", "op", "eq", "rule"})
+_SYM = frozenset("+-*/!?@$%^&~|.")
+_ALNUM = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+_PUNCT = {"=": "EQ", "<": "LT", "(": "LPAREN", ")": "RPAREN", ",": "COMMA",
+          ":": "COLON", ";": "SEMI"}
+
+
+def oracle_tokenize(text):
+    """``(kind, value, line, col)`` of every token, one character at a time."""
+    tokens = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        two = text[i:i + 2]
+        if two == "->":
+            tokens.append(("ARROW", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if two == "=>":
+            tokens.append(("DARROW", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if two == "<=":
+            j = i + 2
+            while j < n and text[j] in _ALNUM:
+                j += 1
+            tokens.append(("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in _PUNCT:
+            tokens.append((_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch in _ALNUM or ch in _SYM:
+            j = i
+            while j < n and text[j] in _SYM and text[j:j + 2] != "->":
+                j += 1
+            while j < n and text[j] in _ALNUM:
+                j += 1
+            word = text[i:j]
+            tokens.append(("KW" if word in _KEYWORDS else "IDENT", word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+def scanned(text):
+    """The scanner's tokens in the oracle's shape."""
+    values = _scan(text)
+    return [(_KIND.get(v, "IDENT"), v, line, col)
+            for v, (line, col) in zip(values, _positions(text), strict=True)]
 
 def oracle_resolve_cast_profile(name, sorts, op, tok):
     matches = [
@@ -392,7 +479,7 @@ def test_translation_matches_overload_scans(name, alg):
 
 
 def _token():
-    return Token("IDENT", "", 1, 1)
+    return Token("", 0)  # The end of an empty text: line 1, column 1.
 
 
 @pytest.mark.parametrize("name,alg", ALGEBRAS[:27], ids=[name for name, _ in ALGEBRAS[:27]])
@@ -443,3 +530,38 @@ def test_constructor_arities_match_the_operator_scan(name, alg):
                 got = _outcome(elab._known_constructor, ctor, arity, _token())
                 want = _outcome(oracle_known_constructor, elab.operators, ctor, arity, _token())
                 assert got == want
+
+
+# --- the scanner --------------------------------------------------------------
+
+SCAN_EDGE_CASES = [
+    "", "   ", "\n\n", "#only a comment", "a # comment at the end", "a\n# comment\n",
+    "<=x", "<=", "x<=<=y", "<= x", "+->", "+-->x", "--", "-", "->->", "a-->b", "=>=",
+    "==>", "<-", "+.-x", "-int(+AExp)", "a:b", "f(x:a, -(0))",
+    "algebra a\r\nsorts b\r\n", "algebra\ta\n\tsorts\tb c\n", "a\rb",
+    "sorts a ' b", "a > b", "a\x0cb", "é", "#é\né", "op f : a -> b\n[", "a\n\n  \t}",
+]
+
+
+def test_scanner_matches_the_character_loop_on_edge_cases():
+    for text in SCAN_EDGE_CASES:
+        assert _outcome(scanned, text) == _outcome(oracle_tokenize, text), text
+
+
+def test_scanner_matches_the_character_loop_on_specs():
+    texts = [_fixture_text("imp.osa"), _fixture_text("imp_real.osa")]
+    for seed in range(5):
+        wide = wide_spec(seed)
+        texts += [wide, print_spec(translate_algebra(parse_spec(wide))[0], name="translated")]
+    texts += [text for text, _ in mutated_specs()]
+    for text in texts:
+        assert _outcome(scanned, text) == _outcome(oracle_tokenize, text)
+
+
+def test_mutated_specs_give_the_recorded_outcomes():
+    want = OUTCOMES.read_text(encoding="utf-8").splitlines()
+    got = [outcome(text, kind) for text, kind in mutated_specs()]
+    assert len(got) == len(want) >= 2_000
+    kinds = {line.split()[0] for line in want}
+    assert {"ok", "SpecSyntaxError", "SpecUnknownSort", "DuplicateDeclaration"} <= kinds
+    assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == []

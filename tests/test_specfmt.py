@@ -11,12 +11,16 @@ from ostrans import (
     GroundTerm,
     SpecSyntaxError,
     SpecUnknownSort,
+    core_canonicalize,
+    direct_steps,
     enumerate_ground_terms,
+    least_sort,
     parse_spec,
     parse_term_text,
     print_spec,
     print_term,
     translate_algebra,
+    translate_term,
 )
 
 G = GroundTerm
@@ -157,3 +161,17 @@ def test_parse_term_rejects_ill_formed(imp):
 def test_symbolic_constructors_tokenize(imp):
     t = parse_term_text("<=(+(0, 0), -(0))", imp.signature)
     assert t is G("<=", (G("+", (G("0"), G("0"))), G("-", (G("0"),))))
+
+
+def test_deep_term_parses_and_prints_back(imp_text):
+    # +(s^10000(0), -(0)): far deeper than the recursion limit, so the
+    # term parser, like every layer after it, must not recurse.
+    alg = parse_spec(imp_text)
+    ms, tm = translate_algebra(alg)
+    text = "+(" + "s(" * 10_000 + "0" + ")" * 10_000 + ", -(0))"
+    t = parse_term_text(text, alg.signature)
+    assert least_sort(alg.signature, t) == "AExp"
+    u = translate_term(tm, t)
+    assert core_canonicalize(ms.signature, u) is u
+    assert len(direct_steps(alg, t)) == 1 and len(direct_steps(ms, u)) == 1
+    assert print_term(t) == text

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from gen_algebras import random_algebra
-from ostrans import terms
+from ostrans import terms, validity
 from ostrans import (
     Equation,
     GroundTerm,
+    IllFormedTerm,
     NoPath,
     NotStrictlySensible,
     Operator,
@@ -35,7 +36,9 @@ from ostrans import (
     strip_casts,
     translate_algebra,
     translate_term,
+    validate_algebra,
 )
+from spec_inputs import wide_spec
 
 G = GroundTerm
 ZERO = G("0")
@@ -393,3 +396,37 @@ def test_rule_and_equation_counts_on_random_algebras():
         assert len(ms.rules) == len(alg.rules)
         assert len(ms.equations) == len(alg.equations) + len(ms.core_equations)
         assert ms.signature.sorts == alg.signature.sorts
+
+
+def test_spec_pipeline_sorts_each_side_once(count_calls):
+    # Parse, validate, translate, print and parse again, as the benchmark's
+    # spec_wide does: each algebra sorts each statement side once and
+    # walks its variables once; the translation folds each source side.
+    text = wide_spec(5, copies=4)
+    folds, walks = count_calls(terms.fold_term), count_calls(terms.variables_of)
+    alg = parse_spec(text)
+    validate_algebra(alg)
+    ms, _ = translate_algebra(alg)
+    again = parse_spec(print_spec(ms), kind="msa")
+    os_sides = 2 * (len(alg.equations) + len(alg.rules))
+    ms_sides = 2 * (len(ms.equations) + len(ms.rules))
+    assert again == ms and (os_sides, ms_sides) == (240, 248)
+    assert len(folds) <= os_sides + 2 * ms_sides + os_sides
+    assert len(walks) <= os_sides + 2 * ms_sides
+
+
+def test_translation_reuses_the_validity_report(count_calls):
+    alg = parse_spec(wide_spec(5, copies=2))
+    checks = count_calls(validity.check_sensible)
+    report = validate_algebra(alg)
+    translate_algebra(alg)
+    assert len(checks) == 1
+    assert validate_algebra(alg) is report
+
+
+def test_ill_formed_pattern_is_reported_below_the_root(imp_translated):
+    # Only a side the algebra sorted skips the check below the root.
+    _, tm = imp_translated
+    bad = PNode("s", (PNode("s", (PNode("true", ()),)),))
+    with pytest.raises(IllFormedTerm, match=r"no operator admits s\(true\) \(children sorted"):
+        translate_term(tm, bad)
