@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .bisim import BisimConfig, run_bisim
 from .errors import AlgebraError, SpecError
+from .poset import TIE_BREAKS
 from .rewrite import RewriteConfig, format_position, format_trace, rewrite_trace
 from .specfmt import parse_spec, parse_term_text, print_spec
 from .terms import MSAlgebra, print_term
@@ -201,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="translate to a many-sorted algebra")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.add_argument("--tie-break", choices=("lex", "revlex"), default="lex")
+    p.add_argument("--tie-break", choices=TIE_BREAKS, default="lex")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("paths", help="enumerate subsort paths between two sorts")

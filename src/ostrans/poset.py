@@ -14,6 +14,9 @@ from .errors import CycleDetected, UnknownSort
 
 Sort = str
 
+# The ways ``choose_canonical`` can break a tie between shortest paths.
+TIE_BREAKS = ("lex", "revlex")
+
 
 @dataclass(frozen=True)
 class Diamond:

@@ -418,13 +418,13 @@ class _Elaborator:
 def _is_core_equation(sig: MSSignature, eq: Equation) -> bool:
     def chain_over_var(p: Pattern):
         casts = 0
-        while isinstance(p, PNode):
+        while not isinstance(p, Var):
             op = sig.ops_named(p.constructor)
             if len(p.args) != 1 or not op or op[0] not in sig.non_core:
                 return None
             casts += 1
             p = p.args[0]
-        return (p.name, p.sort, casts) if isinstance(p, Var) else None
+        return p.name, p.sort, casts
 
     a, b = chain_over_var(eq.lhs), chain_over_var(eq.rhs)
     return (

@@ -1,7 +1,8 @@
 """Sorts, operators, signatures, terms and the two algebra containers.
 
-Ground terms are hash-consed: building the same tree twice yields the same
-object, so equality is identity and terms can key dictionaries cheaply.
+Ground terms and pattern nodes are hash-consed: building the same tree
+twice yields the same object, so equality is identity and any term or
+statement side keys a dictionary in constant time.
 Signatures and algebras carry internal caches (sort sets, least sorts,
 cast tables, redex indexes) that make the per-term operations amortized
 constant time; all caches are invisible to equality and never change
@@ -27,17 +28,18 @@ from .poset import SortPoset, build_poset
 Sort = str
 
 
-class GroundTerm:
-    """Variable-free constructor tree.
+class _Interned:
+    """Constructor application, interned per subclass.
 
-    Instances are interned: structural equality coincides with ``is``, so
-    the default identity hash keys every term dictionary.
+    Structural equality coincides with ``is``, so the default identity
+    hash keys every term dictionary.  Each subclass keeps its own
+    ``_pool``: a pattern node never equals a ground term.
     """
 
     __slots__ = ("constructor", "args")
-    _pool: dict = {}
+    _pool: dict
 
-    def __new__(cls, constructor: str, args: tuple["GroundTerm", ...] = ()):
+    def __new__(cls, constructor: str, args: tuple = ()):
         key = (constructor, args)
         hit = cls._pool.get(key)
         if hit is not None:
@@ -52,6 +54,13 @@ class GroundTerm:
         return print_term(self)
 
 
+class GroundTerm(_Interned):
+    """Variable-free constructor tree."""
+
+    __slots__ = ()
+    _pool: dict = {}
+
+
 @dataclass(frozen=True)
 class Var:
     """Sorted variable occurrence in a pattern."""
@@ -63,15 +72,11 @@ class Var:
         return f"{self.name}:{self.sort}"
 
 
-@dataclass(frozen=True)
-class PNode:
+class PNode(_Interned):
     """Constructor application inside a pattern."""
 
-    constructor: str
-    args: tuple["Pattern", ...] = ()
-
-    def __repr__(self) -> str:
-        return print_term(self)
+    __slots__ = ()
+    _pool: dict = {}
 
 
 Pattern = Union[Var, PNode]
@@ -154,7 +159,7 @@ class OSSignature:
     # raise again on every call.
     _least_at_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _sort_set_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # ``side_facts`` of statement sides, by identity.
+    # ``side_facts`` of statement sides, by side.
     _sides: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __init__(self, sorts, subsort_pairs, operators):
@@ -230,7 +235,7 @@ class MSSignature:
     # The signature's ``translate.CastTable``: the translation's own table
     # for a translated signature, otherwise built on first use.
     _cast_index: object = field(init=False, repr=False, compare=False, default=None)
-    # ``side_facts`` of statement sides, by identity.
+    # ``side_facts`` of statement sides, by side.
     _sides: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __init__(self, sorts, operators, non_core=()):
@@ -299,20 +304,22 @@ def fold_term(t: Term, cache: dict, leaf, combine, context):
 
     ``leaf(context, v)`` is the value of a variable and ``combine(context,
     node, values)`` that of an application, given its children's values
-    in order.  Ground subterms are read from ``cache`` when present and
-    stored there, so a subterm shared within ``t`` is computed once.
-    Nodes are combined in the order a recursive left-to-right pass would
-    visit them, so a raised error names the same subterm.  A ground node
-    over cached children is one ``combine`` and no stack.
+    in order.  Applications, ground or not, are read from ``cache`` when
+    present and stored there, so a subterm shared within ``t``, or met
+    again in a later call, is computed once.  Nodes are combined in the
+    order a recursive left-to-right pass would visit them, so a raised
+    error names the same subterm.  A node over cached children is one
+    ``combine`` and no stack.
     """
-    if type(t) is GroundTerm:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        children = tuple([cache.get(a) for a in t.args])
-        if None not in children:
-            hit = cache[t] = combine(context, t, children)
-            return hit
+    if type(t) is Var:
+        return leaf(context, t)
+    hit = cache.get(t)
+    if hit is not None:
+        return hit
+    children = tuple([cache.get(a) for a in t.args])
+    if None not in children:
+        hit = cache[t] = combine(context, t, children)
+        return hit
     values: list = []
     # A node to visit, or a 1-tuple holding a node whose children's values
     # are the last ones on ``values``.
@@ -324,12 +331,11 @@ def fold_term(t: Term, cache: dict, leaf, combine, context):
             n = len(node.args)
             value = combine(context, node, tuple(values[len(values) - n:]))
             del values[len(values) - n:]
-            if type(node) is GroundTerm:
-                cache[node] = value
+            cache[node] = value
             values.append(value)
         elif type(node) is Var:
             values.append(leaf(context, node))
-        elif type(node) is GroundTerm and node in cache:
+        elif node in cache:
             values.append(cache[node])
         else:
             stack.append((node,))
@@ -369,8 +375,7 @@ def _sorts_of_ms(sig: MSSignature, t: Term) -> frozenset[Sort]:
 
 
 def _ms_sort_opt(sig: MSSignature, t: Term) -> Sort | None:
-    # Only ground terms are cached: hashing a pattern walks all of it.  An
-    # ill-formed term is cached as "", so no shared subterm is walked twice.
+    # An ill-formed term is cached as "", so no shared subterm is walked twice.
     return fold_term(t, sig._sort_cache, _ms_var_sort, _ms_sort_at, sig) or None
 
 
@@ -500,8 +505,6 @@ def apply_substitution(sig: Signature, p: Pattern, h: Substitution) -> GroundTer
                 f"binding {p.name} = {print_term(image)} does not fit sort {p.sort!r}"
             )
         return image
-    if isinstance(p, GroundTerm):
-        return p
     return GroundTerm(p.constructor, tuple(apply_substitution(sig, a, h) for a in p.args))
 
 
@@ -535,10 +538,9 @@ def side_facts(sig: Signature, p: Pattern) -> tuple[dict[str, Sort], Sort | Ambi
     The sort is the least or the one sort, None when the side is
     ill-formed, or the ``AmbiguousSort`` of a well-formed order-sorted
     side with no least sort.  Raises ``InconsistentAnnotation`` like
-    ``variables_of``.  Worked out once per signature and kept by identity
-    beside the side, since hashing a pattern walks all of it.
+    ``variables_of``.  Worked out once per signature and kept by side.
     """
-    hit = sig._sides.get(id(p))
+    hit = sig._sides.get(p)
     if hit is None:
         variables = variables_of(p)
         if isinstance(sig, MSSignature):
@@ -552,14 +554,8 @@ def side_facts(sig: Signature, p: Pattern) -> tuple[dict[str, Sort], Sort | Ambi
                 sort = exc if _sorts_of_os(sig, p) else None
             except (IllFormedTerm, UnknownSort):
                 sort = None
-        hit = sig._sides[id(p)] = (p, variables, sort)
-    return hit[1], hit[2]
-
-
-def recorded_sort(sig: Signature, p: Pattern) -> Sort | None:
-    """The sort ``side_facts`` found for ``p`` over ``sig``, if it found one."""
-    hit = sig._sides.get(id(p))
-    return hit[2] if hit is not None and type(hit[2]) is str else None
+        hit = sig._sides[p] = (variables, sort)
+    return hit
 
 
 def _check_statement(sig: Signature, statement, what: str) -> tuple:

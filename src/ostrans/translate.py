@@ -21,7 +21,7 @@ from .errors import (
     RenameCollision,
     UntranslatableSort,
 )
-from .poset import SortPoset, build_poset, compute_canonical_paths
+from .poset import TIE_BREAKS, SortPoset, build_poset, compute_canonical_paths
 from .terms import (
     Equation,
     GroundTerm,
@@ -38,7 +38,6 @@ from .terms import (
     fold_term,
     least_sort,
     print_term,
-    recorded_sort,
 )
 from .validity import ValidityReport, validate_algebra
 
@@ -52,10 +51,6 @@ def cast_name(sub: Sort, sup: Sort) -> str:
 def is_reserved_name(name: str) -> bool:
     """Whether a constructor name collides with the cast naming scheme."""
     return CAST_NAME_RE.match(name) is not None
-
-
-def _node_cls(t: Term):
-    return GroundTerm if isinstance(t, GroundTerm) else PNode
 
 
 # --- cast bookkeeping -------------------------------------------------------
@@ -73,7 +68,7 @@ class CastTable:
         self.pair_of = {name: pair for pair, name in pairs.items()}
         self.poset = poset
         self.canonical_path_of = canonical_paths
-        self._canon_cache: dict[GroundTerm, GroundTerm] = {}
+        self._canon_cache: dict[Term, Term] = {}
 
     def is_cast(self, name: str) -> bool:
         return name in self.pair_of
@@ -89,7 +84,7 @@ class CastTable:
 
     def wrap_along(self, t: Term, path: tuple[Sort, ...]) -> Term:
         """Wrap ``t`` in the cast chain along ``path``, bottom first."""
-        cls = _node_cls(t)
+        cls = PNode if type(t) is Var else type(t)
         for a, b in zip(path, path[1:]):
             t = cls(self.name_of[(a, b)], (t,))
         return t
@@ -105,30 +100,25 @@ class CastTable:
 
         The output is the core-equality normal form: two terms are
         core-equal exactly when their canonical forms are identical.
-        Idempotent; works on patterns as well as ground terms.  Ground
-        results are cached, each normal form as a fixpoint (it maps to
-        itself).  A ground node whose head is not a cast and whose
-        arguments are all recorded fixpoints is its own normal form: it is
-        recorded and returned with no walk.  Anything else takes one
-        bottom-up pass with an explicit stack, so deep terms cannot
-        exhaust the recursion limit.
+        Idempotent; works on patterns as well as ground terms.  Results
+        are cached, each normal form as a fixpoint (it maps to itself).  A
+        node whose head is not a cast and whose arguments are all recorded
+        fixpoints is its own normal form: it is recorded and returned with
+        no walk.  Anything else takes one bottom-up pass with an explicit
+        stack, so deep terms cannot exhaust the recursion limit.
         """
-        cache = self._canon_cache
-        hit = cache.get(t)
+        done = self._canon_cache
+        hit = done.get(t)
         if hit is not None:
             return hit
-        ground = isinstance(t, GroundTerm)
         pair_of = self.pair_of
-        if ground and t.constructor not in pair_of:
+        if type(t) is not Var and t.constructor not in pair_of:
             for a in t.args:
-                if cache.get(a) is not a:
+                if done.get(a) is not a:
                     break
             else:
-                cache[t] = t
+                done[t] = t
                 return t
-        # The cache holds ground terms; a pattern's nodes are kept per call.
-        done = cache if ground else {}
-        cls = GroundTerm if ground else PNode
         stack = [t]
         while stack:
             node = stack[-1]
@@ -147,12 +137,11 @@ class CastTable:
                 if missing:
                     stack += missing
                     continue
-                core = cls(core.constructor, tuple([done[a] for a in core.args]))
+                core = type(core)(core.constructor, tuple([done[a] for a in core.args]))
             stack.pop()
             done[node] = core if top is None else self.wrap_canonical(core, bottom, top)
         out = done[t]
-        if ground:
-            cache[out] = out  # A fixpoint: a term built over ``out`` reads it back.
+        done[out] = out  # A fixpoint: a term built over ``out`` reads it back.
         return out
 
 
@@ -174,7 +163,7 @@ class TranslationMap:
     canonical_path_of: dict[tuple[Sort, Sort], tuple[Sort, ...]]
     original_name_of: dict[str, str] = field(init=False, repr=False)
     table: CastTable = field(init=False, repr=False, compare=False)
-    # Translations of ground terms, by term: ``(translation, sort)``.
+    # Translations of applications, by term: ``(translation, sort)``.
     _tr_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # One plan per (constructor, child least sorts): the representative's
     # final name, argument sorts and target sort.
@@ -290,7 +279,7 @@ def translate_term(tm: TranslationMap, t: Term, expected: Sort | None = None) ->
     representative demands, the canonical cast chain bridges the gap.
     When ``expected`` is given the root is wrapped up to it as well.
     """
-    hit = tm._tr_cache.get(t) if type(t) is GroundTerm else None
+    hit = tm._tr_cache.get(t)
     if hit is None:
         hit = _translate(tm, t)
     out, sort = hit
@@ -309,15 +298,15 @@ def _lift(tm: TranslationMap, t: Term, out: Term, sort: Sort, expected: Sort) ->
 
 
 def _translate(tm: TranslationMap, t: Term) -> tuple[Term, Sort]:
-    """``(translation, sort)`` of ``t``; ground results are cached by term.
+    """``(translation, sort)`` of ``t``; results are cached by term.
 
-    First checks the sorts of everything below the root, so an ill-formed
-    subterm is reported by ``least_sort``; a statement side that
-    ``side_facts`` sorted needs no check.  Then takes one ``fold_term``
-    pass: a ground node whose children are all translated is one plan
-    lookup and no stack.
+    Unless the root already has a least sort, first checks the sorts of
+    everything below it, so an ill-formed subterm is reported by
+    ``least_sort``; a statement side that ``side_facts`` sorted needs no
+    check.  Then takes one ``fold_term`` pass: a node whose children are
+    all translated is one plan lookup and no stack.
     """
-    if type(t) is GroundTerm or (type(t) is PNode and recorded_sort(tm.source, t) is None):
+    if type(t) is not Var and t not in tm.source._least_cache:
         for a in t.args:
             least_sort(tm.source, a)
     return fold_term(t, tm._tr_cache, _translate_var, _translate_node, tm)
@@ -348,7 +337,7 @@ def _translate_node(tm: TranslationMap, t: Term, children) -> tuple[Term, Sort]:
         out if sort == want else _lift(tm, a, out, sort, want)
         for a, (out, sort), want in zip(t.args, children, arg_sorts)
     ])
-    return _node_cls(t)(name, args), target
+    return type(t)(name, args), target
 
 
 def generate_core_equations(tm: TranslationMap) -> tuple[Equation, ...]:
@@ -412,8 +401,11 @@ def translate_algebra(
 
     The sort set is unchanged, the subsort pairs become cast operators,
     equation indices are preserved with core equations appended, and the
-    rule count is preserved exactly.
+    rule count is preserved exactly.  ``tie_break`` is one of
+    ``TIE_BREAKS``; anything else raises ``ValueError`` before any work.
     """
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"unknown tie_break {tie_break!r}")
     report = validate_algebra(alg)
     if not report.translatable:
         raise NotStrictlySensible(

@@ -248,3 +248,57 @@ def test_guard_sees_collector_switches():
         "        return gc.isenabled()\n"
     )
     assert _gc_switchers(ast.parse(source)) == ["<import>", "<module>", "inner", "paused"]
+
+
+# Interned nodes are told apart from variables alone, so no type test in
+# the package names a node class.
+NODE_CLASSES = frozenset({"GroundTerm", "PNode", "_Interned"})
+
+
+def _is_type_call(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "type")
+
+
+def _type_tests(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` for each name a type test mentions as a class:
+    the class arguments of ``isinstance`` and ``issubclass``, and the
+    operands of a comparison with a ``type(...)`` call."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass")):
+            classes = node.args[1:]
+        elif isinstance(node, ast.Compare) and any(
+                _is_type_call(o) for o in (node.left, *node.comparators)):
+            classes = [o for o in (node.left, *node.comparators) if not _is_type_call(o)]
+        else:
+            continue
+        found += [(node.lineno, n.id) for c in classes for n in ast.walk(c)
+                  if isinstance(n, ast.Name)]
+    return sorted(found)
+
+
+def test_type_tests_name_no_node_class():
+    found = [
+        f"{path.name}:{line} {name}" for path in MODULES
+        for line, name in _type_tests(ast.parse(path.read_text(encoding="utf-8")))
+        if name in NODE_CLASSES
+    ]
+    assert found == []
+
+
+def test_guard_sees_type_tests():
+    source = (
+        "def f(t, s):\n"
+        "    a = isinstance(t, GroundTerm)\n"
+        "    b = type(t) is not PNode\n"
+        "    c = isinstance(t, (Var, PNode))\n"
+        "    d = type(t) in (GroundTerm,)\n"
+        "    e = type(t) is Var or isinstance(s, OSSignature)\n"
+        "    return type(t)(s, ()), type(t) is type(s)\n"
+    )
+    assert _type_tests(ast.parse(source)) == [
+        (2, "GroundTerm"), (3, "PNode"), (4, "PNode"), (4, "Var"),
+        (5, "GroundTerm"), (6, "OSSignature"), (6, "Var"),
+    ]

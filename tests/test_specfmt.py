@@ -175,3 +175,19 @@ def test_deep_term_parses_and_prints_back(imp_text):
     assert core_canonicalize(ms.signature, u) is u
     assert len(direct_steps(alg, t)) == 1 and len(direct_steps(ms, u)) == 1
     assert print_term(t) == text
+
+
+def test_deep_statement_sides_round_trip():
+    # Sides of height 3,000 on both statement kinds: parsing checks them
+    # for duplicates, and the algebras key them, without walking them.
+    # Matching them still recurses, so nothing here rewrites.
+    side = "s(" * 3000 + "0" + ")" * 3000
+    text = (
+        "algebra d\nsorts n\nop 0 : -> n\nop s : n -> n\n"
+        f"eq {side} = 0\nrule {side} => 0\n"
+    )
+    alg = parse_spec(text)
+    assert print_term(alg.rules[0].lhs) == side
+    ms, _ = translate_algebra(alg)
+    assert parse_spec(print_spec(alg)) == alg
+    assert parse_spec(print_spec(ms), kind="msa") == ms

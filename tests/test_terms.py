@@ -39,6 +39,29 @@ def test_ground_terms_are_interned():
     assert G("+", (ZERO, S0)) is G("+", (G("0"), G("s", (G("0"),))))
 
 
+def test_pattern_nodes_are_interned():
+    x = Var("X", "nat")
+    assert PNode("s", (PNode("0"),)) is PNode("s", (PNode("0"),))
+    assert PNode("+", (x, PNode("0"))) is PNode("+", (Var("X", "nat"), PNode("0")))
+    assert PNode(constructor="s", args=(x,)) is PNode("s", (x,))
+    assert PNode("s", (x,)) is not PNode("s", (Var("X", "int"),))
+
+
+def test_pattern_nodes_are_not_ground_terms():
+    assert PNode("0") is not ZERO and PNode("0") != ZERO
+    assert PNode("s", (PNode("0"),)) != S0
+    assert len({PNode("0"), ZERO}) == 2
+
+
+def test_patterns_leave_the_ground_pool_alone():
+    before = len(GroundTerm._pool)
+    p = PNode("fresh-pattern-head", (PNode("fresh-pattern-leaf"), Var("X", "nat")))
+    assert PNode("fresh-pattern-head", p.args) is p
+    assert len(GroundTerm._pool) == before
+    assert ("fresh-pattern-leaf", ()) in PNode._pool
+    assert ("fresh-pattern-leaf", ()) not in GroundTerm._pool
+
+
 def test_least_sort_basic(imp):
     sig = imp.signature
     assert least_sort(sig, ZERO) == "nat"

@@ -424,8 +424,18 @@ def test_translation_reuses_the_validity_report(count_calls):
     assert validate_algebra(alg) is report
 
 
+def test_unknown_tie_break_is_refused_before_any_work():
+    # With no subsort pairs no path is ever chosen, so nothing later
+    # would reject the name.
+    alg = parse_spec("algebra a\nsorts n\nop 0 : -> n\n")
+    with pytest.raises(ValueError, match="unknown tie_break 'bogus'"):
+        translate_algebra(alg, tie_break="bogus")
+    assert alg._validity is None
+
+
 def test_ill_formed_pattern_is_reported_below_the_root(imp_translated):
-    # Only a side the algebra sorted skips the check below the root.
+    # Only a pattern whose root already has a least sort, such as a side
+    # the algebra sorted, skips the check below the root.
     _, tm = imp_translated
     bad = PNode("s", (PNode("s", (PNode("true", ()),)),))
     with pytest.raises(IllFormedTerm, match=r"no operator admits s\(true\) \(children sorted"):
