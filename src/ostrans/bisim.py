@@ -14,22 +14,22 @@ skipped.
 Enumeration builds each term of height ``h`` once, from argument tuples
 that hold a term of height ``h - 1``, and sorts it with one lookup per
 (constructor, child least sorts).  A sweep pauses CPython's cyclic
-garbage collector (``_collector_paused``): what it allocates lives to
-the end of the run and forms no cycles, so a collection would free
-nothing.
+garbage collector (``rewrite._collector_paused``): what it allocates
+lives to the end of the run and forms no cycles, so a collection would
+free nothing.
 """
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
 
 from .rewrite import (
     RewriteStep,
+    _collector_paused,
     core_canonicalize,
     e_class_bounded,
+    resolve_position,
     results_by_rule,
     rule_redexes,
 )
@@ -202,26 +202,6 @@ def _mirror(alg, subject: GroundTerm, groups: dict, rule_index: int, lift,
     return SKIPPED
 
 
-@contextmanager
-def _collector_paused():
-    """Keep CPython's cyclic garbage collector off inside the block.
-
-    A sweep allocates an interned term, cache entries and result lists for
-    every node it meets and keeps nearly all of them, so its allocations
-    keep triggering collections, and each older-generation one walks the
-    whole intern pool and the per-term caches again.  Yet the sweep makes
-    no reference cycles for a collection to free.  The collector's
-    previous state comes back on the way out, also on error.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
            obligations, missing: str) -> BisimReport:
     """Check one direction on at most ``cfg.max_terms`` of ``terms``.
@@ -232,7 +212,8 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
     ``rule_redexes``), to be replayed as rule ``i`` of ``alg`` on
     ``subject``, looking for ``target_of(result)``.  The subject's results
     are computed once, for all of its steps.  A failure alone builds its
-    witness ``RewriteStep``; ``missing`` explains it.
+    witness ``RewriteStep``, resolving its position link; ``missing``
+    explains it.
     """
     report = BisimReport()
     failures = report.forward_failures if direction == "forward" else report.backward_failures
@@ -248,7 +229,7 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
                 continue
             bridging, redexes, subject, lift, target_of = found
             groups = None
-            for i, pos, subst, result in redexes:
+            for i, link, subst, result in redexes:
                 report.steps_checked += 1
                 if groups is None:
                     groups = results_by_rule(alg, subject)
@@ -263,7 +244,8 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
                         source_term=bridging,
                         rule_index=i,
                         rule=rule,
-                        witness=RewriteStep(i, rule, pos, subst, bridging, result),
+                        witness=RewriteStep(i, rule, resolve_position(link), subst,
+                                            bridging, result),
                         missing=missing.format(subject=subject, target=target),
                     ))
     return report

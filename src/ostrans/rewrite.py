@@ -17,11 +17,21 @@ its children: its candidate left sides by (core head, core argument
 heads), its core normal form by the fixpoint rule of
 ``CastTable.canonical``, its order-sorted well-formedness by its
 children's least sorts, and its translation (``translate``) by
-(constructor, child least sorts).
+(constructor, child least sorts).  A result's position is a parent link,
+made a tuple (``resolve_position``) only where a ``RewriteStep`` is built.
+The closure searches one equation direction per class of directions
+equal up to renaming their variables, so a commutativity equation is
+searched one way.  ``rewrite_step`` and the bisimulation sweep run with
+CPython's cyclic collector paused (``_collector_paused``).  Compiling,
+matching and instantiating a side use explicit stacks, so rule and
+equation sides of any depth can rewrite, and a part of a side without
+variables is matched by one identity test.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -40,6 +50,7 @@ from .terms import (
     Term,
     Var,
     apply_substitution,
+    fold_term,
     inhabits,
     least_sort,
     ms_sort,
@@ -136,37 +147,59 @@ def core_canonicalize(source, t: Term) -> Term:
 # --- matching ---------------------------------------------------------------
 
 class _Node(NamedTuple):
-    """A many-sorted pattern core that is an application.
+    """A pattern core that is an application.
 
-    ``operator`` is the overload the pattern uses; ``args`` holds the
-    cores of its arguments.
+    ``operator`` is the many-sorted overload the pattern uses (``None``
+    order-sorted); ``args`` holds the cores of its arguments.  ``ground``
+    is, when no variable occurs below the node, the one term the node
+    matches: its instance, in core normal form when many-sorted;
+    otherwise ``None``.
     """
 
     constructor: str
-    operator: Operator
+    operator: Operator | None
     args: tuple
+    ground: GroundTerm | None
 
 
 class _Compiled(NamedTuple):
-    """A many-sorted pattern resolved once: its sort and its core.
+    """A pattern resolved once: its many-sorted sort and its core.
 
     A core is the pattern under any casts: a ``Var`` or a ``_Node``.
+    The sort is ``None`` for an order-sorted pattern.
     """
 
-    sort: Sort
+    sort: Sort | None
     core: Var | _Node
 
 
-def _compile(sig: MSSignature, table: CastTable, p: Pattern) -> _Compiled:
-    return _Compiled(ms_sort(sig, p), _compile_core(sig, table, p))
+def _compile(sig, table: CastTable | None, p: Pattern) -> _Compiled:
+    """``p`` compiled, in one pass over it; ``table`` is ``None`` order-sorted."""
+    sort = None if table is None else ms_sort(sig, p)
+    return _Compiled(sort, fold_term(p, {}, _var_core, _node_core, (sig, table))[0])
 
 
-def _compile_core(sig: MSSignature, table: CastTable, p: Pattern) -> Var | _Node:
-    p = _core(table, p)
-    if isinstance(p, Var):
-        return p
-    op = sig.lookup(p.constructor, tuple(ms_sort(sig, a) for a in p.args))
-    return _Node(p.constructor, op, tuple(_compile_core(sig, table, a) for a in p.args))
+def _var_core(context, v: Var) -> tuple:
+    return v, None
+
+
+def _node_core(context, p: Pattern, children: tuple) -> tuple:
+    """``(core, instance)`` of ``p``, given those of its arguments.
+
+    The instance is the ground term ``p`` spells when it has no variable,
+    else ``None``; a cast's core is its argument's.
+    """
+    sig, table = context
+    instances = tuple([i for _, i in children])
+    instance = None if None in instances else GroundTerm(p.constructor, instances)
+    cores = tuple([c for c, _ in children])
+    if table is None:
+        return _Node(p.constructor, None, cores, instance), instance
+    if table.is_cast(p.constructor):
+        return cores[0], instance
+    op = sig.lookup(p.constructor, tuple([ms_sort(sig, a) for a in p.args]))
+    ground = None if instance is None else table.canonical(instance)
+    return _Node(p.constructor, op, cores, ground), instance
 
 
 def match_pattern(sig, pattern: Pattern | _Compiled, t: GroundTerm) -> Substitution | None:
@@ -176,12 +209,15 @@ def match_pattern(sig, pattern: Pattern | _Compiled, t: GroundTerm) -> Substitut
     whose least sort lies at or below ``s``.  Many-sorted matching
     requires exact sorts but works modulo core equality, so the subject
     should be in canonical form (bindings come out canonical).  A
-    many-sorted pattern may come compiled, as a ``RedexIndex`` holds its
-    left sides; a raw one is compiled first.
+    pattern may come compiled, as a ``RedexIndex`` holds its left sides;
+    a raw one is compiled first.  A part of the pattern without
+    variables matches one term alone, so it costs one identity test.
     """
     binding: Substitution = {}
     if isinstance(sig, OSSignature):
-        return binding if _match_os(sig, pattern, t, binding) else None
+        if not isinstance(pattern, _Compiled):
+            pattern = _compile(sig, None, pattern)
+        return binding if _match_os(sig, pattern.core, t, binding) else None
     table = cast_table(sig)
     if not isinstance(pattern, _Compiled):
         pattern = _compile(sig, table, pattern)
@@ -190,44 +226,65 @@ def match_pattern(sig, pattern: Pattern | _Compiled, t: GroundTerm) -> Substitut
     return binding if _match_ms(sig, table, pattern.core, t, binding) else None
 
 
-def _match_os(sig: OSSignature, p: Pattern, t: GroundTerm, binding: Substitution) -> bool:
-    if isinstance(p, Var):
-        old = binding.get(p.name)
-        if old is not None:
-            return old is t
-        if not inhabits(sig, t, p.sort):
+def _match_os(sig: OSSignature, core: Var | _Node, t: GroundTerm, binding: Substitution) -> bool:
+    # (pattern core, subject) pairs still to match, the leftmost on top.
+    stack = [(core, t)]
+    while stack:
+        core, t = stack.pop()
+        if type(core) is Var:
+            old = binding.get(core.name)
+            if old is not None:
+                if old is not t:
+                    return False
+            elif inhabits(sig, t, core.sort):
+                binding[core.name] = t
+            else:
+                return False
+        elif core.ground is not None:
+            if core.ground is not t:
+                return False
+        elif core.constructor != t.constructor or len(core.args) != len(t.args):
             return False
-        binding[p.name] = t
-        return True
-    if p.constructor != t.constructor or len(p.args) != len(t.args):
-        return False
-    return all(_match_os(sig, pa, ta, binding) for pa, ta in zip(p.args, t.args))
+        else:
+            stack += zip(reversed(core.args), reversed(t.args))
+    return True
 
 
 def _match_ms(sig: MSSignature, table: CastTable, core: Var | _Node, t: GroundTerm,
               binding: Substitution) -> bool:
-    # Invariant: the pattern and the subject have the same sort here.
-    t = _core(table, t)
-    if isinstance(core, Var):
-        bottom = ms_sort(sig, t)
-        want = core.sort
-        if bottom == want:
-            value = t
-        elif table.leq(bottom, want):
-            value = table.wrap_canonical(t, bottom, want)
-        else:
+    # Invariant: each pattern core and its subject have the same sort, so
+    # a variable-free core matches exactly the subjects core-equal to it.
+    stack = [(core, t)]
+    while stack:
+        core, t = stack.pop()
+        t = _core(table, t)
+        if type(core) is Var:
+            bottom = ms_sort(sig, t)
+            want = core.sort
+            if bottom == want:
+                value = t
+            elif table.leq(bottom, want):
+                value = table.wrap_canonical(t, bottom, want)
+            else:
+                return False
+            old = binding.get(core.name)
+            if old is not None:
+                if old is not value:
+                    return False
+            else:
+                binding[core.name] = value
+            continue
+        if core.ground is not None:
+            if table.canonical(t) is not core.ground:
+                return False
+            continue
+        if core.constructor != t.constructor or len(core.args) != len(t.args):
             return False
-        old = binding.get(core.name)
-        if old is not None:
-            return old is value
-        binding[core.name] = value
-        return True
-    if core.constructor != t.constructor or len(core.args) != len(t.args):
-        return False
-    # Distinct overloads differ in some argument sort; require the same one.
-    if sig.lookup(t.constructor, tuple(ms_sort(sig, a) for a in t.args)) is not core.operator:
-        return False
-    return all(_match_ms(sig, table, pa, ta, binding) for pa, ta in zip(core.args, t.args))
+        # Distinct overloads differ in some argument sort; require the same one.
+        if sig.lookup(t.constructor, tuple([ms_sort(sig, a) for a in t.args])) is not core.operator:
+            return False
+        stack += zip(reversed(core.args), reversed(t.args))
+    return True
 
 
 # --- redex search -----------------------------------------------------------
@@ -270,7 +327,10 @@ class RedexIndex:
     Each result node passes ``finish`` once: many-sorted, the core normal
     form, which a node over recorded fixpoints reaches in one lookup;
     order-sorted, a well-formedness check through the least sort, one
-    lookup per (constructor, child least sorts).
+    lookup per (constructor, child least sorts).  A result's position is
+    a parent link, ``()`` at the root or ``(argument index, link)``
+    below it: composing a result costs one pair, and only a reader that
+    needs the position makes it a tuple (``resolve_position``).
     """
 
     def __init__(self, alg, pairs, complete: bool = True):
@@ -280,10 +340,7 @@ class RedexIndex:
         self.pairs = tuple(pairs)
         # Whether every equation direction is usable (closure only).
         self.complete = complete
-        self.lhs = tuple(
-            lhs if self.table is None else _compile(self.sig, self.table, lhs)
-            for lhs, _ in self.pairs
-        )
+        self.lhs = tuple(_compile(self.sig, self.table, lhs) for lhs, _ in self.pairs)
         buckets: dict[tuple[str, int], list] = {}
         anywhere: list = []
         for i, (lhs, _) in enumerate(self.pairs):
@@ -348,11 +405,20 @@ class RedexIndex:
             if memo[a] is CLEAN:
                 continue
             head, tail = args[:k], args[k + 1:]
-            for i, pos, subst, r in self.results[a]:
+            for i, link, subst, r in self.results[a]:
                 result = finish(GroundTerm(ctor, head + (r,) + tail))
                 if result is not None:
-                    out.append((i, (k,) + pos, subst, result))
+                    out.append((i, (k, link), subst, result))
         return out
+
+
+def resolve_position(link) -> Position:
+    """The position a result's parent link (see ``RedexIndex``) stands for."""
+    pos = []
+    while link:
+        k, link = link
+        pos.append(k)
+    return tuple(pos)
 
 
 def _checked_os(sig: OSSignature, t: GroundTerm) -> GroundTerm | None:
@@ -379,28 +445,57 @@ def _rule_index(alg) -> RedexIndex:
 
 
 def _equation_index(alg) -> RedexIndex:
-    # A direction is usable only when it binds every target-side variable.
-    # When some direction is unusable, the closure is one-sided there and
-    # no fixpoint can certify completeness.
+    """The index over the usable equation directions, one per renaming class.
+
+    A direction is usable only when it binds every target-side variable.
+    When some direction is unusable, the closure is one-sided there and
+    no fixpoint can certify completeness.  Of the usable directions that
+    are equal up to renaming their variables (``_direction_key``), such
+    as the two of a commutativity equation, only the first is kept: at
+    every position it yields the same result before the others would, so
+    they only ever found members already found, in the same order.
+    """
     index = alg._equation_index
     if index is None:
-        dirs = []
+        dirs = {}
         complete = True
         sig = alg.signature
         for eq in alg.equations:
             for src, dst in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
                 if side_facts(sig, dst)[0].keys() <= side_facts(sig, src)[0].keys():
-                    dirs.append((src, dst))
+                    dirs.setdefault(_direction_key(src, dst), (src, dst))
                 else:
                     complete = False
-        index = alg._equation_index = RedexIndex(alg, dirs, complete)
+        index = alg._equation_index = RedexIndex(alg, dirs.values(), complete)
     return index
 
 
-def _redexes(index: RedexIndex, u: GroundTerm) -> list:
-    """``(pair index, position, substitution, result)`` for every redex of ``u``.
+def _direction_key(src: Pattern, dst: Pattern) -> tuple:
+    """``(src, dst)`` as a preorder token list with variables renamed.
 
-    Positions come in preorder, then pairs in index order.  The list is
+    An application is ``(constructor, arity)``; a variable is ``(None,
+    number, sort)``, numbered in order of first occurrence across both
+    sides.  Two directions get the same key exactly when renaming the
+    variables of one, sorts kept, gives the other.
+    """
+    numbers: dict[str, int] = {}
+    key = []
+    stack = [dst, src]
+    while stack:
+        p = stack.pop()
+        if type(p) is Var:
+            key.append((None, numbers.setdefault(p.name, len(numbers)), p.sort))
+        else:
+            key.append((p.constructor, len(p.args)))
+            stack += reversed(p.args)
+    return tuple(key)
+
+
+def _redexes(index: RedexIndex, u: GroundTerm) -> list:
+    """``(pair index, position link, substitution, result)`` for every redex of ``u``.
+
+    Positions come in preorder, then pairs in index order; each is a
+    parent link (see ``RedexIndex``).  The list is
     composed bottom-up: a subterm's root hits come first, then, child by
     child, each result of the child put back under the subterm's head.
     Many-sorted results are core-canonicalized; order-sorted results that
@@ -432,10 +527,11 @@ def _redexes(index: RedexIndex, u: GroundTerm) -> list:
 
 
 def rule_redexes(alg, u: GroundTerm) -> list:
-    """``(rule index, position, substitution, result)`` of every rule redex of ``u``.
+    """``(rule index, position link, substitution, result)`` of every rule redex of ``u``.
 
     The steps of ``direct_steps``, in the same order, without building a
-    ``RewriteStep`` for each.  Callers only read the list.
+    ``RewriteStep`` for each; ``resolve_position`` turns a link into the
+    step's position.  Callers only read the list.
     """
     return _redexes(_rule_index(alg), u)
 
@@ -503,17 +599,29 @@ def e_class_bounded(alg, t: GroundTerm, depth: int = 5,
 def direct_steps(alg, u: GroundTerm) -> list[RewriteStep]:
     """Rule applications on the redexes of ``u`` itself."""
     rules = alg.rules
-    return [
-        RewriteStep(
-            rule_index=i,
-            rule=rules[i],
-            position=pos,
-            substitution=subst,
-            bridging_term=u,
-            result=result,
-        )
-        for i, pos, subst, result in rule_redexes(alg, u)
-    ]
+    return [RewriteStep(i, rules[i], resolve_position(link), subst, u, result)
+            for i, link, subst, result in rule_redexes(alg, u)]
+
+
+@contextmanager
+def _collector_paused():
+    """Keep CPython's cyclic garbage collector off inside the block.
+
+    A bisimulation sweep or a class search allocates an interned term,
+    cache entries and result lists for every node it meets and keeps
+    most of them, so its allocations keep triggering collections, and
+    each older-generation one walks the whole intern pool and the
+    per-term caches again.  Yet neither makes reference cycles for a
+    collection to free.  The collector's previous state comes back on
+    the way out, also on error; a block nested in another leaves it off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def rewrite_step(alg, t: GroundTerm, config: RewriteConfig = RewriteConfig(),
@@ -522,23 +630,25 @@ def rewrite_step(alg, t: GroundTerm, config: RewriteConfig = RewriteConfig(),
 
     Steps are deduplicated by rule and result.  With ``require_exhausted``
     an incomplete class search raises ``BudgetExceeded`` instead of
-    silently enumerating fewer steps.
+    silently enumerating fewer steps.  Runs with the cyclic collector
+    paused (``_collector_paused``).
     """
-    cls = e_class_bounded(alg, t, config.eclass_depth, config.eclass_max)
-    if require_exhausted and not cls.exhausted:
-        raise BudgetExceeded(
-            f"class of {print_term(t)} still growing after depth "
-            f"{cls.depth_used} with {len(cls.members)} members"
-        )
-    steps: list[RewriteStep] = []
-    seen: set[tuple[int, GroundTerm]] = set()
-    for u in cls.members:
-        for step in direct_steps(alg, u):
-            key = (step.rule_index, step.result)
-            if key not in seen:
-                seen.add(key)
-                steps.append(step)
-    return tuple(steps)
+    with _collector_paused():
+        cls = e_class_bounded(alg, t, config.eclass_depth, config.eclass_max)
+        if require_exhausted and not cls.exhausted:
+            raise BudgetExceeded(
+                f"class of {print_term(t)} still growing after depth "
+                f"{cls.depth_used} with {len(cls.members)} members"
+            )
+        steps: list[RewriteStep] = []
+        seen: set[tuple[int, GroundTerm]] = set()
+        for u in cls.members:
+            for step in direct_steps(alg, u):
+                key = (step.rule_index, step.result)
+                if key not in seen:
+                    seen.add(key)
+                    steps.append(step)
+        return tuple(steps)
 
 
 def _postorder_index(t: GroundTerm) -> dict[Position, int]:

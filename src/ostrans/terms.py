@@ -1,8 +1,8 @@
 """Sorts, operators, signatures, terms and the two algebra containers.
 
-Ground terms and pattern nodes are hash-consed: building the same tree
-twice yields the same object, so equality is identity and any term or
-statement side keys a dictionary in constant time.
+Ground terms, pattern nodes and variables are hash-consed: building the
+same tree twice yields the same object, so equality is identity and any
+term or statement side keys a dictionary in constant time.
 Signatures and algebras carry internal caches (sort sets, least sorts,
 cast tables, redex indexes) that make the per-term operations amortized
 constant time; all caches are invisible to equality and never change
@@ -61,12 +61,25 @@ class GroundTerm(_Interned):
     _pool: dict = {}
 
 
-@dataclass(frozen=True)
 class Var:
-    """Sorted variable occurrence in a pattern."""
+    """Sorted variable occurrence in a pattern, interned by (name, sort).
 
-    name: str
-    sort: Sort
+    Like a node, equal variables are one object, so the identity hash
+    keys any dictionary.
+    """
+
+    __slots__ = ("name", "sort")
+    _pool: dict = {}
+
+    def __new__(cls, name: str, sort: Sort):
+        key = (name, sort)
+        hit = cls._pool.get(key)
+        if hit is not None:
+            return hit
+        self = object.__new__(cls)
+        self.name = name
+        self.sort = sort
+        return cls._pool.setdefault(key, self)
 
     def __repr__(self) -> str:
         return f"{self.name}:{self.sort}"
@@ -491,21 +504,29 @@ def apply_substitution(sig: Signature, p: Pattern, h: Substitution) -> GroundTer
 
     Order-sorted signatures admit images of any subsort of the declared
     variable sort; many-sorted signatures require the exact sort.
+    Variables are checked left to right (``fold_term``).
     """
-    if isinstance(p, Var):
-        image = h.get(p.name)
-        if image is None:
-            raise UnboundVariable(f"variable {p.name} has no binding")
-        if isinstance(sig, OSSignature):
-            ok = inhabits(sig, image, p.sort)
-        else:
-            ok = ms_sort(sig, image) == p.sort
-        if not ok:
-            raise SortViolation(
-                f"binding {p.name} = {print_term(image)} does not fit sort {p.sort!r}"
-            )
-        return image
-    return GroundTerm(p.constructor, tuple(apply_substitution(sig, a, h) for a in p.args))
+    return fold_term(p, {}, _image, _instance, (sig, h))
+
+
+def _image(context, v: Var) -> GroundTerm:
+    sig, h = context
+    image = h.get(v.name)
+    if image is None:
+        raise UnboundVariable(f"variable {v.name} has no binding")
+    if isinstance(sig, OSSignature):
+        ok = inhabits(sig, image, v.sort)
+    else:
+        ok = ms_sort(sig, image) == v.sort
+    if not ok:
+        raise SortViolation(
+            f"binding {v.name} = {print_term(image)} does not fit sort {v.sort!r}"
+        )
+    return image
+
+
+def _instance(context, p: Pattern, args: tuple) -> GroundTerm:
+    return GroundTerm(p.constructor, args)
 
 
 # --- equations, rules, algebras --------------------------------------------

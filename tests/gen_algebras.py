@@ -50,16 +50,28 @@ def _unique_topped_pairs(rng: random.Random, max_sorts: int):
 
 
 def random_algebra(rng: random.Random, max_sorts: int = 5, max_ops: int = 8,
-                   max_eqs: int = 4, max_rules: int = 4) -> OSAlgebra:
-    """One random strictly sensible, translatable order-sorted algebra."""
+                   max_eqs: int = 4, max_rules: int = 4,
+                   commutative: bool = False) -> OSAlgebra:
+    """One random strictly sensible, translatable order-sorted algebra.
+
+    With ``commutative`` it also has a binary operator ``m`` on its first
+    sort, declared commutative twice: ``m(X, Y) = m(Y, X)`` and the same
+    equation over the variables ``A`` and ``B``.
+    """
     for _ in range(100):
-        alg = _try_algebra(rng, max_sorts, max_ops, max_eqs, max_rules)
+        alg = _try_algebra(rng, max_sorts, max_ops, max_eqs, max_rules, commutative)
         if alg is not None and validate_algebra(alg).translatable:
             return alg
     raise AssertionError("random algebra generation kept failing")
 
 
-def _try_algebra(rng, max_sorts, max_ops, max_eqs, max_rules):
+def _commutativity(op: Operator, x: str, y: str) -> Equation:
+    s = op.arg_sorts[0]
+    return Equation(PNode(op.constructor, (Var(x, s), Var(y, s))),
+                    PNode(op.constructor, (Var(y, s), Var(x, s))))
+
+
+def _try_algebra(rng, max_sorts, max_ops, max_eqs, max_rules, commutative=False):
     names, pairs = _unique_topped_pairs(rng, max_sorts)
     sig_probe = OSSignature(names, pairs, ())
     poset = sig_probe.poset
@@ -115,6 +127,8 @@ def _try_algebra(rng, max_sorts, max_ops, max_eqs, max_rules):
             args = tuple(rng.choice(names) for _ in range(arity))
             add(Operator(f"f{fresh}", args, rng.choice(names)))
             fresh += 1
+    if commutative:
+        add(Operator("m", (names[0], names[0]), names[0]))
 
     try:
         signature = OSSignature(names, pairs, operators)
@@ -134,6 +148,9 @@ def _try_algebra(rng, max_sorts, max_ops, max_eqs, max_rules):
 
     nonconstant = [op for op in operators if op.arity > 0]
     equations: list[Equation] = []
+    if commutative:
+        m = signature.ops_named("m")[0]
+        equations += [_commutativity(m, "X", "Y"), _commutativity(m, "A", "B")]
     for _ in range(rng.randint(0, max_eqs)):
         if not nonconstant:
             break
@@ -142,7 +159,7 @@ def _try_algebra(rng, max_sorts, max_ops, max_eqs, max_rules):
         lhs = PNode(op.constructor, lhs_vars)
         kind = rng.random()
         if kind < 0.4 and op.arity == 2 and op.arg_sorts[0] == op.arg_sorts[1]:
-            equations.append(Equation(lhs, PNode(op.constructor, (lhs_vars[1], lhs_vars[0]))))
+            equations.append(_commutativity(op, "X0", "X1"))
         elif kind < 0.7:
             target = maximal_op(op).target_sort
             picks = [v for v in lhs_vars if v.sort == target]

@@ -307,6 +307,22 @@ def test_backward_failure_is_reported_when_mirror_is_wrong():
     assert ce.witness.result is G("f", (G("f", (G("c"),)),))
 
 
+def test_failure_witnesses_carry_their_positions():
+    # A step below the root fails too; its witness, built from the redex's
+    # position link, is the step ``direct_steps`` reports.
+    os_alg, doctored, tm = _doctored_pair()
+    cfg = BisimConfig(term_depth=2)
+    positions = set()
+    for check, alg in ((check_forward, os_alg), (check_backward, doctored)):
+        report = check(os_alg, doctored, tm, cfg)
+        failures = report.forward_failures + report.backward_failures
+        assert failures and len(failures) == report.steps_checked
+        for ce in failures:
+            assert ce.witness in direct_steps(alg, ce.source_term)
+            positions.add(ce.witness.position)
+    assert {(), (0,)} <= positions
+
+
 def test_unmirrored_step_is_skipped_when_a_class_is_cut_by_budget():
     # ``X = g(X)`` makes every class infinite, so neither class search
     # reaches a fixpoint and the unmirrored step is skipped, not failed.

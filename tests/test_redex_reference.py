@@ -10,7 +10,9 @@ interned subterm, skips subterms with no redex and composes a term's
 results from its children's memoised result lists; all of these are
 pure speed-ups, so every step and every class member must come out the
 same and in the same order, on a fresh algebra (memo cold) and on a
-second pass (memo warm).
+second pass (memo warm).  The engine's closure also searches only one of
+the equation directions that are equal up to renaming their variables,
+while the reference keeps every usable direction.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from gen_algebras import random_algebra
 from ostrans import (
     AmbiguousSort,
     BisimConfig,
+    Equation,
     GroundTerm,
     MSAlgebra,
     MSSignature,
@@ -32,6 +35,7 @@ from ostrans import (
     OSAlgebra,
     OSSignature,
     PNode,
+    RewriteConfig,
     Rule,
     SortViolation,
     Var,
@@ -49,6 +53,7 @@ from ostrans import (
     parse_spec,
     print_term,
     rewrite,
+    rewrite_step,
     translate_algebra,
     translate_term,
     variables_of,
@@ -205,11 +210,25 @@ def naive_e_class(alg, t, depth, max_size):
     return tuple(members), depth_used, exhausted
 
 
+def naive_rewrite_step(alg, t, depth, max_size):
+    """The steps of every member of the naive class, first per (rule, result)."""
+    members, _, _ = naive_e_class(alg, t, depth, max_size)
+    steps, seen = [], set()
+    for u in members:
+        for step in naive_direct_steps(alg, u):
+            key = (step[0], step[4])
+            if key not in seen:
+                seen.add(key)
+                steps.append(step)
+    return steps
+
+
+def _as_tuples(steps):
+    return [(s.rule_index, s.position, s.substitution, s.bridging_term, s.result) for s in steps]
+
+
 def _steps(alg, u):
-    return [
-        (s.rule_index, s.position, s.substitution, s.bridging_term, s.result)
-        for s in direct_steps(alg, u)
-    ]
+    return _as_tuples(direct_steps(alg, u))
 
 
 def _subjects(os_alg, ms_alg, tm, depth, limit):
@@ -223,9 +242,12 @@ def _subjects(os_alg, ms_alg, tm, depth, limit):
     return os_terms, list(dict.fromkeys(ms_terms))
 
 
-def _assert_same_as_naive(os_alg, depth=2, limit=200, eclass_limit=30):
+def _assert_same_as_naive(os_alg, depth=2, limit=200, eclass_limit=30, step_limit=0):
+    """Direct steps, classes and, on the first ``step_limit`` subjects,
+    class-level steps against the naive loops, memo cold then warm."""
     ms_alg, tm = translate_algebra(os_alg)
     os_terms, ms_terms = _subjects(os_alg, ms_alg, tm, depth, limit)
+    config = RewriteConfig(ECLASS_DEPTH, ECLASS_MAX)
     for alg, terms in ((os_alg, os_terms), (ms_alg, ms_terms)):
         assert alg._rule_index is None and alg._equation_index is None
         for memo in ("cold", "warm"):
@@ -235,6 +257,9 @@ def _assert_same_as_naive(os_alg, depth=2, limit=200, eclass_limit=30):
                 got = e_class_bounded(alg, u, ECLASS_DEPTH, ECLASS_MAX)
                 want = naive_e_class(alg, u, ECLASS_DEPTH, ECLASS_MAX)
                 assert (got.members, got.depth_used, got.exhausted) == want, (memo, u)
+            for u in terms[:step_limit]:
+                got = _as_tuples(rewrite_step(alg, u, config))
+                assert got == naive_rewrite_step(alg, u, ECLASS_DEPTH, ECLASS_MAX), (memo, u)
 
 
 @pytest.mark.parametrize("fixture", ["imp.osa", "imp_real.osa"])
@@ -248,6 +273,73 @@ def test_indexed_search_matches_naive_loop_on_random_algebras():
     for _ in range(24):
         alg = random_algebra(rng, max_ops=10, max_eqs=6, max_rules=6)
         _assert_same_as_naive(alg, depth=3, limit=150, eclass_limit=20)
+
+
+def _symmetric_toy() -> OSAlgebra:
+    """``p`` on ``n`` declared commutative twice, under two variable
+    namings, around a non-symmetric ``s``-shift whose second way also has
+    ``p`` at its head; ``p`` on ``b`` commutative too, over the same shape
+    with other sorts.  Rules ``p(0, X) => X``, ``s(p(X, Y)) => p(X, Y)``
+    and ``p(s(s(0)), X) => X``, whose ``s(s(0))`` has no variable."""
+    ops = [Operator("0", (), "n"), Operator("s", ("n",), "n"), Operator("p", ("n", "n"), "n"),
+           Operator("t", (), "b"), Operator("u", (), "b"), Operator("p", ("b", "b"), "b")]
+    sig = OSSignature(["n", "b"], [], ops)
+    X, Y, A, B = (Var(v, "n") for v in "XYAB")
+    U, V = Var("U", "b"), Var("V", "b")
+    equations = (
+        Equation(PNode("p", (X, Y)), PNode("p", (Y, X))),
+        Equation(PNode("s", (PNode("p", (X, Y)),)), PNode("p", (PNode("s", (X,)), Y))),
+        Equation(PNode("p", (A, B)), PNode("p", (B, A))),
+        Equation(PNode("p", (U, V)), PNode("p", (V, U))),
+    )
+    two = PNode("s", (PNode("s", (PNode("0"),)),))
+    rules = (Rule(PNode("p", (PNode("0"), X)), X),
+             Rule(PNode("s", (PNode("p", (X, Y)),)), PNode("p", (X, Y))),
+             Rule(PNode("p", (two, X)), X))
+    return OSAlgebra(sig, equations, rules)
+
+
+def test_one_direction_per_renaming_class():
+    # Eight directions, four of them renamings of p(X:n, Y:n) -> p(Y:n, X:n):
+    # the index keeps the first of those, both ways of the shift and one
+    # way of the commutativity on b, in declaration order, and still
+    # counts the closure as complete.
+    # The translation names the two overloads of p apart.
+    alg = _symmetric_toy()
+    ms_alg, _ = translate_algebra(alg)
+    for a in (alg, ms_alg):
+        index = rewrite._equation_index(a)
+        assert index.complete and len(index.pairs) == 4
+    assert [print_term(lhs) for lhs, _ in rewrite._equation_index(alg).pairs] == [
+        "p(X:n, Y:n)", "s(p(X:n, Y:n))", "p(s(X:n), Y:n)", "p(U:b, V:b)"]
+
+
+def test_symmetric_equations_match_naive_loop():
+    _assert_same_as_naive(_symmetric_toy(), depth=3, limit=200, eclass_limit=40, step_limit=40)
+
+
+def test_commutative_random_algebras_match_naive_loop():
+    rng = random.Random(20261019)
+    for _ in range(12):
+        alg = random_algebra(rng, max_ops=10, max_eqs=6, max_rules=6, commutative=True)
+        _assert_same_as_naive(alg, depth=2, limit=80, eclass_limit=15, step_limit=15)
+
+
+def test_rewrite_step_matches_naive_loop_on_fixtures():
+    for fixture in ("imp.osa", "imp_real.osa"):
+        _assert_same_as_naive(_fixture(fixture), depth=2, limit=40, eclass_limit=0, step_limit=12)
+
+
+def test_imp_equation_index_has_thirty_directions():
+    # 17 equations, 34 directions: one is unusable, and the second way of
+    # each commutativity equation (+ on AExp and on BExp, mapcat) is the
+    # first way renamed.
+    alg = _fixture("imp.osa")
+    ms_alg, _ = translate_algebra(alg)
+    for a in (alg, ms_alg):
+        index = rewrite._equation_index(a)
+        assert len(a.equations) == 17
+        assert len(index.pairs) == 30 and not index.complete
 
 
 def _block_tower(height):
@@ -392,6 +484,28 @@ def test_subjects_not_in_core_normal_form():
             steps = _steps(ms_alg, u)
             assert steps and steps == naive_direct_steps(ms_alg, u), (memo, u)
             assert all(table.canonical(s[4]) is s[4] for s in steps), (memo, u)
+
+
+def test_variable_free_parts_match_modulo_core_equality():
+    # The left side's +AExp(0, 0) has no variable, so it is matched by
+    # comparing core normal forms: a subject spelling its first 0 through
+    # real instead of int must still match, and one holding s(0) must not.
+    ms_alg, _ = translate_algebra(_fixture("imp_real.osa"))
+    G = GroundTerm
+    zero = G("0")
+    by_int = G("Cast_int_to_AExp", (G("Cast_nat_to_int", (zero,)),))
+    by_real = G("Cast_real_to_AExp", (G("Cast_nat_to_real", (zero,)),))
+    P = PNode
+    ground = P("+AExp", (P("Cast_int_to_AExp", (P("Cast_nat_to_int", (P("0"),)),)),) * 2)
+    y = Var("Y", "AExp")
+    alg = MSAlgebra(ms_alg.signature, (), (Rule(P("<=", (ground, y)), P("<=", (y, y))),))
+    subjects = [G("<=", (G("+AExp", (a, by_int)), by_int)) for a in (by_int, by_real)]
+    subjects.append(G("<=", (G("+AExp", (G("Cast_real_to_AExp", (G("Cast_nat_to_real", (
+        G("s", (zero,)),)),)), by_int)), by_int)))
+    for memo in ("cold", "warm"):
+        got = [_steps(alg, u) for u in subjects]
+        assert got == [naive_direct_steps(alg, u) for u in subjects], memo
+        assert [len(steps) for steps in got] == [1, 1, 0]
 
 
 def _ambiguous_algebra():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from ostrans import (
     parse_spec,
     positions,
     replace_at,
+    rewrite,
     rewrite_step,
     rewrite_trace,
     subterm_at,
@@ -197,6 +199,48 @@ def test_rewrite_step_requires_well_formed_results(imp):
 def test_rewrite_step_budget_flag(imp):
     with pytest.raises(BudgetExceeded):
         rewrite_step(imp, ZERO, require_exhausted=True)
+
+
+def test_deep_rule_sides_rewrite_on_both_sides():
+    # A left side deeper than the recursion limit: compiling, matching and
+    # instantiating it use explicit stacks.
+    side = "s(" * 3000 + "0" + ")" * 3000
+    alg = parse_spec(f"algebra d\nsorts n\nop 0 : -> n\nop s : n -> n\nrule {side} => 0\n")
+    ms, tm = translate_algebra(alg)
+    t = ZERO
+    for _ in range(3000):
+        t = G("s", (t,))
+    for a, u in ((alg, t), (ms, translate_term(tm, t))):
+        for steps in (direct_steps(a, u), rewrite_step(a, u)):
+            assert [(s.rule_index, s.position, s.result) for s in steps] == [(0, (), ZERO)]
+        assert direct_steps(a, u.args[0]) == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_rewrite_step_pauses_the_collector_and_restores_it(imp, monkeypatch, enabled):
+    seen = []
+    search = rewrite.direct_steps
+
+    def recording(alg, u):
+        seen.append(gc.isenabled())
+        return search(alg, u)
+
+    monkeypatch.setattr(rewrite, "direct_steps", recording)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert rewrite_step(imp, G("-", (G("true"),)))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen and not any(seen)
+
+
+def test_rewrite_step_restores_the_collector_when_the_budget_is_hit(imp):
+    assert gc.isenabled()
+    with pytest.raises(BudgetExceeded):
+        rewrite_step(imp, ZERO, require_exhausted=True)
+    assert gc.isenabled()
 
 
 def test_rewrite_step_class_level():

@@ -47,6 +47,15 @@ def test_pattern_nodes_are_interned():
     assert PNode("s", (x,)) is not PNode("s", (Var("X", "int"),))
 
 
+def test_variables_are_interned():
+    x = Var("X", "nat")
+    assert Var(name="X", sort="nat") is x and Var("X", "int") is not x
+    assert Var("Y", "nat") is not x
+    assert (x.name, x.sort, repr(Var("A", "AExp"))) == ("X", "nat", "A:AExp")
+    # Hashed by identity: no Python-level __hash__ runs.
+    assert type(x).__hash__ is object.__hash__ and not hasattr(x, "__dict__")
+
+
 def test_pattern_nodes_are_not_ground_terms():
     assert PNode("0") is not ZERO and PNode("0") != ZERO
     assert PNode("s", (PNode("0"),)) != S0
