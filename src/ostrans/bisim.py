@@ -16,7 +16,8 @@ that hold a term of height ``h - 1``, and sorts it with one lookup per
 (constructor, child least sorts).  A sweep pauses CPython's cyclic
 garbage collector (``rewrite._collector_paused``): what it allocates
 lives to the end of the run and forms no cycles, so a collection would
-free nothing.
+free nothing.  What the sweep keeps leaves it in the collector's oldest
+generation, where only a full collection walks it.
 """
 
 from __future__ import annotations

@@ -214,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rewrite", help="trace rewriting of one ground term")
     p.add_argument("file")
     p.add_argument("--term", required=True)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_at_least(0), default=100)
     p.add_argument("--strategy", default="leftmost-innermost",
                    choices=("leftmost-innermost", "leftmost-outermost",
                             "exhaustive-breadth"))

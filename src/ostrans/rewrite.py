@@ -22,7 +22,10 @@ made a tuple (``resolve_position``) only where a ``RewriteStep`` is built.
 The closure searches one equation direction per class of directions
 equal up to renaming their variables, so a commutativity equation is
 searched one way.  ``rewrite_step`` and the bisimulation sweep run with
-CPython's cyclic collector paused (``_collector_paused``).  Compiling,
+CPython's cyclic collector paused (``_collector_paused``), and what they
+keep leaves the block in the collector's oldest generation, so no young
+collection walks it; at exit the collector skips the term store
+(``_freeze_at_exit``).  Compiling,
 matching and instantiating a side use explicit stacks, so rule and
 equation sides of any depth can rewrite, and a part of a side without
 variables is matched by one identity test.
@@ -30,6 +33,7 @@ variables is matched by one identity test.
 
 from __future__ import annotations
 
+import atexit
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -614,14 +618,40 @@ def _collector_paused():
     per-term caches again.  Yet neither makes reference cycles for a
     collection to free.  The collector's previous state comes back on
     the way out, also on error; a block nested in another leaves it off.
+
+    On the way out, ``gc.freeze()`` then ``gc.unfreeze()`` moves every
+    live object into the oldest generation at once and resets the young
+    count, so the first young collection after the block does not walk
+    what it built; a full collection still sees it, and frees any cycle
+    in it.  Objects a caller froze stay frozen: with any frozen on entry,
+    the collector is only switched back on.
     """
     was_enabled = gc.isenabled()
+    promote = was_enabled and gc.get_freeze_count() == 0
     gc.disable()
     try:
         yield
     finally:
+        if promote:
+            gc.freeze()
+            gc.unfreeze()
         if was_enabled:
             gc.enable()
+
+
+def _freeze_at_exit():
+    """Hide every live object from the collections run at interpreter exit.
+
+    The intern pools and the per-algebra caches live until the process
+    ends, and the final collections would walk all of them to free
+    nothing.  Frozen, they are not walked; a cycle still alive then is
+    not collected either, and its finalisers do not run, which CPython
+    does not promise at exit anyway.
+    """
+    gc.freeze()
+
+
+atexit.register(_freeze_at_exit)
 
 
 def rewrite_step(alg, t: GroundTerm, config: RewriteConfig = RewriteConfig(),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import sys
 from importlib import resources
 
@@ -59,3 +60,32 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def collections_in():
+    """Record the cyclic collections that start while a call runs.
+
+    ``collections_in(run)`` empties the generations, calls ``run()`` with
+    the collector on, allocates a few containers after it (a collection
+    the call left due fires on the first of them) and returns ``run()``'s
+    result with the generation of each collection that started.
+    """
+    def record_during(run):
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            result = run()
+            [[] for _ in range(10)]
+        finally:
+            gc.callbacks.remove(record)
+        return result, started
+
+    return record_during

@@ -200,6 +200,14 @@ def test_run_bisim_restores_the_collector_when_the_sweep_raises(imp, monkeypatch
     assert gc.isenabled()
 
 
+def test_check_forward_leaves_no_collection_due(imp_text, collections_in):
+    alg = parse_spec(imp_text)
+    ms, tm = translate_algebra(alg)
+    report, started = collections_in(
+        lambda: check_forward(alg, ms, tm, BisimConfig(term_depth=2)))
+    assert report.passed and started == []
+
+
 def test_run_bisim_leaves_no_cyclic_garbage(imp_text):
     # The collector is off while the sweeps run, so whatever cycles they
     # made would pile up until it came back on: there must be none.

@@ -144,6 +144,7 @@ def test_output_is_reproducible(imp_path, capsys):
     ["bisim", "--max-terms", "0"],
     ["rewrite", "--term", "0", "--eclass-depth", "0"],
     ["rewrite", "--term", "0", "--eclass-max", "-2"],
+    ["rewrite", "--term", "+(0, 0)", "--steps", "-3"],
 ])
 def test_budgets_below_their_floor_are_usage_errors(imp_path, capsys, args):
     with pytest.raises(SystemExit) as info:

@@ -109,12 +109,13 @@ def test_guard_sees_a_dead_definition():
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _own_calls(function: ast.AST):
-    """The calls in a function's body, leaving out nested definitions."""
+def _own_nodes(function: ast.AST, kind: type[ast.AST]):
+    """The nodes of type ``kind`` in a function's body, leaving out nested
+    definitions."""
     stack = list(ast.iter_child_nodes(function))
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.Call):
+        if isinstance(node, kind):
             yield node
         if not isinstance(node, _SCOPES):
             stack.extend(ast.iter_child_nodes(node))
@@ -153,7 +154,7 @@ def _recursive(tree: ast.Module) -> list[str]:
         params = node.args.posonlyargs + node.args.args
         me = params[0].arg if cls is not None and params else None
         callees = set()
-        for call in _own_calls(node):
+        for call in _own_nodes(node, ast.Call):
             f = call.func
             if isinstance(f, ast.Name):
                 callees.add(resolve(f.id, scope + [name]))
@@ -205,45 +206,54 @@ def test_guard_sees_recursive_methods_and_nested_functions():
     assert _recursive(ast.parse(source)) == ["Parser.term", "outer.build"]
 
 
-# Calls that switch the process-global cyclic garbage collector.
-GC_SWITCHES = frozenset({"disable", "enable", "freeze"})
+# Functions that switch the process-global cyclic garbage collector or
+# move objects between its generations.
+GC_SWITCHES = frozenset({"disable", "enable", "freeze", "unfreeze"})
 
 
 def _gc_switchers(tree: ast.Module) -> list[str]:
-    """Names of the functions that call ``gc.disable``, ``gc.enable`` or
-    ``gc.freeze``: ``<module>`` for a call outside any, and ``<import>``
-    for a name imported from ``gc``, whose calls would not be seen.
+    """Names of the functions that name ``gc.disable``, ``gc.enable``,
+    ``gc.freeze`` or ``gc.unfreeze``, called or not (a bare reference can
+    be handed to ``atexit.register``): ``<module>`` for a reference outside
+    any, and ``<import>`` for a name imported from ``gc``, whose uses would
+    not be seen.
     """
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, *_SCOPES)):
-            for call in _own_calls(node):
-                f = call.func
-                if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                        and f.value.id == "gc" and f.attr in GC_SWITCHES):
+            for f in _own_nodes(node, ast.Attribute):
+                if (isinstance(f.value, ast.Name) and f.value.id == "gc"
+                        and f.attr in GC_SWITCHES):
                     found.add(getattr(node, "name", "<module>"))
         elif isinstance(node, ast.ImportFrom) and node.module == "gc":
             found.add("<import>")
     return sorted(found)
 
 
-def test_collector_is_switched_in_one_function():
+# The functions that switch the collector, pinned: the pause around a
+# sweep or class search, and the freeze at interpreter exit.
+GC_SWITCHERS = ["rewrite.py:_collector_paused", "rewrite.py:_freeze_at_exit"]
+
+
+def test_collector_is_switched_in_two_functions():
     found = [
         f"{path.name}:{name}" for path in MODULES
         for name in _gc_switchers(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert found == ["rewrite.py:_collector_paused"]
+    assert found == GC_SWITCHERS
 
 
 def test_guard_sees_collector_switches():
     source = (
-        "import gc\nfrom gc import freeze\n\n"
+        "import atexit\nimport gc\nfrom gc import freeze\n\n"
         "gc.enable()\n\n\n"
         "def paused():\n    gc.disable()\n    gc.collect()\n\n\n"
+        "def at_exit():\n    atexit.register(gc.unfreeze)\n\n\n"
         "class Run:\n    def go(self):\n        def inner():\n            gc.freeze()\n"
         "        return gc.isenabled()\n"
     )
-    assert _gc_switchers(ast.parse(source)) == ["<import>", "<module>", "inner", "paused"]
+    assert _gc_switchers(ast.parse(source)) == [
+        "<import>", "<module>", "at_exit", "inner", "paused"]
 
 
 # Interned nodes are told apart from variables alone, so no type test in

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +245,64 @@ def test_rewrite_step_restores_the_collector_when_the_budget_is_hit(imp):
     with pytest.raises(BudgetExceeded):
         rewrite_step(imp, ZERO, require_exhausted=True)
     assert gc.isenabled()
+
+
+def test_rewrite_step_leaves_no_collection_due(imp_text, collections_in):
+    # What the call keeps leaves it in the oldest generation, so no young
+    # collection walks it afterwards.
+    alg = parse_spec(imp_text)
+    steps, started = collections_in(lambda: rewrite_step(alg, G("+", (ZERO, S0))))
+    assert steps and started == []
+
+
+def test_rewrite_step_keeps_what_the_caller_froze_frozen(imp_text):
+    alg = parse_spec(imp_text)
+    marker = [[]]
+    gc.freeze()
+    try:
+        assert rewrite_step(alg, G("+", (ZERO, S0)))
+        assert gc.get_freeze_count() > 0
+        assert not any(o is marker for o in gc.get_objects())
+    finally:
+        gc.unfreeze()
+
+
+def test_rewrite_step_with_the_collector_off_leaves_the_generations_alone(imp_text):
+    alg = parse_spec(imp_text)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        frozen = gc.get_freeze_count()
+        steps = rewrite_step(alg, G("+", (ZERO, S0)))
+        assert not gc.isenabled()
+        assert gc.get_count()[1:] == (0, 0)
+        assert gc.get_freeze_count() == frozen
+        assert any(o is steps[0] for o in gc.get_objects(generation=0))
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_rewrite_step_leaves_no_cyclic_garbage(imp_text):
+    # The collector is off while the class search runs, so whatever cycles
+    # it made would pile up until a full collection: there must be none.
+    alg = parse_spec(imp_text)
+    gc.collect()
+    assert rewrite_step(alg, G("+", (ZERO, S0)))
+    assert gc.collect() == 0
+
+
+def test_the_collector_is_frozen_at_exit():
+    # Handlers run last-registered first, so one registered before the
+    # import runs after the package's own.
+    code = ("import atexit, gc\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "import ostrans\n")
+    src = str(Path(rewrite.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "True\n"
 
 
 def test_rewrite_step_class_level():
