@@ -21,11 +21,12 @@ children's least sorts, and its translation (``translate``) by
 made a tuple (``resolve_position``) only where a ``RewriteStep`` is built.
 The closure searches one equation direction per class of directions
 equal up to renaming their variables, so a commutativity equation is
-searched one way.  ``rewrite_step`` and the bisimulation sweep run with
-CPython's cyclic collector paused (``_collector_paused``), and what they
-keep leaves the block in the collector's oldest generation, so no young
-collection walks it; at exit the collector skips the term store
-(``_freeze_at_exit``).  Compiling,
+searched one way, and none of an equation whose sides have one core
+under casts: the normal form already decides those.  ``rewrite_step``
+and the bisimulation sweep run with CPython's cyclic collector paused
+(``_collector_paused``), and what they keep leaves the block in the
+collector's oldest generation, so no young collection walks it; at exit
+the collector skips the term store (``_freeze_at_exit``).  Compiling,
 matching and instantiating a side use explicit stacks, so rule and
 equation sides of any depth can rewrite, and a part of a side without
 variables is matched by one identity test.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import atexit
 import gc
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -305,20 +307,20 @@ CLEAN = object()
 
 
 class RedexIndex:
-    """Two-level index over (left side, right side) pairs, with redex memos.
+    """Index over (left side, right side) pairs, with redex memos.
 
-    Pairs are bucketed by the head constructor and arity of their left
-    side; for a many-sorted algebra, by the head under any casts, since
-    matching works modulo core equality.  Left sides whose core is a
-    variable join every bucket.  Each bucket entry also carries the core
-    heads of its left side's arguments, and is skipped when one differs
-    from the subject's; both matchers would fail on it.  These are the
-    first two levels of a discrimination tree.  What passes both levels
-    depends only on the subterm's (core head, core argument heads), so
-    ``candidates`` memoises it under that key: a new subterm costs one
-    lookup.  The index only filters: candidates are still tried in pair
-    order through ``match_pattern``, on left sides compiled once
-    (``lhs``).
+    ``shapes`` holds, in pair order, each left side's head constructor
+    and arity, ``None`` when its core is a variable, and the heads its
+    arguments require; for a many-sorted algebra, all read under any
+    casts, since matching works modulo core equality.  A pair is a
+    candidate at a subterm when its shape is ``None`` or the subterm's
+    (core head, arity), and no required argument head differs from the
+    subterm's: both matchers would fail on it.  What passes depends only
+    on the subterm's (core head, core argument heads), so ``candidates``
+    memoises it under that key: a new subterm costs one lookup, and the
+    shapes are scanned only on a miss.  The index only filters:
+    candidates are still tried in pair order through ``match_pattern``,
+    on left sides compiled once (``lhs``).
 
     ``memo`` gives every subterm the search has visited one entry: its
     root hits, ``(pair index, sorted substitution, right-side
@@ -345,21 +347,19 @@ class RedexIndex:
         # Whether every equation direction is usable (closure only).
         self.complete = complete
         self.lhs = tuple(_compile(self.sig, self.table, lhs) for lhs, _ in self.pairs)
-        buckets: dict[tuple[str, int], list] = {}
-        anywhere: list = []
+        shapes = []
         for i, (lhs, _) in enumerate(self.pairs):
             core = _core(self.table, lhs)
             if isinstance(core, Var):
-                anywhere.append((i, ()))
+                shapes.append((i, None, ()))
                 continue
             cores = [_core(self.table, a) for a in core.args]
             arg_heads = tuple(
                 (j, c.constructor) for j, c in enumerate(cores) if not isinstance(c, Var)
             )
-            buckets.setdefault((core.constructor, len(core.args)), []).append((i, arg_heads))
-        self.anywhere = tuple(anywhere)
-        self.by_head = {key: tuple(sorted(ix + anywhere)) for key, ix in buckets.items()}
-        # (core head, core argument heads) -> pair indices that pass both levels.
+            shapes.append((i, (core.constructor, len(core.args)), arg_heads))
+        self.shapes = tuple(shapes)
+        # (core head, core argument heads) -> pair indices that pass ``_filter``.
         self.candidates: dict[tuple, tuple[int, ...]] = {}
         self.memo: dict[GroundTerm, object] = {}
         self.results: dict[GroundTerm, list] = {}
@@ -369,9 +369,10 @@ class RedexIndex:
 
     def _filter(self, key: tuple) -> tuple[int, ...]:
         head, arg_heads = key
+        shape = (head, len(arg_heads))
         return tuple(
-            i for i, wanted in self.by_head.get((head, len(arg_heads)), self.anywhere)
-            if all(arg_heads[j] == h for j, h in wanted)
+            i for i, own, wanted in self.shapes
+            if (own is None or own == shape) and all(arg_heads[j] == h for j, h in wanted)
         )
 
     def _root_hits(self, t: GroundTerm) -> tuple:
@@ -451,6 +452,11 @@ def _rule_index(alg) -> RedexIndex:
 def _equation_index(alg) -> RedexIndex:
     """The index over the usable equation directions, one per renaming class.
 
+    An equation whose two sides have one core under casts (``_core``),
+    as every core equation has, is left out: both sides are cast chains
+    over that core up to one sort, so each instance has the normal form
+    of the subterm it matches, and a match only rebuilds the subject.
+    This is read off the sides, not off ``core_equations``.
     A direction is usable only when it binds every target-side variable.
     When some direction is unusable, the closure is one-sided there and
     no fixpoint can certify completeness.  Of the usable directions that
@@ -464,7 +470,10 @@ def _equation_index(alg) -> RedexIndex:
         dirs = {}
         complete = True
         sig = alg.signature
+        table = cast_table(sig) if isinstance(alg, MSAlgebra) else None
         for eq in alg.equations:
+            if _core(table, eq.lhs) is _core(table, eq.rhs):
+                continue
             for src, dst in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
                 if side_facts(sig, dst)[0].keys() <= side_facts(sig, src)[0].keys():
                     dirs.setdefault(_direction_key(src, dst), (src, dst))
@@ -681,20 +690,6 @@ def rewrite_step(alg, t: GroundTerm, config: RewriteConfig = RewriteConfig(),
         return tuple(steps)
 
 
-def _postorder_index(t: GroundTerm) -> dict[Position, int]:
-    order: dict[Position, int] = {}
-    stack: list[tuple[Position, GroundTerm, bool]] = [((), t, False)]
-    while stack:
-        pos, node, children_done = stack.pop()
-        if children_done:
-            order[pos] = len(order)
-            continue
-        stack.append((pos, node, True))
-        for i in range(len(node.args) - 1, -1, -1):
-            stack.append((pos + (i,), node.args[i], False))
-    return order
-
-
 def rewrite_trace(alg, t: GroundTerm, strategy: str = "leftmost-innermost",
                   max_steps: int = 100,
                   config: RewriteConfig = RewriteConfig()) -> list[RewriteStep]:
@@ -705,7 +700,10 @@ def rewrite_trace(alg, t: GroundTerm, strategy: str = "leftmost-innermost",
     order is only meaningful there), never revisiting a term.
     ``exhaustive-breadth`` explores class-level steps for every reachable
     term once, breadth-first, deduplicated.  Stops at ``max_steps`` or
-    when no step leads anywhere new.
+    when no step leads anywhere new.  The strategies that follow one
+    branch pick the least step by position, then rule index, then
+    result: innermost orders positions in postorder, outermost in
+    preorder, both by a key on the position alone.
     """
     if isinstance(alg, MSAlgebra):
         t = core_canonicalize(alg.signature, t)
@@ -713,8 +711,9 @@ def rewrite_trace(alg, t: GroundTerm, strategy: str = "leftmost-innermost",
     if strategy == "exhaustive-breadth":
         seen = {t}
         queue = [t]
-        while queue and len(trace) < max_steps:
-            u = queue.pop(0)
+        for u in queue:
+            if len(trace) >= max_steps:
+                break
             for step in rewrite_step(alg, u, config):
                 if len(trace) >= max_steps:
                     break
@@ -725,6 +724,9 @@ def rewrite_trace(alg, t: GroundTerm, strategy: str = "leftmost-innermost",
         return trace
     if strategy not in ("leftmost-innermost", "leftmost-outermost"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    # Positions compare in preorder; each one followed by ``sys.maxsize``,
+    # after all of its descendants, they compare in postorder.
+    last = (sys.maxsize,) if strategy == "leftmost-innermost" else ()
     current = t
     visited = {t}
     for _ in range(max_steps):
@@ -734,18 +736,7 @@ def rewrite_trace(alg, t: GroundTerm, strategy: str = "leftmost-innermost",
         ]
         if not steps:
             break
-        if strategy == "leftmost-innermost":
-            order = _postorder_index(current)
-        else:
-            order = {pos: i for i, pos in enumerate(positions(current))}
-        step = min(
-            steps,
-            key=lambda s: (
-                order[s.position],
-                s.rule_index,
-                print_term(s.result),
-            ),
-        )
+        step = min(steps, key=lambda s: (s.position + last, s.rule_index, print_term(s.result)))
         trace.append(step)
         current = step.result
         visited.add(current)

@@ -370,14 +370,11 @@ def _sort_set(sig: OSSignature, t: Term, child_sets: tuple) -> frozenset[Sort]:
     key = (constructor, child_sets)
     result = sig._sort_set_cache.get(key)
     if result is None:
-        # Only the buckets of the components the first child's set touches
-        # can admit it; the set spans several on an invalid signature.
-        comps = {sig._component[s] for s in child_sets[0]} if child_sets else (None,)
         acc: set[Sort] = set()
-        for comp in comps:
-            for op in sig._by_shape.get((constructor, len(child_sets), comp), ()):
-                if all(s in cs for s, cs in zip(op.arg_sorts, child_sets)):
-                    acc |= sig.poset.supersorts(op.target_sort)
+        for op in sig.ops_named(constructor):
+            if op.arity == len(child_sets) and all(
+                    s in cs for s, cs in zip(op.arg_sorts, child_sets)):
+                acc |= sig.poset.supersorts(op.target_sort)
         result = sig._sort_set_cache[key] = frozenset(acc)
     return result
 

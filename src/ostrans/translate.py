@@ -100,49 +100,38 @@ class CastTable:
 
         The output is the core-equality normal form: two terms are
         core-equal exactly when their canonical forms are identical.
-        Idempotent; works on patterns as well as ground terms.  Results
-        are cached, each normal form as a fixpoint (it maps to itself).  A
-        node whose head is not a cast and whose arguments are all recorded
-        fixpoints is its own normal form: it is recorded and returned with
-        no walk.  Anything else takes one bottom-up pass with an explicit
-        stack, so deep terms cannot exhaust the recursion limit.
+        Idempotent; works on patterns as well as ground terms.  One
+        ``fold_term`` over ``_canon_cache`` (``_canonical_node``), which
+        records each normal form as a fixpoint (it maps to itself), so a
+        node over recorded fixpoints is one lookup and no stack.
         """
-        done = self._canon_cache
-        hit = done.get(t)
-        if hit is not None:
-            return hit
-        pair_of = self.pair_of
-        if type(t) is not Var and t.constructor not in pair_of:
-            for a in t.args:
-                if done.get(a) is not a:
-                    break
-            else:
-                done[t] = t
-                return t
-        stack = [t]
-        while stack:
-            node = stack[-1]
-            if node in done:
-                stack.pop()
-                continue
-            # ``node`` is a maximal cast chain from ``bottom`` up to ``top``
-            # over ``core``, or its own core when ``top`` is None.
-            core, bottom, top = node, None, None
-            while not isinstance(core, Var) and core.constructor in pair_of:
-                bottom, hi = pair_of[core.constructor]
-                top = top or hi
-                core = core.args[0]
-            if not isinstance(core, Var):
-                missing = [a for a in core.args if a not in done]
-                if missing:
-                    stack += missing
-                    continue
-                core = type(core)(core.constructor, tuple([done[a] for a in core.args]))
-            stack.pop()
-            done[node] = core if top is None else self.wrap_canonical(core, bottom, top)
-        out = done[t]
-        done[out] = out  # A fixpoint: a term built over ``out`` reads it back.
-        return out
+        return fold_term(t, self._canon_cache, _itself, _canonical_node, self)
+
+
+def _itself(context, v: Var) -> Var:
+    return v
+
+
+def _canonical_node(table: CastTable, t: Term, args: tuple) -> Term:
+    """The normal form of ``t``, given those of its arguments.
+
+    A node whose head is not a cast is rebuilt over ``args``, or is
+    ``t`` itself when they are its own arguments.  A cast over a normal
+    form, itself a canonical chain from ``bottom`` over ``core``, becomes
+    the canonical chain from ``bottom`` up to the cast's target.
+    """
+    pair = table.pair_of.get(t.constructor)
+    if pair is None:
+        out = t if args == t.args else type(t)(t.constructor, args)
+    else:
+        bottom, hi = pair
+        core = args[0]
+        while type(core) is not Var and core.constructor in table.pair_of:
+            bottom = table.pair_of[core.constructor][0]
+            core = core.args[0]
+        out = table.wrap_canonical(core, bottom, hi)
+    table._canon_cache[out] = out
+    return out
 
 
 @dataclass
@@ -444,28 +433,18 @@ def strip_casts(tm: TranslationMap, t: GroundTerm) -> GroundTerm:
 
     Every well-formed translated term strips to a well-formed source
     term; composition with ``translate_term`` recovers the original up
-    to core equality.  One bottom-up pass with an explicit stack.
+    to core equality.  One ``fold_term`` with a per-call cache, so a
+    constructor that is not a translated name is reported children
+    first, in postorder.
     """
-    pair_of = tm.table.pair_of
-    original_name_of = tm.original_name_of
-    done: dict[GroundTerm, GroundTerm] = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        core = node
-        while core.constructor in pair_of:
-            core = core.args[0]
-        original = original_name_of.get(core.constructor)
-        if original is None:
-            raise IllFormedTerm(f"constructor {core.constructor!r} is not a translated name")
-        missing = [a for a in core.args if a not in done]
-        if missing:
-            # Reversed, so the leftmost bad constructor is reported first.
-            stack += reversed(missing)
-            continue
-        stack.pop()
-        done[node] = GroundTerm(original, tuple([done[a] for a in core.args]))
-    return done[t]
+    return fold_term(t, {}, _itself, _strip_node, tm)
+
+
+def _strip_node(tm: TranslationMap, t: GroundTerm, args: tuple) -> GroundTerm:
+    """A cast's argument's value; any other node renamed back over ``args``."""
+    if tm.table.is_cast(t.constructor):
+        return args[0]
+    original = tm.original_name_of.get(t.constructor)
+    if original is None:
+        raise IllFormedTerm(f"constructor {t.constructor!r} is not a translated name")
+    return GroundTerm(original, args)

@@ -5,7 +5,8 @@ syntax tree.  ``__init__.py`` is exempt from the import check: its
 imports are the public API.  A top-level function or class must be named
 somewhere besides its own definition: in the package, its tests or the
 benchmark.  The functions and methods that recurse are pinned, so deep
-terms cannot meet a new recursive walk.
+terms cannot meet a new recursive walk, and so are those that walk with
+a hand-written ``while stack:`` loop.
 """
 
 from __future__ import annotations
@@ -204,6 +205,53 @@ def test_guard_sees_recursive_methods_and_nested_functions():
         "    return build(t)\n"
     )
     assert _recursive(ast.parse(source)) == ["Parser.term", "outer.build"]
+
+
+def _stack_walks(tree: ast.Module) -> list[str]:
+    """Functions, methods (``Class.name``) and nested functions
+    (``outer.name``) with a ``while stack:`` loop of their own."""
+    found = []
+
+    def collect(body, prefix: str) -> None:
+        for node in body:
+            if isinstance(node, _SCOPES):
+                name = prefix + node.name
+                if any(isinstance(w.test, ast.Name) and w.test.id == "stack"
+                       for w in _own_nodes(node, ast.While)):
+                    found.append(name)
+                collect(node.body, name + ".")
+
+    collect(tree.body, "")
+    return sorted(found)
+
+
+# The hand-written term and graph walks, pinned: a new walk is pinned on
+# purpose or written with ``terms.fold_term``.
+STACK_WALKS = {
+    "poset.py": ["SortPoset.components", "SortPoset.enumerate_paths"],
+    "rewrite.py": ["_direction_key", "_match_ms", "_match_os", "_preorder"],
+    "terms.py": ["fold_term", "print_term", "variables_of"],
+}
+
+
+def test_stack_walks_are_pinned():
+    found = {}
+    for path in MODULES:
+        names = _stack_walks(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            found[path.name] = names
+    assert found == STACK_WALKS
+
+
+def test_guard_sees_stack_walks():
+    source = (
+        "def walk(t):\n    stack = [t]\n    while stack:\n        stack.pop()\n\n\n"
+        "class Table:\n    def canonical(self, t):\n"
+        "        def inner(u):\n            stack = [u]\n            while stack:\n"
+        "                stack.pop()\n\n        return inner(t)\n\n\n"
+        "def drain(queue):\n    while queue:\n        queue.pop()\n"
+    )
+    assert _stack_walks(ast.parse(source)) == ["Table.canonical.inner", "walk"]
 
 
 # Functions that switch the process-global cyclic garbage collector or

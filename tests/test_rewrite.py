@@ -41,8 +41,6 @@ from ostrans import (
     translate_term,
 )
 
-from ostrans.rewrite import _postorder_index
-
 G = GroundTerm
 ZERO = G("0")
 S0 = G("s", (ZERO,))
@@ -68,9 +66,16 @@ def test_position_helpers_handle_deep_terms():
     replaced = replace_at(t, bottom, G("true"))
     assert subterm_at(replaced, bottom) is G("true")
     assert subterm_at(replaced, bottom[1:]) is G("s", (G("true"),))
-    order = _postorder_index(t)
-    assert len(order) == height + 1
-    assert order[bottom] == 0 and order[()] == height
+    # Two redexes, at the root and below the tower: the trace strategies
+    # order their positions by key, with no walk of the term.
+    nat = OSSignature({"n"}, set(), [Operator("0", (), "n"), Operator("s", ("n",), "n"),
+                                     Operator("g", ("n",), "n")])
+    drop_g = OSAlgebra(nat, rules=[Rule(PNode("g", (Var("X", "n"),)), Var("X", "n"))])
+    u = G("g", (replace_at(t, bottom, G("g", (ZERO,))),))
+    inner, = rewrite_trace(drop_g, u, "leftmost-innermost", max_steps=1)
+    outer, = rewrite_trace(drop_g, u, "leftmost-outermost", max_steps=1)
+    assert inner.position == (0,) + bottom and inner.result is G("g", (t,))
+    assert outer.position == () and outer.result is u.args[0]
 
 
 def test_deep_terms_rewrite_on_both_sides(imp_text):
@@ -432,8 +437,17 @@ def test_core_canonicalize_idempotent(seed):
         for path in all_paths_from(sig.poset, bottom, 4):
             if len(path) < 2:
                 continue
-            once = core_canonicalize(tm, chain_term(path))
-            assert core_canonicalize(tm, once) is once
+            var = Var("X", bottom)
+            over_var = tm.table.wrap_along(var, path)
+            # Ground chains, chains over a variable, a node over both, and
+            # the bare variable.
+            for t in (chain_term(path), over_var,
+                      PNode("pair", (over_var, chain_term(path))), var):
+                once = core_canonicalize(tm, t)
+                assert core_canonicalize(tm, once) is once
+            assert core_canonicalize(tm, var) is var
+            assert core_canonicalize(tm, over_var) is tm.table.wrap_canonical(
+                var, bottom, path[-1])
 
 
 # --- traces ------------------------------------------------------------------

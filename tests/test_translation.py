@@ -302,6 +302,15 @@ def test_strip_casts_round_trip(imp, imp_translated):
         assert strip_casts(tm, translate_term(tm, t)) is t
 
 
+def test_strip_casts_reports_the_first_bad_constructor_in_postorder(imp_translated):
+    # The children come first: the argument's name is reported, not the root's.
+    _, tm = imp_translated
+    with pytest.raises(IllFormedTerm, match="'bogusLeft' is not a translated name"):
+        strip_casts(tm, G("bogusTop", (G("bogusLeft"), ZERO)))
+    with pytest.raises(IllFormedTerm, match="'bogusTop' is not a translated name"):
+        strip_casts(tm, G("bogusTop", (G("Cast_nat_to_int", (ZERO,)), ZERO)))
+
+
 def test_map_and_signature_share_one_table(imp_real):
     ms, tm = translate_algebra(imp_real)
     assert tm.table is cast_table(ms) is cast_table(tm)
