@@ -103,9 +103,12 @@ class CastTable:
         Idempotent; works on patterns as well as ground terms.  One
         ``fold_term`` over ``_canon_cache`` (``_canonical_node``), which
         records each normal form as a fixpoint (it maps to itself), so a
-        node over recorded fixpoints is one lookup and no stack.
+        node over recorded fixpoints is one ``combine`` and no stack.  A
+        cached term is read before the call: most calls are hits (26 of
+        43 thousand in a depth-3 check of IMP).
         """
-        return fold_term(t, self._canon_cache, _itself, _canonical_node, self)
+        return self._canon_cache.get(t) or fold_term(
+            t, self._canon_cache, _itself, _canonical_node, self)
 
 
 def _itself(context, v: Var) -> Var:
@@ -122,7 +125,9 @@ def _canonical_node(table: CastTable, t: Term, args: tuple) -> Term:
     """
     pair = table.pair_of.get(t.constructor)
     if pair is None:
-        out = t if args == t.args else type(t)(t.constructor, args)
+        if args == t.args:
+            return t
+        out = type(t)(t.constructor, args)
     else:
         bottom, hi = pair
         core = args[0]

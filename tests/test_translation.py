@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gen_algebras import random_algebra
-from ostrans import terms, validity
+from ostrans import terms, translate, validity
 from ostrans import (
     Equation,
     GroundTerm,
@@ -355,6 +355,19 @@ def test_deep_terms_canonicalize_and_strip(imp_real):
         source = G("+", (ZERO, source))
     assert core_canonicalize(ms.signature, lhs) is rhs
     assert strip_casts(tm, lhs) is source
+
+
+def test_a_node_over_normal_forms_is_one_step(imp_real, count_calls):
+    # Each normal form is recorded as a fixpoint, so a node built over one
+    # takes one combine step, with no walk below it.
+    ms, _ = translate_algebra(imp_real)
+    via_real = G("Cast_real_to_AExp", (G("Cast_nat_to_real", (ZERO,)),))
+    normal = core_canonicalize(ms.signature, via_real)
+    assert normal is not via_real
+    steps = count_calls(translate._canonical_node)
+    node = G("+AExp", (normal, normal))
+    assert core_canonicalize(ms.signature, node) is node
+    assert len(steps) == 1
 
 
 def test_translate_term_deep(imp_text):
