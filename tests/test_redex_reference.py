@@ -331,23 +331,23 @@ def test_rewrite_step_matches_naive_loop_on_fixtures():
         _assert_same_as_naive(_fixture(fixture), depth=2, limit=40, eclass_limit=0, step_limit=12)
 
 
-@pytest.mark.parametrize("fixture", ["imp.osa", "imp_real.osa"])
-def test_imp_equation_index_has_thirty_directions(fixture):
+def test_imp_equation_index_has_thirty_directions():
     # 17 source equations, 34 directions: one is unusable, and the second
     # way of each commutativity equation (+ on AExp and on BExp, mapcat)
     # is the first way renamed.  The translation of imp_real.osa adds one
     # core equation, whose two sides are cast chains over one variable:
     # the closure leaves both of its ways out.
-    alg = _fixture(fixture)
-    ms_alg, tm = translate_algebra(alg)
-    assert len(ms_alg.core_equations) == (fixture == "imp_real.osa")
-    table = cast_table(tm)
-    for a in (alg, ms_alg):
-        index = rewrite._equation_index(a)
-        assert len(a.equations) == 17 + len(getattr(a, "core_equations", ()))
-        assert len(index.pairs) == 30 and not index.complete
-    assert all(rewrite._core(table, src) is not rewrite._core(table, dst)
-               for src, dst in rewrite._equation_index(ms_alg).pairs)
+    for fixture, core in (("imp.osa", 0), ("imp_real.osa", 1)):
+        alg = _fixture(fixture)
+        ms_alg, tm = translate_algebra(alg)
+        assert len(ms_alg.core_equations) == core
+        for a in (alg, ms_alg):
+            index = rewrite._equation_index(a)
+            assert len(a.equations) == 17 + (core if a is ms_alg else 0)
+            assert len(index.pairs) == 30 and not index.complete
+        table = cast_table(tm)
+        assert all(rewrite._core(table, src) is not rewrite._core(table, dst)
+                   for src, dst in rewrite._equation_index(ms_alg).pairs)
 
 
 def test_closure_keeps_equations_flagged_core_by_hand():
