@@ -439,10 +439,10 @@ def test_core_canonicalize_idempotent(seed):
                 continue
             var = Var("X", bottom)
             over_var = tm.table.wrap_along(var, path)
-            # Ground chains, chains over a variable, a node over both, and
-            # the bare variable.
-            for t in (chain_term(path), over_var,
-                      PNode("pair", (over_var, chain_term(path))), var):
+            ground_part = tm.table.wrap_along(PNode(f"base_{bottom}"), path)
+            # Ground chains, chains over a variable, a pattern node over one
+            # and a variable-free chain, and the bare variable.
+            for t in (chain_term(path), over_var, PNode("pair", (over_var, ground_part)), var):
                 once = core_canonicalize(tm, t)
                 assert core_canonicalize(tm, once) is once
             assert core_canonicalize(tm, var) is var
