@@ -116,7 +116,10 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    alg, _ = _load(args.file)
+    alg, kind = _load(args.file)
+    if kind == "msa" or isinstance(alg, MSAlgebra):
+        print("paths needs an order-sorted input", file=sys.stderr)
+        return 2
     paths = alg.signature.poset.enumerate_paths(args.src, args.dst)
     for path in paths:
         if args.format == "json-lines":

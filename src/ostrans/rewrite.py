@@ -339,12 +339,22 @@ class RedexIndex:
     needs the position makes it a tuple (``resolve_position``).
     """
 
+    __slots__ = (
+        "sig", "pairs", "lhs", "shapes", "memo", "results",
+        # ``None`` marks an order-sorted algebra.
+        "table",
+        # Whether every equation direction is usable (closure only).
+        "complete",
+        # (core head, core argument heads) -> pair indices that pass ``_filter``.
+        "candidates",
+        # ``None`` drops an ill-formed order-sorted result.
+        "finish",
+    )
+
     def __init__(self, alg, pairs, complete: bool = True):
         self.sig = alg.signature
-        # ``None`` marks an order-sorted algebra.
         self.table = cast_table(self.sig) if isinstance(alg, MSAlgebra) else None
         self.pairs = tuple(pairs)
-        # Whether every equation direction is usable (closure only).
         self.complete = complete
         self.lhs = tuple(_compile(self.sig, self.table, lhs) for lhs, _ in self.pairs)
         shapes = []
@@ -359,11 +369,9 @@ class RedexIndex:
             )
             shapes.append((i, (core.constructor, len(core.args)), arg_heads))
         self.shapes = tuple(shapes)
-        # (core head, core argument heads) -> pair indices that pass ``_filter``.
         self.candidates: dict[tuple, tuple[int, ...]] = {}
         self.memo: dict[GroundTerm, object] = {}
         self.results: dict[GroundTerm, list] = {}
-        # ``None`` drops an ill-formed order-sorted result.
         self.finish = (self.table.canonical if self.table is not None
                        else partial(_checked_os, self.sig))
 

@@ -3,15 +3,15 @@
 Ground terms, pattern nodes and variables are hash-consed: building the
 same tree twice yields the same object, so equality is identity and any
 term or statement side keys a dictionary in constant time.
-Signatures and algebras carry internal caches (sort sets, least sorts,
-cast tables, redex indexes) that make the per-term operations amortized
-constant time; all caches are invisible to equality and never change
-observable behaviour.
+Signatures and algebras carry caches (sort sets, least sorts, cast
+tables, redex indexes), each a declared slot of its holder, that make the
+per-term operations amortized constant time; all are invisible to
+equality and never change observable behaviour.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     UnboundVariable,
     UnknownSort,
 )
-from .poset import SortPoset, build_poset
+from .poset import build_poset
 
 Sort = str
 
@@ -137,15 +137,42 @@ class Operator:
         return f"{self.constructor} : {args + ' ' if args else ''}-> {self.target_sort}"
 
 
-def _check_operator_sorts(operators, sorts: frozenset[Sort]) -> None:
-    for op in operators:
-        for s in op.arg_sorts + (op.target_sort,):
-            if s not in sorts:
-                raise UnknownSort(f"operator {op!r} mentions undeclared sort {s!r}")
+class _Signature:
+    """Sorts and operators, with the parts both signature kinds share."""
+
+    __slots__ = (
+        "sorts", "operators", "_by_ctor",
+        # ``side_facts`` of statement sides, by side.
+        "_sides",
+    )
+
+    def __init__(self, sorts, operators):
+        self.sorts = frozenset(sorts)
+        if not all(self.sorts):
+            raise UnknownSort("sort names must be non-empty")
+        self.operators = tuple(sorted(set(operators)))
+        by_ctor: dict[str, list[Operator]] = {}
+        for op in self.operators:
+            for s in op.arg_sorts + (op.target_sort,):
+                if s not in self.sorts:
+                    raise UnknownSort(f"operator {op!r} mentions undeclared sort {s!r}")
+            by_ctor.setdefault(op.constructor, []).append(op)
+        self._by_ctor = {c: tuple(v) for c, v in by_ctor.items()}
+        self._sides = {}
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, type(self)) and self.sorts == other.sorts
+                and self.operators == other.operators)
+
+    @property
+    def constructors(self) -> frozenset[str]:
+        return frozenset(self._by_ctor)
+
+    def ops_named(self, constructor: str) -> tuple[Operator, ...]:
+        return self._by_ctor.get(constructor, ())
 
 
-@dataclass
-class OSSignature:
+class OSSignature(_Signature):
     """Order-sorted signature: sorts, declared subsort pairs, operators.
 
     Two operators may share ``(constructor, arg_sorts)`` with different
@@ -153,40 +180,23 @@ class OSSignature:
     rather than making it unrepresentable.
     """
 
-    sorts: frozenset[Sort]
-    subsort_pairs: frozenset[tuple[Sort, Sort]]
-    operators: tuple[Operator, ...]
-    poset: SortPoset = field(init=False, repr=False, compare=False)
-    _by_ctor: dict[str, tuple[Operator, ...]] = field(init=False, repr=False, compare=False)
-    # Overloads by constructor, arity and the component of the first
-    # argument sort: a child sort can only lie below sorts of its own
-    # component, so the other buckets never admit it.
-    _component: dict[Sort, int] = field(init=False, repr=False, compare=False)
-    _by_shape: dict[tuple, tuple[Operator, ...]] = field(init=False, repr=False, compare=False)
-    _sorts_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _least_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # Operator resolution depends only on the constructor and the sorts of
-    # the children, so these memos are keyed by those, not by terms.
-    _admitting_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # Least sorts found by ``_least_at``; failures are not stored, so they
-    # raise again on every call.
-    _least_at_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _sort_set_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # ``side_facts`` of statement sides, by side.
-    _sides: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    __slots__ = (
+        "subsort_pairs", "poset",
+        # Overloads by constructor, arity and the component of the first
+        # argument sort: a child sort can only lie below sorts of its own
+        # component, so the other buckets never admit it.
+        "_component", "_by_shape",
+        # Sort sets and least sorts, by term.
+        "_sorts_cache", "_least_cache",
+        # Least sorts found by ``_least_at``, by constructor and child
+        # sorts; failures are not stored, so they raise again on every call.
+        "_least_at_cache",
+    )
 
     def __init__(self, sorts, subsort_pairs, operators):
-        self.sorts = frozenset(sorts)
-        if not all(self.sorts):
-            raise UnknownSort("sort names must be non-empty")
+        super().__init__(sorts, operators)
         self.subsort_pairs = frozenset(tuple(p) for p in subsort_pairs)
-        self.operators = tuple(sorted(set(operators)))
-        _check_operator_sorts(self.operators, self.sorts)
         self.poset = build_poset(self.sorts, self.subsort_pairs)
-        by_ctor: dict[str, list[Operator]] = {}
-        for op in self.operators:
-            by_ctor.setdefault(op.constructor, []).append(op)
-        self._by_ctor = {c: tuple(v) for c, v in by_ctor.items()}
         self._component = {
             s: i for i, comp in enumerate(self.poset.components()) for s in comp
         }
@@ -197,25 +207,10 @@ class OSSignature:
         self._by_shape = {k: tuple(v) for k, v in by_shape.items()}
         self._sorts_cache = {}
         self._least_cache = {}
-        self._admitting_cache = {}
         self._least_at_cache = {}
-        self._sort_set_cache = {}
-        self._sides = {}
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OSSignature)
-            and self.sorts == other.sorts
-            and self.subsort_pairs == other.subsort_pairs
-            and self.operators == other.operators
-        )
-
-    @property
-    def constructors(self) -> frozenset[str]:
-        return frozenset(self._by_ctor)
-
-    def ops_named(self, constructor: str) -> tuple[Operator, ...]:
-        return self._by_ctor.get(constructor, ())
+        return super().__eq__(other) and self.subsort_pairs == other.subsort_pairs
 
     def admitting(self, constructor: str, child_sorts: tuple[Sort, ...]) -> tuple[Operator, ...]:
         """Operators named ``constructor`` that admit children of ``child_sorts``.
@@ -223,46 +218,35 @@ class OSSignature:
         An operator admits them when each of its argument sorts lies at or
         above the child sort in that position.  Declaration order.
         """
-        key = (constructor, child_sorts)
-        hit = self._admitting_cache.get(key)
-        if hit is None:
-            leq = self.poset.leq
-            first = self._component.get(child_sorts[0]) if child_sorts else None
-            hit = self._admitting_cache[key] = tuple(
-                op for op in self._by_shape.get((constructor, len(child_sorts), first), ())
-                if all(leq(cs, s) for cs, s in zip(child_sorts, op.arg_sorts))
-            )
-        return hit
+        leq = self.poset.leq
+        first = self._component.get(child_sorts[0]) if child_sorts else None
+        return tuple(
+            op for op in self._by_shape.get((constructor, len(child_sorts), first), ())
+            if all(leq(cs, s) for cs, s in zip(child_sorts, op.arg_sorts))
+        )
 
 
-@dataclass
-class MSSignature:
+class MSSignature(_Signature):
     """Many-sorted signature; ``non_core`` flags the generated casts."""
 
-    sorts: frozenset[Sort]
-    operators: tuple[Operator, ...]
-    non_core: frozenset[Operator]
-    _by_key: dict[tuple[str, tuple[Sort, ...]], Operator] = field(init=False, repr=False, compare=False)
-    _by_ctor: dict[str, tuple[Operator, ...]] = field(init=False, repr=False, compare=False)
-    _sort_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # The signature's ``translate.CastTable``: the translation's own table
-    # for a translated signature, otherwise built on first use.
-    _cast_index: object = field(init=False, repr=False, compare=False, default=None)
-    # ``side_facts`` of statement sides, by side.
-    _sides: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    __slots__ = (
+        "non_core", "_by_key",
+        # Sorts by term, ``""`` for an ill-formed one.
+        "_sort_cache",
+        # The signature's ``translate.CastTable``: the translation's own table
+        # for a translated signature, otherwise built on first use.
+        "_cast_index",
+    )
 
     def __init__(self, sorts, operators, non_core=()):
-        self.sorts = frozenset(sorts)
-        self.operators = tuple(sorted(set(operators)))
+        super().__init__(sorts, operators)
         self.non_core = frozenset(non_core)
-        _check_operator_sorts(self.operators, self.sorts)
         if not self.non_core <= set(self.operators):
             raise InvalidSignature("non_core operators must belong to the signature")
         for op in self.non_core:
             if op.arity != 1:
                 raise InvalidSignature(f"non-core operator {op!r} is not unary")
         self._by_key = {}
-        by_ctor: dict[str, list[Operator]] = {}
         for op in self.operators:
             key = (op.constructor, op.arg_sorts)
             if key in self._by_key:
@@ -270,26 +254,11 @@ class MSSignature:
                     f"operators {self._by_key[key]!r} and {op!r} cannot be told apart"
                 )
             self._by_key[key] = op
-            by_ctor.setdefault(op.constructor, []).append(op)
-        self._by_ctor = {c: tuple(v) for c, v in by_ctor.items()}
         self._sort_cache = {}
         self._cast_index = None
-        self._sides = {}
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MSSignature)
-            and self.sorts == other.sorts
-            and self.operators == other.operators
-            and self.non_core == other.non_core
-        )
-
-    @property
-    def constructors(self) -> frozenset[str]:
-        return frozenset(self._by_ctor)
-
-    def ops_named(self, constructor: str) -> tuple[Operator, ...]:
-        return self._by_ctor.get(constructor, ())
+        return super().__eq__(other) and self.non_core == other.non_core
 
     def lookup(self, constructor: str, arg_sorts: tuple[Sort, ...]) -> Operator | None:
         return self._by_key.get((constructor, arg_sorts))
@@ -366,17 +335,12 @@ def _var_sort_set(sig: OSSignature, v: Var) -> frozenset[Sort]:
 
 def _sort_set(sig: OSSignature, t: Term, child_sets: tuple) -> frozenset[Sort]:
     """Every sort of ``t``, given the sort sets of its children."""
-    constructor = t.constructor
-    key = (constructor, child_sets)
-    result = sig._sort_set_cache.get(key)
-    if result is None:
-        acc: set[Sort] = set()
-        for op in sig.ops_named(constructor):
-            if op.arity == len(child_sets) and all(
-                    s in cs for s, cs in zip(op.arg_sorts, child_sets)):
-                acc |= sig.poset.supersorts(op.target_sort)
-        result = sig._sort_set_cache[key] = frozenset(acc)
-    return result
+    acc: set[Sort] = set()
+    for op in sig.ops_named(t.constructor):
+        if op.arity == len(child_sets) and all(
+                s in cs for s, cs in zip(op.arg_sorts, child_sets)):
+            acc |= sig.poset.supersorts(op.target_sort)
+    return frozenset(acc)
 
 
 def _sorts_of_ms(sig: MSSignature, t: Term) -> frozenset[Sort]:
@@ -598,77 +562,68 @@ def _check_statement(sig: Signature, statement, what: str) -> tuple:
     return lhs_sort, rhs_sort
 
 
-@dataclass
-class OSAlgebra:
-    """Order-sorted signature plus its equations and rewrite rules."""
+class _Algebra:
+    """A signature with its equations and rules, each kept once in order."""
 
-    signature: OSSignature
-    equations: tuple[Equation, ...]
-    rules: tuple[Rule, ...]
-    # ``rewrite.RedexIndex`` over the rules and the usable equation
-    # directions, built on first use.
-    _rule_index: object = field(init=False, repr=False, compare=False, default=None)
-    _equation_index: object = field(init=False, repr=False, compare=False, default=None)
-    # The ``validity.ValidityReport``, filled by ``validate_algebra``; the
-    # signature and statements never change, so it cannot go stale.
-    _validity: object = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = (
+        "signature", "equations", "rules",
+        # ``rewrite.RedexIndex`` over the rules and the usable equation
+        # directions, built on first use.
+        "_rule_index", "_equation_index",
+    )
 
-    def __init__(self, signature, equations=(), rules=()):
+    def __init__(self, signature, equations, rules):
         self.signature = signature
         self.equations = tuple(dict.fromkeys(equations))
         self.rules = tuple(dict.fromkeys(rules))
         self._rule_index = None
         self._equation_index = None
-        self._validity = None
+
+    def _check_statements(self, same_sort: bool) -> None:
         for statements, what in ((self.equations, "equation"), (self.rules, "rule")):
             for st in statements:
-                _check_statement(signature, st, what)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OSAlgebra)
-            and self.signature == other.signature
-            and frozenset(self.equations) == frozenset(other.equations)
-            and frozenset(self.rules) == frozenset(other.rules)
-        )
-
-
-@dataclass
-class MSAlgebra:
-    """Many-sorted signature plus equations (core ones flagged) and rules."""
-
-    signature: MSSignature
-    equations: tuple[Equation, ...]
-    rules: tuple[Rule, ...]
-    core_equations: frozenset[Equation]
-    # ``rewrite.RedexIndex`` over the rules and the usable equation
-    # directions, built on first use.
-    _rule_index: object = field(init=False, repr=False, compare=False, default=None)
-    _equation_index: object = field(init=False, repr=False, compare=False, default=None)
-
-    def __init__(self, signature, equations=(), rules=(), core_equations=()):
-        self.signature = signature
-        self.equations = tuple(dict.fromkeys(equations))
-        self.rules = tuple(dict.fromkeys(rules))
-        self.core_equations = frozenset(core_equations)
-        self._rule_index = None
-        self._equation_index = None
-        if not self.core_equations <= set(self.equations):
-            raise InvalidSignature("core equations must be a subset of the equations")
-        for statements, what in ((self.equations, "equation"), (self.rules, "rule")):
-            for st in statements:
-                lhs_sort, rhs_sort = _check_statement(signature, st, what)
-                if lhs_sort != rhs_sort:
+                lhs_sort, rhs_sort = _check_statement(self.signature, st, what)
+                if same_sort and lhs_sort != rhs_sort:
                     raise IllFormedTerm(f"{what} sides have different sorts: {st!r}")
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, MSAlgebra)
+            isinstance(other, type(self))
             and self.signature == other.signature
             and frozenset(self.equations) == frozenset(other.equations)
             and frozenset(self.rules) == frozenset(other.rules)
-            and self.core_equations == other.core_equations
         )
+
+
+class OSAlgebra(_Algebra):
+    """Order-sorted signature plus its equations and rewrite rules."""
+
+    __slots__ = (
+        # The ``validity.ValidityReport``, filled by ``validate_algebra``; the
+        # signature and statements never change, so it cannot go stale.
+        "_validity",
+    )
+
+    def __init__(self, signature, equations=(), rules=()):
+        super().__init__(signature, equations, rules)
+        self._validity = None
+        self._check_statements(same_sort=False)
+
+
+class MSAlgebra(_Algebra):
+    """Many-sorted signature plus equations (core ones flagged) and rules."""
+
+    __slots__ = ("core_equations",)
+
+    def __init__(self, signature, equations=(), rules=(), core_equations=()):
+        super().__init__(signature, equations, rules)
+        self.core_equations = frozenset(core_equations)
+        if not self.core_equations <= set(self.equations):
+            raise InvalidSignature("core equations must be a subset of the equations")
+        self._check_statements(same_sort=True)
+
+    def __eq__(self, other) -> bool:
+        return super().__eq__(other) and self.core_equations == other.core_equations
 
 
 Algebra = Union[OSAlgebra, MSAlgebra]

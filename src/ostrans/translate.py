@@ -62,6 +62,10 @@ class CastTable:
     signature share, so both canonicalize along the same chains.
     """
 
+    __slots__ = ("name_of", "pair_of", "poset", "canonical_path_of",
+                 # Normal forms by term; each normal form maps to itself.
+                 "_canon_cache")
+
     def __init__(self, pairs: dict[tuple[Sort, Sort], str], poset: SortPoset,
                  canonical_paths: dict[tuple[Sort, Sort], tuple[Sort, ...]]):
         self.name_of = dict(pairs)
@@ -139,7 +143,7 @@ def _canonical_node(table: CastTable, t: Term, args: tuple) -> Term:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslationMap:
     """Audit record of one translation run; also drives term translation.
 

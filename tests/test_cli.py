@@ -130,6 +130,15 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
+def test_paths_refuses_a_many_sorted_input(imp_path, tmp_path, capsys):
+    msa = tmp_path / "imp.msa"
+    assert main(["translate", imp_path, "-o", str(msa)]) == 0
+    capsys.readouterr()
+    assert main(["paths", str(msa), "--from", "nat", "--to", "AExp"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "paths needs an order-sorted input\n")
+
+
 def test_output_is_reproducible(imp_path, capsys):
     main(["translate", imp_path])
     first = capsys.readouterr().out

@@ -6,7 +6,8 @@ imports are the public API.  A top-level function or class must be named
 somewhere besides its own definition: in the package, its tests or the
 benchmark.  The functions and methods that recurse are pinned, so deep
 terms cannot meet a new recursive walk, and so are those that walk with
-a hand-written ``while stack:`` loop.
+a hand-written ``while stack:`` loop.  The classes that hold memos are
+pinned with their slots, so each cache is declared in one place.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import ostrans
+from ostrans import parse_spec, rewrite, translate_algebra
 
 PACKAGE = Path(ostrans.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -302,6 +304,57 @@ def test_guard_sees_collector_switches():
     )
     assert _gc_switchers(ast.parse(source)) == [
         "<import>", "<module>", "at_exit", "inner", "paused"]
+
+
+# The classes that hold memos and indexes, each with the slots that it and
+# its bases declare: every cache is declared once, with its comment, in
+# its holder's ``__slots__``.  "__dict__" here would mean that a holder
+# takes attributes no class of it declares, so a module could attach an
+# undeclared cache.
+MEMO_SLOTS = {
+    "OSAlgebra": ["_equation_index", "_rule_index", "_validity", "equations", "rules",
+                  "signature"],
+    "OSSignature": ["_by_ctor", "_by_shape", "_component", "_least_at_cache", "_least_cache",
+                    "_sides", "_sorts_cache", "operators", "poset", "sorts", "subsort_pairs"],
+    "MSAlgebra": ["_equation_index", "_rule_index", "core_equations", "equations", "rules",
+                  "signature"],
+    "MSSignature": ["_by_ctor", "_by_key", "_cast_index", "_sides", "_sort_cache", "non_core",
+                    "operators", "sorts"],
+    "TranslationMap": ["_plans", "_tr_cache", "canonical_path_of", "casts", "original_name_of",
+                       "rename_of", "representative_of", "source", "table", "tie_break"],
+    "CastTable": ["_canon_cache", "canonical_path_of", "name_of", "pair_of", "poset"],
+    "RedexIndex": ["candidates", "complete", "finish", "lhs", "memo", "pairs", "results",
+                   "shapes", "sig", "table"],
+}
+
+
+def _declared_slots(obj) -> list[str]:
+    """The slots that ``obj``'s class and its bases declare, and
+    ``__dict__`` when ``obj`` takes attributes they do not declare."""
+    names = [s for c in type(obj).__mro__ for s in vars(c).get("__slots__", ())]
+    return sorted(names + ["__dict__"] * hasattr(obj, "__dict__"))
+
+
+def test_memo_holders_declare_every_slot(imp_text):
+    alg = parse_spec(imp_text)
+    ms, tm = translate_algebra(alg)
+    holders = [alg, alg.signature, ms, ms.signature, tm, tm.table,
+               rewrite._rule_index(alg), rewrite._equation_index(ms)]
+    assert {type(h).__name__: _declared_slots(h) for h in holders} == MEMO_SLOTS
+
+
+def test_guard_sees_undeclared_attributes():
+    class Base:
+        __slots__ = ("a",)
+
+    class Closed(Base):
+        __slots__ = ("b",)
+
+    class Open(Base):
+        pass
+
+    assert _declared_slots(Closed()) == ["a", "b"]
+    assert _declared_slots(Open()) == ["__dict__", "a"]
 
 
 # Interned nodes are told apart from variables alone, so no type test in

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
+from gen_algebras import _try_algebra
 
 from ostrans import (
     AmbiguousSort,
@@ -15,6 +19,7 @@ from ostrans import (
     Rule,
     SortViolation,
     UnboundVariable,
+    UnknownSort,
     Var,
     apply_substitution,
     enumerate_ground_terms,
@@ -23,6 +28,7 @@ from ostrans import (
     print_term,
     translate_term,
     sorts_of,
+    validate_algebra,
     variables_of,
     well_formed_ground,
 )
@@ -119,6 +125,39 @@ def test_least_sort_memo_keeps_successes_only(imp):
         assert key not in s._least_at_cache
     assert least_sort(sig, S0) == "nat"
     assert sig._least_at_cache[("s", ("nat",))] == "nat"
+
+
+def _admitting_cases(imp, imp_real):
+    """The fixtures' signatures, those of 30 seeded draws, and each draw's
+    with a twin of one operator at a random target, which mostly fails
+    validation; and how many of them fail it."""
+    rng = random.Random(16)
+    signatures = [imp.signature, imp_real.signature]
+    for alg in filter(None, (_try_algebra(rng, 5, 8, 2, 2) for _ in range(30))):
+        sig = alg.signature
+        op = rng.choice(sig.operators)
+        twin = Operator(op.constructor, op.arg_sorts, rng.choice(sorted(sig.sorts)))
+        signatures += [sig, OSSignature(sig.sorts, sig.subsort_pairs, sig.operators + (twin,))]
+    failing = sum(not validate_algebra(OSAlgebra(s)).strictly_sensible for s in signatures)
+    return signatures, failing
+
+
+def test_admitting_matches_declaration_order_filter(imp, imp_real):
+    signatures, failing = _admitting_cases(imp, imp_real)
+    assert failing > 0
+    checked = 0
+    for sig in signatures:
+        leq = sig.poset.leq
+        for c in sorted(sig.constructors):
+            for arity in {op.arity for op in sig.ops_named(c)}:
+                for child_sorts in itertools.product(sorted(sig.sorts), repeat=arity):
+                    naive = tuple(
+                        op for op in sig.ops_named(c) if op.arity == arity
+                        and all(leq(cs, s) for cs, s in zip(child_sorts, op.arg_sorts))
+                    )
+                    assert sig.admitting(c, child_sorts) == naive, (c, child_sorts)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_least_sort_unique_on_enumerated_terms(imp):
@@ -228,6 +267,18 @@ def test_ms_signature_rejects_indistinguishable_overloads():
             sorts={"a", "b"},
             operators=[Operator("f", ("a",), "a"), Operator("f", ("a",), "b")],
         )
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MSSignature({"", "a"}, [Operator("c", (), "")]),
+    lambda: OSSignature({"", "a"}, [], [Operator("c", (), "")]),
+    lambda: MSSignature({""}, [Operator("c", (), "b")]),
+], ids=["many-sorted", "order-sorted", "before-the-operator-check"])
+def test_signatures_reject_an_empty_sort_name(build):
+    # The name check runs before the operator check, on both kinds: an
+    # accepted "" would read as ill-formed, the many-sorted sort memo's marker.
+    with pytest.raises(UnknownSort, match="sort names must be non-empty"):
+        build()
 
 
 def test_print_term_forms(imp):
