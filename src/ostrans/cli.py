@@ -91,7 +91,7 @@ def _cmd_translate(args) -> int:
     alg, kind = _load(args.file)
     if kind == "msa":
         print("input is already many-sorted", file=sys.stderr)
-        return 1
+        return 2
     ms, tm = translate_algebra(alg, tie_break=args.tie_break)
     text = print_spec(ms, name="translated")
     if args.output:

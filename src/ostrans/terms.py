@@ -2,7 +2,9 @@
 
 Ground terms, pattern nodes and variables are hash-consed: building the
 same tree twice yields the same object, so equality is identity and any
-term or statement side keys a dictionary in constant time.
+term or statement side keys a dictionary in constant time.  Nodes are
+pooled by constructor, then by argument tuple, so a node's own ``args``
+is its only key and no per-node key tuple is kept.
 Signatures and algebras carry caches (sort sets, least sorts, cast
 tables, redex indexes), each a declared slot of its holder, that make the
 per-term operations amortized constant time; all are invisible to
@@ -28,27 +30,47 @@ from .poset import build_poset
 Sort = str
 
 
+class _Pool(dict):
+    """Interned nodes by constructor, then by argument tuple.
+
+    Each node is stored under its own ``args``, so the pool adds no key
+    object per node.  ``len`` counts nodes, and ``(constructor, args) in
+    pool`` tells whether that application is interned.
+    """
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return sum(map(len, self.values()))
+
+    def __contains__(self, key) -> bool:
+        constructor, args = key
+        return args in self.get(constructor, ())
+
+
 class _Interned:
     """Constructor application, interned per subclass.
 
     Structural equality coincides with ``is``, so the default identity
     hash keys every term dictionary.  Each subclass keeps its own
-    ``_pool``: a pattern node never equals a ground term.
+    ``_pool``, a ``_Pool``: a pattern node never equals a ground term.
     """
 
     __slots__ = ("constructor", "args")
-    _pool: dict
+    _pool: _Pool
 
     def __new__(cls, constructor: str, args: tuple = ()):
-        key = (constructor, args)
-        hit = cls._pool.get(key)
+        by_args = cls._pool.get(constructor)
+        if by_args is None:
+            by_args = cls._pool.setdefault(constructor, {})
+        hit = by_args.get(args)
         if hit is not None:
             return hit
         self = object.__new__(cls)
         self.constructor = constructor
         self.args = args
         # setdefault is atomic under CPython, keeping interning race-free.
-        return cls._pool.setdefault(key, self)
+        return by_args.setdefault(args, self)
 
     def __repr__(self) -> str:
         return print_term(self)
@@ -58,7 +80,7 @@ class GroundTerm(_Interned):
     """Variable-free constructor tree."""
 
     __slots__ = ()
-    _pool: dict = {}
+    _pool = _Pool()
 
 
 class Var:
@@ -89,7 +111,7 @@ class PNode(_Interned):
     """Constructor application inside a pattern."""
 
     __slots__ = ()
-    _pool: dict = {}
+    _pool = _Pool()
 
 
 Pattern = Union[Var, PNode]

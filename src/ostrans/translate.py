@@ -109,10 +109,22 @@ class CastTable:
         records each normal form as a fixpoint (it maps to itself), so a
         node over recorded fixpoints is one ``combine`` and no stack.  A
         cached term is read before the call: most calls are hits (26 of
-        43 thousand in a depth-3 check of IMP).
+        43 thousand in a depth-3 check of IMP).  So is a node whose head
+        is not a cast and whose arguments are recorded fixpoints: it is
+        its own normal form, recorded here without the call.
         """
-        return self._canon_cache.get(t) or fold_term(
-            t, self._canon_cache, _itself, _canonical_node, self)
+        cache = self._canon_cache
+        hit = cache.get(t)
+        if hit is not None:
+            return hit
+        if type(t) is not Var and t.constructor not in self.pair_of:
+            for a in t.args:
+                if cache.get(a) is not a:
+                    break
+            else:
+                cache[t] = t
+                return t
+        return fold_term(t, cache, _itself, _canonical_node, self)
 
 
 def _itself(context, v: Var) -> Var:
@@ -160,16 +172,23 @@ class TranslationMap:
     casts: dict[tuple[Sort, Sort], Operator]
     canonical_path_of: dict[tuple[Sort, Sort], tuple[Sort, ...]]
     original_name_of: dict[str, str] = field(init=False, repr=False)
+    # The target sort of each representative, by its final name: the sort
+    # of every translated application whose head carries that name.
+    target_sort_of: dict[str, Sort] = field(init=False, repr=False)
     table: CastTable = field(init=False, repr=False, compare=False)
-    # Translations of applications, by term: ``(translation, sort)``.
+    # Translations of applications, by term; a translation's sort is read
+    # off its head through ``target_sort_of``.
     _tr_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # One plan per (constructor, child least sorts): the representative's
-    # final name, argument sorts and target sort.
+    # final name and argument sorts.
     _plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.original_name_of = {
             name: op.constructor for op, name in self.rename_of.items()
+        }
+        self.target_sort_of = {
+            name: op.target_sort for op, name in self.rename_of.items()
         }
         self.table = CastTable(
             {pair: op.constructor for pair, op in self.casts.items()},
@@ -277,12 +296,13 @@ def translate_term(tm: TranslationMap, t: Term, expected: Sort | None = None) ->
     representative demands, the canonical cast chain bridges the gap.
     When ``expected`` is given the root is wrapped up to it as well.
     """
-    hit = tm._tr_cache.get(t)
-    if hit is None:
-        hit = _translate(tm, t)
-    out, sort = hit
-    if expected is not None and sort != expected:
-        out = _lift(tm, t, out, sort, expected)
+    out = tm._tr_cache.get(t)
+    if out is None:
+        out = _translate(tm, t)
+    if expected is not None:
+        sort = out.sort if type(out) is Var else tm.target_sort_of[out.constructor]
+        if sort != expected:
+            out = _lift(tm, t, out, sort, expected)
     return out
 
 
@@ -295,8 +315,12 @@ def _lift(tm: TranslationMap, t: Term, out: Term, sort: Sort, expected: Sort) ->
     return tm.table.wrap_canonical(out, sort, expected)
 
 
-def _translate(tm: TranslationMap, t: Term) -> tuple[Term, Sort]:
-    """``(translation, sort)`` of ``t``; results are cached by term.
+def _translate(tm: TranslationMap, t: Term) -> Term:
+    """The translation of ``t``; results are cached by term.
+
+    The translation's sort is not stored: a variable carries its own, and
+    an application's head names one representative, whose target sort
+    ``target_sort_of`` gives.
 
     Unless the root already has a least sort, first checks the sorts of
     everything below it, so an ill-formed subterm is reported by
@@ -307,35 +331,36 @@ def _translate(tm: TranslationMap, t: Term) -> tuple[Term, Sort]:
     if type(t) is not Var and t not in tm.source._least_cache:
         for a in t.args:
             least_sort(tm.source, a)
-    return fold_term(t, tm._tr_cache, _translate_var, _translate_node, tm)
+    return fold_term(t, tm._tr_cache, _itself, _translate_node, tm)
 
 
-def _translate_var(tm: TranslationMap, v: Var) -> tuple[Term, Sort]:
-    return v, v.sort
-
-
-def _translate_node(tm: TranslationMap, t: Term, children) -> tuple[Term, Sort]:
-    """Translate the node ``t`` given its children's ``(translation, sort)``.
+def _translate_node(tm: TranslationMap, t: Term, children) -> Term:
+    """Translate the node ``t`` given its children's translations.
 
     In a strictly sensible algebra the operators admitting a node share
     one target sort, its representative's included, so a child's
     translated sort is its least sort: the plan key needs no sort pass,
-    and translating a pattern sorts each node once.
+    and translating a pattern sorts each node once.  The sorts are read
+    inline, not through a helper, as this runs once per new node.
     """
-    key = (t.constructor, tuple([sort for _, sort in children]))
+    target_sort_of = tm.target_sort_of
+    sorts = tuple([
+        c.sort if type(c) is Var else target_sort_of[c.constructor] for c in children
+    ])
+    key = (t.constructor, sorts)
     plan = tm._plans.get(key)
     if plan is None:
-        admitting = tm.source.admitting(t.constructor, key[1])
+        admitting = tm.source.admitting(t.constructor, sorts)
         if not admitting:
             raise IllFormedTerm(f"no operator admits {print_term(t)}")
         rep = tm.representative_of[admitting[0]]
-        plan = tm._plans[key] = (tm.rename_of[rep], rep.arg_sorts, rep.target_sort)
-    name, arg_sorts, target = plan
+        plan = tm._plans[key] = (tm.rename_of[rep], rep.arg_sorts)
+    name, arg_sorts = plan
     args = tuple([
         out if sort == want else _lift(tm, a, out, sort, want)
-        for a, (out, sort), want in zip(t.args, children, arg_sorts)
+        for a, out, sort, want in zip(t.args, children, sorts, arg_sorts)
     ])
-    return type(t)(name, args), target
+    return type(t)(name, args)
 
 
 def generate_core_equations(tm: TranslationMap) -> tuple[Equation, ...]:
@@ -383,11 +408,12 @@ def translate_rules(tm: TranslationMap, rules) -> tuple[Rule, ...]:
     """Translate rules, casting each right side up to its left side's sort.
 
     A side's translated sort is its least sort, so the left side's
-    translation gives the sort to cast to.
+    translation gives the sort to cast to: the target sort its head names.
     """
     out = []
     for rule in rules:
-        lhs, lhs_sort = _translate(tm, rule.lhs)
+        lhs = _translate(tm, rule.lhs)
+        lhs_sort = tm.target_sort_of[lhs.constructor]
         out.append(Rule(lhs, translate_term(tm, rule.rhs, expected=lhs_sort)))
     return tuple(out)
 

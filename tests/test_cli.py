@@ -139,6 +139,15 @@ def test_paths_refuses_a_many_sorted_input(imp_path, tmp_path, capsys):
     assert (captured.out, captured.err) == ("", "paths needs an order-sorted input\n")
 
 
+def test_translate_refuses_a_many_sorted_input(imp_path, tmp_path, capsys):
+    msa = tmp_path / "imp.msa"
+    assert main(["translate", imp_path, "-o", str(msa)]) == 0
+    capsys.readouterr()
+    assert main(["translate", str(msa)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "input is already many-sorted\n")
+
+
 def test_output_is_reproducible(imp_path, capsys):
     main(["translate", imp_path])
     first = capsys.readouterr().out

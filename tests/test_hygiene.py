@@ -7,7 +7,9 @@ somewhere besides its own definition: in the package, its tests or the
 benchmark.  The functions and methods that recurse are pinned, so deep
 terms cannot meet a new recursive walk, and so are those that walk with
 a hand-written ``while stack:`` loop.  The classes that hold memos are
-pinned with their slots, so each cache is declared in one place.
+pinned with their slots, so each cache is declared in one place, and
+only ``terms.py`` names the intern pools, so their layout can change in
+one module.
 """
 
 from __future__ import annotations
@@ -321,7 +323,8 @@ MEMO_SLOTS = {
     "MSSignature": ["_by_ctor", "_by_key", "_cast_index", "_sides", "_sort_cache", "non_core",
                     "operators", "sorts"],
     "TranslationMap": ["_plans", "_tr_cache", "canonical_path_of", "casts", "original_name_of",
-                       "rename_of", "representative_of", "source", "table", "tie_break"],
+                       "rename_of", "representative_of", "source", "table", "target_sort_of",
+                       "tie_break"],
     "CastTable": ["_canon_cache", "canonical_path_of", "name_of", "pair_of", "poset"],
     "RedexIndex": ["candidates", "complete", "finish", "lhs", "memo", "pairs", "results",
                    "shapes", "sig", "table"],
@@ -409,3 +412,32 @@ def test_guard_sees_type_tests():
         (2, "GroundTerm"), (3, "PNode"), (4, "PNode"), (4, "Var"),
         (5, "GroundTerm"), (6, "OSSignature"), (6, "Var"),
     ]
+
+
+def _pool_names(tree: ast.Module) -> list[int]:
+    """Lines that name ``_pool``: as an attribute, a plain name or an import."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "_pool")
+        or (isinstance(node, ast.Name) and node.id == "_pool")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "_pool" for a in node.names))
+    )
+
+
+def test_only_terms_names_the_intern_pools():
+    found = [
+        f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "terms.py"
+        for line in _pool_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_guard_sees_pool_names():
+    source = (
+        "from .terms import _pool\n"
+        "n = len(GroundTerm._pool)\n"
+        "_pool = {}\n\n\n"
+        "def f(t):\n"
+        "    return t._pool_size + len(_pool) + t.pool\n"
+    )
+    assert _pool_names(ast.parse(source)) == [1, 2, 3, 7]

@@ -250,7 +250,7 @@ def oracle_sorts_of(sig, t):
 
 def oracle_translate_node(tm, t):
     if isinstance(t, Var):
-        return t, t.sort
+        return t
     src = tm.source
     leq = src.poset.leq
     child_sorts = tuple(oracle_least_sort(src, a) for a in t.args)
@@ -266,7 +266,7 @@ def oracle_translate_node(tm, t):
     rep = tm.representative_of[chosen]
     cls = GroundTerm if isinstance(t, GroundTerm) else PNode
     new_args = [translate_term(tm, a, expected=want) for a, want in zip(t.args, rep.arg_sorts)]
-    return cls(tm.rename_of[rep], tuple(new_args)), rep.target_sort
+    return cls(tm.rename_of[rep], tuple(new_args))
 
 
 def _oracle_pairs(alg):

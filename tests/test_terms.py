@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from gen_algebras import _try_algebra
@@ -75,6 +76,39 @@ def test_patterns_leave_the_ground_pool_alone():
     assert len(GroundTerm._pool) == before
     assert ("fresh-pattern-leaf", ()) in PNode._pool
     assert ("fresh-pattern-leaf", ()) not in GroundTerm._pool
+
+
+def test_the_ground_pool_counts_and_finds_its_nodes():
+    before = len(GroundTerm._pool)
+    leaves = [G(f"pool-leaf-{i}") for i in range(3)]
+    nodes = [G("pool-node", (leaf,)) for leaf in leaves]
+    assert len(GroundTerm._pool) == before + 6
+    assert [G("pool-node", (leaf,)) for leaf in leaves] == nodes
+    assert len(GroundTerm._pool) == before + 6
+    assert all(("pool-node", n.args) in GroundTerm._pool for n in nodes)
+    assert ("pool-leaf-0", ()) in GroundTerm._pool
+    assert ("pool-node", (nodes[0],)) not in GroundTerm._pool
+    assert ("pool-absent", ()) not in GroundTerm._pool
+    pattern = PNode("pool-node", (PNode("pool-leaf-0"),))
+    assert ("pool-node", pattern.args) in PNode._pool
+    assert ("pool-node", pattern.args) not in GroundTerm._pool
+
+
+def test_a_fresh_node_costs_under_100_bytes():
+    # Pooled by constructor, then by argument tuple, a fresh node costs
+    # 77.5 B: the node (48 B) and its slot in its constructor's table.
+    # Keyed by a (constructor, args) tuple per node in one shared table,
+    # it cost 132 to 163 B, depending on when that table resized.
+    args = [(G(f"cost-leaf-{i}"),) for i in range(10_000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a in args:
+            G("cost-node", a)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert used / len(args) < 100
 
 
 def test_least_sort_basic(imp):

@@ -358,16 +358,61 @@ def test_deep_terms_canonicalize_and_strip(imp_real):
 
 
 def test_a_node_over_normal_forms_is_one_step(imp_real, count_calls):
-    # Each normal form is recorded as a fixpoint, so a node built over one
+    # Each normal form is recorded as a fixpoint, so a cast built over one
     # takes one combine step, with no walk below it.
     ms, _ = translate_algebra(imp_real)
     via_real = G("Cast_real_to_AExp", (G("Cast_nat_to_real", (ZERO,)),))
     normal = core_canonicalize(ms.signature, via_real)
     assert normal is not via_real
     steps = count_calls(translate._canonical_node)
-    node = G("+AExp", (normal, normal))
-    assert core_canonicalize(ms.signature, node) is node
+    cast = G("Cast_nat_to_int", (ZERO,))
+    assert core_canonicalize(ms.signature, cast) is cast
     assert len(steps) == 1
+
+
+def test_a_core_node_over_normal_forms_skips_the_fold(imp_real, count_calls):
+    # A node whose head is not a cast, over recorded fixpoints, is its own
+    # normal form: it is recorded without a fold.
+    ms, _ = translate_algebra(imp_real)
+    via_real = G("Cast_real_to_AExp", (G("Cast_nat_to_real", (ZERO,)),))
+    normal = core_canonicalize(ms.signature, via_real)
+    passes = count_calls(terms.fold_term)
+    node = G("+AExp", (normal, normal))
+    for _ in range(2):
+        assert core_canonicalize(ms.signature, node) is node
+    assert passes == []
+    # A node over an argument that is not a normal form takes the fold.
+    assert core_canonicalize(ms.signature, G("+AExp", (via_real, normal))) is G(
+        "+AExp", (normal, normal))
+    assert len(passes) == 1
+
+
+def _full_fold(table, t):
+    """The normal form of ``t`` by a full fold on a fresh copy of ``table``."""
+    fresh = translate.CastTable(table.name_of, table.poset, table.canonical_path_of)
+    return terms.fold_term(
+        t, fresh._canon_cache, translate._itself, translate._canonical_node, fresh)
+
+
+def test_canonical_matches_a_fresh_full_fold(imp_real):
+    ms, tm = translate_algebra(imp_real)
+    ms_rev, tm_rev = translate_algebra(imp_real, tie_break="revlex")
+    sig = imp_real.signature
+    # Cast chains along both tie-breaks, up to every supersort of each
+    # term's least sort: the revlex chains are not normal forms under lex.
+    subjects = [
+        translate_term(t_map, t, expected=top)
+        for t in enumerate_ground_terms(sig, depth=2)
+        for top in sorted(sig.poset.supersorts(least_sort(sig, t)))
+        for t_map in (tm, tm_rev)
+    ]
+    subjects += [side for alg in (ms, ms_rev) for st in alg.equations + alg.rules
+                 for side in (st.lhs, st.rhs)]
+    table = tm.table
+    for memo in ("cold", "warm"):
+        for t in subjects:
+            assert table.canonical(t) is _full_fold(table, t), (memo, t)
+    assert sum(_full_fold(table, t) is not t for t in subjects) > 50
 
 
 def test_translate_term_deep(imp_text):
