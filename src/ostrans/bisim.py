@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .rewrite import (
+    RewriteConfig,
     RewriteStep,
     _collector_paused,
     core_canonicalize,
@@ -49,21 +50,19 @@ from .translate import TranslationMap, strip_casts, translate_algebra, translate
 
 
 @dataclass(frozen=True)
-class BisimConfig:
-    """Budgets for one bisimulation run.
-
-    The term depth is at least 0; the class and term budgets are at
-    least 1.  Other values raise ``ValueError``.
+class BisimConfig(RewriteConfig):
+    """Budgets for one bisimulation run: ``RewriteConfig``'s class budgets,
+    a term depth of at least 0 and a term budget of at least 1.  Other
+    values raise ``ValueError``.
     """
 
     term_depth: int = 3
-    eclass_depth: int = 5
-    eclass_max: int = 10_000
     max_terms: int = 100_000
 
     def __post_init__(self):
-        if self.term_depth < 0 or min(self.eclass_depth, self.eclass_max, self.max_terms) < 1:
-            raise ValueError(f"term_depth must be at least 0 and budgets at least 1: {self}")
+        super().__post_init__()
+        if self.term_depth < 0 or self.max_terms < 1:
+            raise ValueError(f"term_depth must be at least 0 and max_terms at least 1: {self}")
 
 
 @dataclass

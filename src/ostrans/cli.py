@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .bisim import BisimConfig, run_bisim
-from .errors import AlgebraError, SpecError
+from .errors import AlgebraError, SpecError, UnknownSort
 from .poset import TIE_BREAKS
 from .rewrite import RewriteConfig, format_position, format_trace, rewrite_trace
 from .specfmt import parse_spec, parse_term_text, print_spec
@@ -120,7 +120,11 @@ def _cmd_paths(args) -> int:
     if kind == "msa" or isinstance(alg, MSAlgebra):
         print("paths needs an order-sorted input", file=sys.stderr)
         return 2
-    paths = alg.signature.poset.enumerate_paths(args.src, args.dst)
+    try:
+        paths = alg.signature.poset.enumerate_paths(args.src, args.dst)
+    except UnknownSort as exc:  # a bad --from or --to is a usage error
+        print(exc, file=sys.stderr)
+        return 2
     for path in paths:
         if args.format == "json-lines":
             _emit({"kind": "path", "sorts": list(path)}, args)

@@ -81,11 +81,5 @@ class CastNameReserved(SpecError):
     pass
 
 
-class SpecUnknownSort(UnknownSort):
+class SpecUnknownSort(SpecError, UnknownSort):
     """Unknown sort in a spec file, with a source location."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col

@@ -311,8 +311,9 @@ class RedexIndex:
 
     ``shapes`` holds, in pair order, each left side's head constructor
     and arity, ``None`` when its core is a variable, and the heads its
-    arguments require; for a many-sorted algebra, all read under any
-    casts, since matching works modulo core equality.  A pair is a
+    arguments require, all read off the compiled core in ``lhs``: for a
+    many-sorted algebra, under any casts, since matching works modulo
+    core equality.  A pair is a
     candidate at a subterm when its shape is ``None`` or the subterm's
     (core head, arity), and no required argument head differs from the
     subterm's: both matchers would fail on it.  What passes depends only
@@ -358,14 +359,12 @@ class RedexIndex:
         self.complete = complete
         self.lhs = tuple(_compile(self.sig, self.table, lhs) for lhs, _ in self.pairs)
         shapes = []
-        for i, (lhs, _) in enumerate(self.pairs):
-            core = _core(self.table, lhs)
+        for i, (_, core) in enumerate(self.lhs):
             if isinstance(core, Var):
                 shapes.append((i, None, ()))
                 continue
-            cores = [_core(self.table, a) for a in core.args]
             arg_heads = tuple(
-                (j, c.constructor) for j, c in enumerate(cores) if not isinstance(c, Var)
+                (j, c.constructor) for j, c in enumerate(core.args) if not isinstance(c, Var)
             )
             shapes.append((i, (core.constructor, len(core.args)), arg_heads))
         self.shapes = tuple(shapes)

@@ -19,6 +19,12 @@ Order-sorted files use the ``.osa`` extension and may declare subsorts;
 many-sorted ``.msa`` files must not, and their cast-named operators are
 the non-core ones.
 
+Elaboration reports every error in the text with the line and column
+of its token, as a ``SpecError``.  Each ``eq`` and ``rule`` is checked
+where the file has it by ``terms._check_statement``, the check the
+algebra constructors run, and is reported at its keyword; a ``.msa``
+statement's sides must also have one sort.
+
 One regular expression scans the text into token values; a value fixes
 its token's kind.  The parser walks the values by index, recording token
 indices, and works out a line and column only for a diagnostic.  Terms
@@ -35,6 +41,7 @@ from typing import NamedTuple
 from .errors import (
     CastNameReserved,
     DuplicateDeclaration,
+    IllFormedTerm,
     InconsistentAnnotation,
     SpecSyntaxError,
     SpecUnknownSort,
@@ -51,8 +58,8 @@ from .terms import (
     PNode,
     Rule,
     Var,
+    _check_statement,
     print_term,
-    side_facts,
     sorts_of,
 )
 from .translate import is_reserved_name
@@ -354,7 +361,10 @@ class _Elaborator:
                 kind, lhs, rhs, i = item
                 cls, seen, what = statements[kind]
                 statement = cls(self._pattern(lhs), self._pattern(rhs))
-                self._check_sides(signature, statement.lhs, statement.rhs, i)
+                try:
+                    _check_statement(signature, statement, what, self.kind == "msa")
+                except (InconsistentAnnotation, IllFormedTerm) as exc:
+                    raise SpecSyntaxError(str(exc), *self._at(i)) from None
                 if seen.setdefault(statement, i) != i:
                     raise DuplicateDeclaration(f"{what} declared twice", *self._at(i))
 
@@ -398,21 +408,6 @@ class _Elaborator:
             raise SpecSyntaxError(
                 f"constructor {name!r} used with {arity} arguments", tok.line, tok.col
             )
-
-    def _check_sides(self, signature, lhs: Pattern, rhs: Pattern, i: int) -> None:
-        try:
-            seen, lhs_sort = side_facts(signature, lhs)
-            rhs_vars, rhs_sort = side_facts(signature, rhs)
-        except InconsistentAnnotation as exc:
-            raise SpecSyntaxError(str(exc), *self._at(i)) from None
-        for name, sort in rhs_vars.items():
-            if seen.get(name, sort) != sort:
-                raise SpecSyntaxError(f"variable {name} carries two sorts", *self._at(i))
-        for side, sort, label in ((lhs, lhs_sort, "left"), (rhs, rhs_sort, "right")):
-            if sort is None:
-                raise SpecSyntaxError(
-                    f"{label} side is not well-formed: {print_term(side)}", *self._at(i)
-                )
 
 
 def _is_core_equation(sig: MSSignature, eq: Equation) -> bool:

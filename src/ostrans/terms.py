@@ -562,8 +562,9 @@ def side_facts(sig: Signature, p: Pattern) -> tuple[dict[str, Sort], Sort | Ambi
     return hit
 
 
-def _check_statement(sig: Signature, statement, what: str) -> tuple:
-    """Check a statement's variables, sides and, for a rule, shape; its side sorts."""
+def _check_statement(sig: Signature, statement, what: str, same_sort: bool = False) -> None:
+    """Check a statement's variables, sides and, for a rule, shape; with
+    ``same_sort``, that its sides have one sort."""
     lhs, rhs = statement.lhs, statement.rhs
     seen, lhs_sort = side_facts(sig, lhs)
     rhs_vars, rhs_sort = side_facts(sig, rhs)
@@ -581,7 +582,8 @@ def _check_statement(sig: Signature, statement, what: str) -> tuple:
         extra = set(rhs_vars) - set(seen)
         if extra:
             raise IllFormedTerm(f"rule right side introduces unbound variables {sorted(extra)}")
-    return lhs_sort, rhs_sort
+    if same_sort and lhs_sort != rhs_sort:
+        raise IllFormedTerm(f"{what} sides have different sorts: {statement!r}")
 
 
 class _Algebra:
@@ -604,9 +606,7 @@ class _Algebra:
     def _check_statements(self, same_sort: bool) -> None:
         for statements, what in ((self.equations, "equation"), (self.rules, "rule")):
             for st in statements:
-                lhs_sort, rhs_sort = _check_statement(self.signature, st, what)
-                if same_sort and lhs_sort != rhs_sort:
-                    raise IllFormedTerm(f"{what} sides have different sorts: {st!r}")
+                _check_statement(self.signature, st, what, same_sort)
 
     def __eq__(self, other) -> bool:
         return (

@@ -56,20 +56,14 @@ def argument_compatible(poset: SortPoset, f: Operator, g: Operator) -> bool:
 
 
 def _overload_groups(alg: OSAlgebra) -> dict[Operator, tuple[Operator, ...]]:
-    """Each operator's bucket, in declaration order.
+    """Each operator's bucket of the signature's ``_by_shape``, in declaration order.
 
-    Operators share a bucket when they agree on constructor, arity and
-    the connected component of every argument sort.  Sorts in different
-    components share no supersort, so operators in different buckets are
-    never argument-compatible; ``argument_compatible`` still decides
-    within a bucket.
+    Operators in different buckets differ in constructor, arity or the
+    connected component of the first argument sort, so they are never
+    argument-compatible; ``argument_compatible`` still decides within a
+    bucket.
     """
-    component = alg.signature._component
-    buckets: dict[tuple, list[Operator]] = {}
-    for op in alg.signature.operators:
-        key = (op.constructor, tuple(component[s] for s in op.arg_sorts))
-        buckets.setdefault(key, []).append(op)
-    return {op: tuple(ops) for ops in buckets.values() for op in ops}
+    return {op: ops for ops in alg.signature._by_shape.values() for op in ops}
 
 
 def _overload_pairs(alg: OSAlgebra):

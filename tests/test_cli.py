@@ -120,6 +120,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,text,message", [
+    ("sort.osa", "algebra t\nsorts n\nop 0 : -> m\n", "3:11: unknown sort 'm'"),
+    ("head.osa", "algebra t\nsorts n\nop 0 : -> n\nrule X:n => 0\n",
+     "4:1: rule left side must start with a constructor: X:n"),
+    ("unbound.osa", "algebra t\nsorts n\nop 0 : -> n\nop s : n -> n\nrule s(X:n) => s(Y:n)\n",
+     "5:1: rule right side introduces unbound variables ['Y']"),
+    ("sides.msa", "algebra t\nsorts a b\nop c : -> a\nop d : -> b\neq c = d\n",
+     "5:1: equation sides have different sorts: c = d"),
+])
+def test_spec_errors_are_positioned_parse_errors(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"parse error: {message}\n")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.osa")]) == 2
 
@@ -137,6 +154,14 @@ def test_paths_refuses_a_many_sorted_input(imp_path, tmp_path, capsys):
     assert main(["paths", str(msa), "--from", "nat", "--to", "AExp"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "paths needs an order-sorted input\n")
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_paths_with_an_unknown_sort_is_a_usage_error(imp_path, capsys, flag):
+    other = "--to" if flag == "--from" else "--from"
+    assert main(["paths", imp_path, flag, "foo", other, "int"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "unknown sort 'foo'\n")
 
 
 def test_translate_refuses_a_many_sorted_input(imp_path, tmp_path, capsys):

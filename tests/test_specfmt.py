@@ -93,6 +93,22 @@ def test_unknown_constructor_in_term():
         parse_spec(text)
 
 
+@pytest.mark.parametrize("rule_first", [True, False])
+def test_first_bad_statement_in_file_order_is_reported(rule_first):
+    # A rule with a variable left side and an equation whose sides have
+    # different sorts: the algebra checks equations before rules, the
+    # elaborator checks each statement where the file has it.
+    rule, eq = "rule X:a => c", "eq c = d"
+    body = [rule, eq] if rule_first else [eq, rule]
+    text = "algebra t\nsorts a b\nop c : -> a\nop d : -> b\n" + "\n".join(body) + "\n"
+    with pytest.raises(SpecSyntaxError) as info:
+        parse_spec(text, kind="msa")
+    assert (info.value.line, info.value.col) == (5, 1)
+    assert info.value.message == (
+        "rule left side must start with a constructor: X:a" if rule_first
+        else "equation sides have different sorts: c = d")
+
+
 def test_subsorts_rejected_in_msa():
     with pytest.raises(SpecSyntaxError):
         parse_spec("algebra t\nsorts a b\nsubsorts a < b\n", kind="msa")
