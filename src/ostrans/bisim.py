@@ -13,7 +13,9 @@ skipped.
 
 Enumeration builds each term of height ``h`` once, from argument tuples
 that hold a term of height ``h - 1``, and sorts it with one lookup per
-(constructor, child least sorts).  A sweep pauses CPython's cyclic
+(constructor, child least sorts).  A tuple that an earlier overload of
+the same constructor admits is skipped, so no term needs a dedup table,
+and the terms of the last height are yielded but not kept.  A sweep pauses CPython's cyclic
 garbage collector (``rewrite._collector_paused``): what it allocates
 lives to the end of the run and forms no cycles, so a collection would
 free nothing.  What the sweep keeps leaves it in the collector's oldest
@@ -129,40 +131,61 @@ def enumerate_ground_terms(sig: Signature, sort: Sort | None = None, depth: int 
     sort_of = least_sort if os_mode else ms_sort
     poset = sig.poset if os_mode else None
     # The pools a term of each sort joins, and whether it is yielded.
-    joins = {s: tuple(poset.supersorts(s)) if os_mode else (s,) for s in sig.sorts}
+    joins = {s: poset.supersorts(s) if os_mode else (s,) for s in sig.sorts}
     wanted = {
         s: sort is None or (poset.leq(s, sort) if os_mode else s == sort)
         for s in sig.sorts
     }
+    # For each operator, the argument sorts of the earlier overloads of
+    # its constructor and arity whose products can meet its own (at each
+    # argument some sort lies below both).  A tuple in one of those
+    # products was built by that overload already.  A many-sorted
+    # signature has one operator per argument sorts, so no tuple lies in
+    # two products.
+    earlier: list[list] = []
+    seen: dict[tuple, list] = {}
+    for op in sig.operators:
+        before = seen.setdefault((op.constructor, op.arity), []) if os_mode else []
+        earlier.append([
+            sorts for sorts in before
+            if all(any({a, b} <= up for up in joins.values())
+                   for a, b in zip(op.arg_sorts, sorts))
+        ])
+        before.append(op.arg_sorts)
     pool: dict[Sort, list[GroundTerm]] = {s: [] for s in sig.sorts}
 
-    # Terms of the height being built.  Overloads sharing a constructor
-    # can build the same term twice, but only within one height.  A dict
-    # holds them in less memory than a set.
+    last = max(depth, 0)
+    # Terms of the height being built, below the last: a tuple holding
+    # one has the next height.  A dict holds them in less memory than a
+    # set.  Nothing is kept of the last height.
     layer: dict[GroundTerm, None] = {}
     # Constants come out whatever the depth.
-    for h in range(max(depth, 0) + 1):
+    for h in range(last + 1):
         snapshot = {s: tuple(ts) for s, ts in pool.items()}
+        members = {s: frozenset(ts) for s, ts in snapshot.items()}
         # Above the constants, a tuple over the snapshot has height ``h``
         # when it holds a term of height ``h - 1``.
         previous, layer = layer.keys(), {}
-        for op in sig.operators:
+        keep = h < last
+        for op, overloads in zip(sig.operators, earlier):
             if (op.arity == 0) != (h == 0):
                 continue
             candidates = [snapshot[s] for s in op.arg_sorts]
             if not all(candidates):
                 continue
             constructor = op.constructor
+            others = [[members[s] for s in sorts] for sorts in overloads]
             for combo in product(*candidates):
                 if h and previous.isdisjoint(combo):
                     continue
-                t = GroundTerm(constructor, combo)
-                if t in layer:
+                if others and any(all(c in m for c, m in zip(combo, ms)) for ms in others):
                     continue
-                layer[t] = None
+                t = GroundTerm(constructor, combo)
                 ts = sort_of(sig, t)
-                for s in joins[ts]:
-                    pool[s].append(t)
+                if keep:
+                    layer[t] = None
+                    for s in joins[ts]:
+                        pool[s].append(t)
                 if wanted[ts]:
                     yield t
         if not layer:

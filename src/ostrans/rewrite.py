@@ -9,9 +9,10 @@ is instead decided exactly: ``CastTable.canonical`` rewrites every maximal
 cast chain to the canonical chain for its endpoints, and the many-sorted
 engine matches, deduplicates and compares terms through that normal form.
 
-Every search for redexes goes through one loop, ``_redexes``: a
-``RedexIndex`` finds the root matches of each subterm once, and a term's
-results are composed from its children's memoised result lists.  Each
+Every search for redexes goes through one loop, ``_redexes``: a term's
+results are composed from its root matches and its children's result
+lists, which a ``RedexIndex`` memoises for the proper subterms of the
+terms searched, not for those terms themselves.  Each
 new node the search meets or builds costs one lookup keyed by facts about
 its children: its candidate left sides by (core head, core argument
 heads), its core normal form by the fixpoint rule of
@@ -323,14 +324,11 @@ class RedexIndex:
     candidates are still tried in pair order through ``match_pattern``,
     on left sides compiled once (``lhs``).
 
-    ``memo`` gives every subterm the search has visited one entry: its
-    root hits, ``(pair index, sorted substitution, right-side
-    instance)``; ``()`` when it has none but a proper subterm has some;
-    or ``CLEAN`` when no position in it has a hit.  ``results`` holds the
-    result list (see ``_redexes``) of each proper subterm of a searched
-    term that is not ``CLEAN``, never that of the searched term itself, so
-    it grows with the subterms terms share, not with the terms searched.
-    Hits and results depend on the subterm alone, never on its context.
+    ``memo`` gives each proper subterm of a searched term one entry:
+    ``CLEAN`` when no position in it has a hit, else its result list
+    (see ``_redexes``).  The searched term itself gets none, so the memo
+    grows with the subterms that terms share, not with the terms
+    searched.  Results depend on the subterm alone, never on its context.
     Each result node passes ``finish`` once: many-sorted, the core normal
     form, which a node over recorded fixpoints reaches in one lookup;
     order-sorted, a well-formedness check through the least sort, one
@@ -341,7 +339,7 @@ class RedexIndex:
     """
 
     __slots__ = (
-        "sig", "pairs", "lhs", "shapes", "memo", "results",
+        "sig", "pairs", "lhs", "shapes", "memo",
         # ``None`` marks an order-sorted algebra.
         "table",
         # Whether every equation direction is usable (closure only).
@@ -370,7 +368,6 @@ class RedexIndex:
         self.shapes = tuple(shapes)
         self.candidates: dict[tuple, tuple[int, ...]] = {}
         self.memo: dict[GroundTerm, object] = {}
-        self.results: dict[GroundTerm, list] = {}
         self.finish = (self.table.canonical if self.table is not None
                        else partial(_checked_os, self.sig))
 
@@ -383,6 +380,8 @@ class RedexIndex:
         )
 
     def _root_hits(self, t: GroundTerm) -> tuple:
+        """``(pair index, sorted substitution, right-side instance)`` of each
+        match at the root of ``t``, in pair order."""
         core = _core(self.table, t)
         key = (core.constructor, tuple([_core(self.table, a).constructor for a in core.args]))
         candidates = self.candidates.get(key)
@@ -399,8 +398,8 @@ class RedexIndex:
                 found.append((i, tuple(sorted(m.items())), apply_substitution(sig, rhs, m)))
         return tuple(found)
 
-    def _compose(self, node: GroundTerm) -> list:
-        """The result list of ``node``, from its root hits and its children's lists.
+    def _compose(self, node: GroundTerm, hits: tuple) -> list:
+        """The result list of ``node``, from its root ``hits`` and its children's lists.
 
         Each composed result is one new node over arguments whose normal
         forms and sorts are cached, so canonicalizing it or checking it (an
@@ -409,15 +408,16 @@ class RedexIndex:
         memo, finish = self.memo, self.finish
         ctor, args = node.constructor, node.args
         out = []
-        for i, subst, result in memo[node]:
+        for i, subst, result in hits:
             result = finish(result)
             if result is not None:
                 out.append((i, (), subst, result))
         for k, a in enumerate(args):
-            if memo[a] is CLEAN:
+            below = memo[a]
+            if below is CLEAN:
                 continue
             head, tail = args[:k], args[k + 1:]
-            for i, link, subst, r in self.results[a]:
+            for i, link, subst, r in below:
                 result = finish(GroundTerm(ctor, head + (r,) + tail))
                 if result is not None:
                     out.append((i, (k, link), subst, result))
@@ -519,31 +519,35 @@ def _redexes(index: RedexIndex, u: GroundTerm) -> list:
     composed bottom-up: a subterm's root hits come first, then, child by
     child, each result of the child put back under the subterm's head.
     Many-sorted results are core-canonicalized; order-sorted results that
-    are not well-formed are dropped.  The list may be a memoised one:
-    callers only read it.
+    are not well-formed are dropped.  The entries of ``u``'s proper
+    subterms are memoised, ``u``'s own is not: a ``u`` met before as a
+    proper subterm is answered from the memo, any other is composed
+    again on every call.  Callers only read the list.
     """
-    results, memo = index.results, index.memo
-    hit = results.get(u)
-    if hit is not None:
-        return hit
-    # One bottom-up pass: the memo entry, then the result list, of each
-    # subterm that has neither yet.
+    memo = index.memo
+    entry = memo.get(u)
+    if entry is not None:
+        return [] if entry is CLEAN else entry
+    # One bottom-up pass: the entry of each subterm that has none yet,
+    # kept for all but ``u``.
     stack = [u]
     while True:
         node = stack[-1]
-        pending = [a for a in node.args
-                   if a not in memo or (memo[a] is not CLEAN and a not in results)]
+        pending = [a for a in node.args if a not in memo]
         if pending:
             stack += pending
             continue
         stack.pop()
-        if node not in memo:
-            hits = index._root_hits(node)
-            memo[node] = CLEAN if not hits and all(memo[a] is CLEAN for a in node.args) else hits
+        if node in memo:
+            continue
+        hits = index._root_hits(node)
+        if not hits and all(memo[a] is CLEAN for a in node.args):
+            entry = CLEAN
+        else:
+            entry = index._compose(node, hits)
         if not stack:
-            return [] if memo[u] is CLEAN else index._compose(u)
-        if memo[node] is not CLEAN and node not in results:
-            results[node] = index._compose(node)
+            return [] if entry is CLEAN else entry
+        memo[node] = entry
 
 
 def rule_redexes(alg, u: GroundTerm) -> list:

@@ -20,10 +20,11 @@ many-sorted ``.msa`` files must not, and their cast-named operators are
 the non-core ones.
 
 Elaboration reports every error in the text with the line and column
-of its token, as a ``SpecError``.  Each ``eq`` and ``rule`` is checked
-where the file has it by ``terms._check_statement``, the check the
-algebra constructors run, and is reported at its keyword; a ``.msa``
-statement's sides must also have one sort.
+of its token, as a ``SpecError``.  The algebra constructor checks each
+``eq`` and ``rule`` once (``terms._check_statement``); a ``.msa``
+statement's sides must also have one sort.  Only when elaboration fails
+are the statements before the failure checked again, in file order, so
+that the first bad one is reported at its keyword.
 
 One regular expression scans the text into token values; a value fixes
 its token's kind.  The parser walks the values by index, recording token
@@ -43,6 +44,7 @@ from .errors import (
     DuplicateDeclaration,
     IllFormedTerm,
     InconsistentAnnotation,
+    SpecError,
     SpecSyntaxError,
     SpecUnknownSort,
 )
@@ -356,24 +358,34 @@ class _Elaborator:
             self.arities.setdefault(op.constructor, set()).add(op.arity)
         statements = {"eq": (Equation, self.equations, "equation"),
                       "rule": (Rule, self.rules, "rule")}
-        for item in self.doc.declarations:
-            if item[0] in statements:
-                kind, lhs, rhs, i = item
-                cls, seen, what = statements[kind]
-                statement = cls(self._pattern(lhs), self._pattern(rhs))
+        try:
+            for item in self.doc.declarations:
+                if item[0] in statements:
+                    kind, lhs, rhs, i = item
+                    cls, seen, what = statements[kind]
+                    statement = cls(self._pattern(lhs), self._pattern(rhs))
+                    if seen.setdefault(statement, i) != i:
+                        raise DuplicateDeclaration(f"{what} declared twice", *self._at(i))
+            # The algebra constructor checks each statement.
+            if self.kind == "osa":
+                return OSAlgebra(signature, tuple(self.equations), tuple(self.rules))
+            core = frozenset(
+                eq for eq in self.equations if _is_core_equation(signature, eq)
+            )
+            return MSAlgebra(signature, tuple(self.equations), tuple(self.rules), core)
+        except (SpecError, InconsistentAnnotation, IllFormedTerm):
+            # A bad statement before the failure is the first error in the
+            # file: check those built, in file order, to position it.
+            built = sorted((i, statement, what)
+                           for first, what in ((self.equations, "equation"),
+                                               (self.rules, "rule"))
+                           for statement, i in first.items())
+            for i, statement, what in built:
                 try:
                     _check_statement(signature, statement, what, self.kind == "msa")
                 except (InconsistentAnnotation, IllFormedTerm) as exc:
                     raise SpecSyntaxError(str(exc), *self._at(i)) from None
-                if seen.setdefault(statement, i) != i:
-                    raise DuplicateDeclaration(f"{what} declared twice", *self._at(i))
-
-        if self.kind == "osa":
-            return OSAlgebra(signature, tuple(self.equations), tuple(self.rules))
-        core = frozenset(
-            eq for eq in self.equations if _is_core_equation(signature, eq)
-        )
-        return MSAlgebra(signature, tuple(self.equations), tuple(self.rules), core)
+            raise
 
     def _signature(self):
         if self.kind == "osa":

@@ -217,6 +217,23 @@ def test_run_bisim_leaves_no_cyclic_garbage(imp_text):
     assert gc.collect() == 0
 
 
+def _height(t: GroundTerm) -> int:
+    return 1 + max(map(_height, t.args)) if t.args else 0
+
+
+def test_rule_memos_keep_no_subject_of_the_last_height(imp_text):
+    # A depth-3 sweep searches some 27,000 subjects; the rule indexes keep
+    # entries for the proper subterms the subjects share, not for them.
+    alg = parse_spec(imp_text)
+    ms, tm = translate_algebra(alg)
+    assert check_forward(alg, ms, tm, BisimConfig(term_depth=3)).passed
+    os_memo, ms_memo = alg._rule_index.memo, ms._rule_index.memo
+    last = [t for t in enumerate_ground_terms(alg.signature, depth=3) if _height(t) == 3]
+    assert len(last) > 25_000
+    assert not any(t in os_memo or translate_term(tm, t) in ms_memo for t in last)
+    assert len(os_memo) < 300 and len(ms_memo) < 300
+
+
 def test_translation_preserves_equivalence_classes(imp, imp_translated):
     # Source-equal terms must translate into one translated class: every
     # member found by the bounded source closure lands, after translation

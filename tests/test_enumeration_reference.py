@@ -1,12 +1,14 @@
 """The ground-term enumerator against the plain version it replaces.
 
 The reference below keeps a height for every term, skips a candidate
-tuple unless its highest member has height ``h - 1``, and asks the poset
-for a term's supersorts each time.  The enumerator in ``bisim`` only
-tests a tuple against the terms of height ``h - 1`` and reads sort data
-computed once per sort; both are pure speed-ups, so every sequence must
-come out the same, order included: by height, then operator declaration,
-then product order.
+tuple unless its highest member has height ``h - 1``, skips a term it
+has built before, and asks the poset for a term's supersorts each time.
+The enumerator in ``bisim`` only tests a tuple against the terms of
+height ``h - 1``, skips a tuple that an earlier overload of its
+constructor admits, keeps nothing of the last height, and reads sort
+data computed once per sort; these are pure speed-ups, so every sequence
+must come out the same, order included: by height, then operator
+declaration, then product order.
 """
 
 from __future__ import annotations
@@ -102,6 +104,32 @@ def _assert_same_sequences(alg) -> int:
 @pytest.mark.parametrize("fixture", ["imp.osa", "imp_real.osa"])
 def test_enumeration_matches_reference_on_fixtures(fixture):
     assert _assert_same_sequences(_fixture(fixture)) > 25_000
+
+
+# Each tuple of the first ``+`` also lies in the product of the second,
+# and each of the second ``-`` in that of the first.
+OVERLAPPING = """\
+algebra Overlap
+sorts nat int
+subsorts nat < int
+op 0 : -> nat
+op m : -> int
+op + : nat nat -> nat
+op + : int int -> int
+op - : int -> int
+op - : nat -> nat
+"""
+
+
+def test_overlapping_overloads_yield_each_term_once():
+    # The last height keeps no terms to deduplicate against: there, as
+    # below it, the first overload whose product holds a tuple builds it.
+    sig = parse_spec(OVERLAPPING).signature
+    for depth in range(1, 4):
+        for sort in (None, "nat", "int"):
+            got = list(enumerate_ground_terms(sig, sort=sort, depth=depth))
+            assert got == list(reference_enumeration(sig, sort=sort, depth=depth)), (depth, sort)
+            assert len(set(got)) == len(got)
 
 
 def test_enumeration_matches_reference_on_random_algebras():

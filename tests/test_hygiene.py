@@ -326,8 +326,8 @@ MEMO_SLOTS = {
                        "rename_of", "representative_of", "source", "table", "target_sort_of",
                        "tie_break"],
     "CastTable": ["_canon_cache", "canonical_path_of", "name_of", "pair_of", "poset"],
-    "RedexIndex": ["candidates", "complete", "finish", "lhs", "memo", "pairs", "results",
-                   "shapes", "sig", "table"],
+    "RedexIndex": ["candidates", "complete", "finish", "lhs", "memo", "pairs", "shapes", "sig",
+                   "table"],
 }
 
 

@@ -459,9 +459,9 @@ def test_child_results_reused_under_two_parents(monkeypatch):
     composed = []
     compose = rewrite.RedexIndex._compose
 
-    def counted(index, node):
+    def counted(index, node, hits):
         composed.append((index, node))
-        return compose(index, node)
+        return compose(index, node, hits)
 
     monkeypatch.setattr(rewrite.RedexIndex, "_compose", counted)
     for alg, shared in ((os_alg, child), (ms_alg, translate_term(tm, child))):

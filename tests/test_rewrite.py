@@ -113,7 +113,7 @@ def test_redex_beside_a_deep_sibling_on_both_sides(imp_text):
 
 
 def test_only_proper_subterms_keep_result_lists(imp_text):
-    # A result list per subject would grow with every term a check visits;
+    # A memo entry per subject would grow with every term a check visits;
     # only the subterms that later subjects share keep theirs.
     alg = parse_spec(imp_text)
     ms, tm = translate_algebra(alg)
@@ -121,9 +121,9 @@ def test_only_proper_subterms_keep_result_lists(imp_text):
     for a, u in ((alg, t), (ms, translate_term(tm, t))):
         steps = direct_steps(a, u)
         assert {s.position for s in steps} == {(), (0,), (1,)}
-        results = a._rule_index.results
-        assert u not in results
-        assert all(c in results for c in u.args)
+        memo = a._rule_index.memo
+        assert u not in memo
+        assert all(memo[c] is not rewrite.CLEAN for c in u.args)
 
 
 # --- matching ----------------------------------------------------------------

@@ -22,6 +22,7 @@ from ostrans import (
     translate_algebra,
     translate_term,
 )
+from ostrans.terms import _check_statement
 
 G = GroundTerm
 
@@ -107,6 +108,22 @@ def test_first_bad_statement_in_file_order_is_reported(rule_first):
     assert info.value.message == (
         "rule left side must start with a constructor: X:a" if rule_first
         else "equation sides have different sorts: c = d")
+
+
+@pytest.mark.parametrize("later", ["eq c = c\neq c = c", "eq ghost = c"])
+def test_bad_statement_is_reported_before_a_later_error(later):
+    # A duplicate or an unknown constructor further down is found first,
+    # yet the bad rule above it is the first error in the file.
+    text = "algebra t\nsorts a\nop c : -> a\nrule X:a => c\n" + later + "\n"
+    with pytest.raises(SpecSyntaxError) as info:
+        parse_spec(text)
+    assert (info.value.line, info.value.col) == (4, 1)
+
+
+def test_each_statement_is_checked_once(imp_text, count_calls):
+    calls = count_calls(_check_statement)
+    alg = parse_spec(imp_text)
+    assert len(calls) == len(alg.equations) + len(alg.rules) == 30
 
 
 def test_subsorts_rejected_in_msa():
