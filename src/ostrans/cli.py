@@ -50,8 +50,17 @@ def _emit(record: dict, args) -> None:
         print(json.dumps({"schema": 1, **record}))
 
 
+class _Unusable(Exception):
+    """A path the command cannot read or write: a usage error."""
+
+
 def _load(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _Unusable(f"cannot read input: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _Unusable(f"cannot read input: {path!r} is not UTF-8: {exc}") from None
     kind = "msa" if path.endswith(".msa") else "osa"
     return parse_spec(text, kind=kind), kind
 
@@ -95,7 +104,10 @@ def _cmd_translate(args) -> int:
     ms, tm = translate_algebra(alg, tie_break=args.tie_break)
     text = print_spec(ms, name="translated")
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _Unusable(f"cannot write output: {exc}") from None
         summary = (
             f"wrote {args.output}: {len(ms.signature.operators)} operators "
             f"({len(ms.signature.non_core)} casts), {len(ms.equations)} equations "
@@ -249,8 +261,8 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    except _Unusable as exc:
+        print(exc, file=sys.stderr)
         return 2
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)

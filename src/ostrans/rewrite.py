@@ -12,14 +12,18 @@ engine matches, deduplicates and compares terms through that normal form.
 Every search for redexes goes through one loop, ``_redexes``: a term's
 results are composed from its root matches and its children's result
 lists, which a ``RedexIndex`` memoises for the proper subterms of the
-terms searched, not for those terms themselves.  Each
-new node the search meets or builds costs one lookup keyed by facts about
-its children: its candidate left sides by (core head, core argument
-heads), its core normal form by the fixpoint rule of
+terms searched, not for those terms themselves; a term whose children
+all have entries is composed in the search's own frame, with no stack.
+Each new node the search meets or builds costs one lookup keyed by facts
+about its children: its candidate left sides by (core head, core
+argument heads), after a test of its core head against the left sides'
+heads, its core normal form by the fixpoint rule of
 ``CastTable.canonical``, its order-sorted well-formedness by its
 children's least sorts, and its translation (``translate``) by
-(constructor, child least sorts).  A result's position is a parent link,
-made a tuple (``resolve_position``) only where a ``RewriteStep`` is built.
+(constructor, child least sorts); the last two take no ``fold_term``
+pass when the children's values are cached.  A result's position is a
+parent link, made a tuple (``resolve_position``) only where a
+``RewriteStep`` is built.
 The closure searches one equation direction per class of directions
 equal up to renaming their variables, so a commutativity equation is
 searched one way, and none of an equation whose sides have one core
@@ -320,7 +324,13 @@ class RedexIndex:
     subterm's: both matchers would fail on it.  What passes depends only
     on the subterm's (core head, core argument heads), so ``candidates``
     memoises it under that key: a new subterm costs one lookup, and the
-    shapes are scanned only on a miss.  The index only filters:
+    shapes are scanned only on a miss.  When no left side's core is a
+    variable, as in any rule set, ``heads`` holds the left sides' core
+    heads, read once off ``shapes``: a subterm whose core head is not
+    among them has no candidate, and ``_root_hits`` answers it before
+    building its key.  An index with a variable-core side, such as an
+    equation index over ``+(true, A) = A``, has ``heads`` ``None``.
+    The index only filters:
     candidates are still tried in pair order through ``match_pattern``,
     on left sides compiled once (``lhs``).
 
@@ -346,6 +356,9 @@ class RedexIndex:
         "complete",
         # (core head, core argument heads) -> pair indices that pass ``_filter``.
         "candidates",
+        # The left sides' core heads; ``None`` when some left side's core is
+        # a variable.
+        "heads",
         # ``None`` drops an ill-formed order-sorted result.
         "finish",
     )
@@ -366,6 +379,8 @@ class RedexIndex:
             )
             shapes.append((i, (core.constructor, len(core.args)), arg_heads))
         self.shapes = tuple(shapes)
+        self.heads = (None if any(own is None for _, own, _ in shapes)
+                      else frozenset(own[0] for _, own, _ in shapes))
         self.candidates: dict[tuple, tuple[int, ...]] = {}
         self.memo: dict[GroundTerm, object] = {}
         self.finish = (self.table.canonical if self.table is not None
@@ -382,8 +397,14 @@ class RedexIndex:
     def _root_hits(self, t: GroundTerm) -> tuple:
         """``(pair index, sorted substitution, right-side instance)`` of each
         match at the root of ``t``, in pair order."""
-        core = _core(self.table, t)
-        key = (core.constructor, tuple([_core(self.table, a).constructor for a in core.args]))
+        table, heads = self.table, self.heads
+        core = t if table is None else _core(table, t)
+        if heads is not None and core.constructor not in heads:
+            return ()
+        if table is None:
+            key = (core.constructor, tuple([a.constructor for a in core.args]))
+        else:
+            key = (core.constructor, tuple([_core(table, a).constructor for a in core.args]))
         candidates = self.candidates.get(key)
         if candidates is None:
             candidates = self.candidates[key] = self._filter(key)
@@ -522,16 +543,19 @@ def _redexes(index: RedexIndex, u: GroundTerm) -> list:
     are not well-formed are dropped.  The entries of ``u``'s proper
     subterms are memoised, ``u``'s own is not: a ``u`` met before as a
     proper subterm is answered from the memo, any other is composed
-    again on every call.  Callers only read the list.
+    again on every call.  A ``u`` whose children all have entries, as
+    almost every subject of a bisimulation sweep has, is composed with
+    no stack, and one with no root hit over ``CLEAN`` children is
+    answered ``[]`` without composing.  Callers only read the list.
     """
     memo = index.memo
     entry = memo.get(u)
     if entry is not None:
         return [] if entry is CLEAN else entry
-    # One bottom-up pass: the entry of each subterm that has none yet,
-    # kept for all but ``u``.
-    stack = [u]
-    while True:
+    # One bottom-up pass over the proper subterms that have no entry yet;
+    # there are none when every child has one.
+    stack = [a for a in u.args if a not in memo]
+    while stack:
         node = stack[-1]
         pending = [a for a in node.args if a not in memo]
         if pending:
@@ -542,12 +566,13 @@ def _redexes(index: RedexIndex, u: GroundTerm) -> list:
             continue
         hits = index._root_hits(node)
         if not hits and all(memo[a] is CLEAN for a in node.args):
-            entry = CLEAN
+            memo[node] = CLEAN
         else:
-            entry = index._compose(node, hits)
-        if not stack:
-            return [] if entry is CLEAN else entry
-        memo[node] = entry
+            memo[node] = index._compose(node, hits)
+    hits = index._root_hits(u)
+    if not hits and all(memo[a] is CLEAN for a in u.args):
+        return []
+    return index._compose(u, hits)
 
 
 def rule_redexes(alg, u: GroundTerm) -> list:

@@ -406,10 +406,20 @@ def least_sort(sig: OSSignature, t: Term) -> Sort:
     sort of a pattern.  Raises ``IllFormedTerm`` when no operator admits
     the children and ``AmbiguousSort`` when the admitting operators have
     no common least target (input outside the strictly sensible fragment).
-    One bottom-up pass (``fold_term``), so a node over children with
-    cached sorts is one lookup and no stack.
+    A cached sort is returned as it is, and a node over children with
+    cached sorts takes one ``_least_at`` lookup, both without a
+    ``fold_term`` pass; any other term takes one bottom-up pass.
     """
-    return fold_term(t, sig._least_cache, _var_sort, _least_at, sig)
+    cache = sig._least_cache
+    hit = cache.get(t)
+    if hit is not None:
+        return hit
+    if type(t) is not Var:
+        sorts = tuple([cache.get(a) for a in t.args])
+        if None not in sorts:
+            hit = cache[t] = _least_at(sig, t, sorts)
+            return hit
+    return fold_term(t, cache, _var_sort, _least_at, sig)
 
 
 def _var_sort(sig: OSSignature, v: Var) -> Sort:

@@ -322,15 +322,23 @@ def _translate(tm: TranslationMap, t: Term) -> Term:
     an application's head names one representative, whose target sort
     ``target_sort_of`` gives.
 
-    Unless the root already has a least sort, first checks the sorts of
-    everything below it, so an ill-formed subterm is reported by
-    ``least_sort``; a statement side that ``side_facts`` sorted needs no
-    check.  Then takes one ``fold_term`` pass: a node whose children are
-    all translated is one plan lookup and no stack.
+    A node whose children are all translated is one ``_translate_node``
+    call, with no ``fold_term`` pass: a translated child was checked to
+    be well-formed when it was translated.  Otherwise, unless the root
+    already has a least sort, first checks the sorts of everything below
+    it, so an ill-formed subterm is reported by ``least_sort``; a
+    statement side that ``side_facts`` sorted needs no check.  Then takes
+    one ``fold_term`` pass.
     """
-    if type(t) is not Var and t not in tm.source._least_cache:
-        for a in t.args:
-            least_sort(tm.source, a)
+    if type(t) is not Var:
+        cache = tm._tr_cache
+        children = tuple([cache.get(a) for a in t.args])
+        if None not in children:
+            out = cache[t] = _translate_node(tm, t, children)
+            return out
+        if t not in tm.source._least_cache:
+            for a in t.args:
+                least_sort(tm.source, a)
     return fold_term(t, tm._tr_cache, _itself, _translate_node, tm)
 
 
@@ -412,7 +420,7 @@ def translate_rules(tm: TranslationMap, rules) -> tuple[Rule, ...]:
     """
     out = []
     for rule in rules:
-        lhs = _translate(tm, rule.lhs)
+        lhs = translate_term(tm, rule.lhs)
         lhs_sort = tm.target_sort_of[lhs.constructor]
         out.append(Rule(lhs, translate_term(tm, rule.rhs, expected=lhs_sort)))
     return tuple(out)

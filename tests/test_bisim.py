@@ -29,6 +29,7 @@ from ostrans import (
     replace_at,
     run_bisim,
     strip_casts,
+    terms,
     translate_algebra,
     translate_term,
     validate_algebra,
@@ -232,6 +233,18 @@ def test_rule_memos_keep_no_subject_of_the_last_height(imp_text):
     assert len(last) > 25_000
     assert not any(t in os_memo or translate_term(tm, t) in ms_memo for t in last)
     assert len(os_memo) < 300 and len(ms_memo) < 300
+
+
+def test_forward_sweep_folds_few_nodes(imp_text, count_calls):
+    # A node over cached children takes its least sort, its translation
+    # and its redex list without a ``fold_term`` pass: the depth-3 sweep
+    # makes under 10,000 of them, where a pass per such node makes some
+    # 132,000.
+    alg = parse_spec(imp_text)
+    ms, tm = translate_algebra(alg)
+    folds = count_calls(terms.fold_term)
+    assert check_forward(alg, ms, tm, BisimConfig(term_depth=3)).steps_checked == 42_410
+    assert len(folds) < 20_000
 
 
 def test_translation_preserves_equivalence_classes(imp, imp_translated):

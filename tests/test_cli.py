@@ -141,6 +141,28 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.osa")]) == 2
 
 
+def _one_line_usage_error(argv, capsys, prefix):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
+def test_directory_input_is_a_usage_error(tmp_path, capsys):
+    _one_line_usage_error(["check", str(tmp_path)], capsys, "cannot read input: ")
+
+
+def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.osa"
+    path.write_bytes("algebra t\nsorts né\n".encode("latin-1"))
+    _one_line_usage_error(["check", str(path)], capsys, "cannot read input: ")
+
+
+def test_unwritable_output_is_a_usage_error(imp_path, tmp_path, capsys):
+    _one_line_usage_error(["translate", imp_path, "-o", str(tmp_path)], capsys,
+                          "cannot write output: ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["paths"])

@@ -233,7 +233,7 @@ def _stack_walks(tree: ast.Module) -> list[str]:
 # purpose or written with ``terms.fold_term``.
 STACK_WALKS = {
     "poset.py": ["SortPoset.components", "SortPoset.enumerate_paths"],
-    "rewrite.py": ["_direction_key", "_match_ms", "_match_os", "_preorder"],
+    "rewrite.py": ["_direction_key", "_match_ms", "_match_os", "_preorder", "_redexes"],
     "terms.py": ["fold_term", "print_term", "variables_of"],
 }
 
@@ -326,8 +326,8 @@ MEMO_SLOTS = {
                        "rename_of", "representative_of", "source", "table", "target_sort_of",
                        "tie_break"],
     "CastTable": ["_canon_cache", "canonical_path_of", "name_of", "pair_of", "poset"],
-    "RedexIndex": ["candidates", "complete", "finish", "lhs", "memo", "pairs", "shapes", "sig",
-                   "table"],
+    "RedexIndex": ["candidates", "complete", "finish", "heads", "lhs", "memo", "pairs", "shapes",
+                   "sig", "table"],
 }
 
 

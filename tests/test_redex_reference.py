@@ -4,10 +4,11 @@ The reference below tries every rule, or every usable equation direction,
 at every position: preorder positions first, then rules in declaration
 order.  It matches with its own copy of the plain recursive matchers, so
 a fault in the engine's compiled matcher cannot hide in the reference.
-The engine narrows the candidates with a two-level index (head, then
-argument heads), matches compiled left sides, memoises root hits per
-interned subterm, skips subterms with no redex and composes a term's
-results from its children's memoised result lists; all of these are
+The engine narrows the candidates with a set of left-side heads and a
+two-level index (head, then argument heads), matches compiled left
+sides, memoises root hits per interned subterm, skips subterms with no
+redex and composes a term's results from its children's memoised result
+lists; all of these are
 pure speed-ups, so every step and every class member must come out the
 same and in the same order, on a fresh algebra (memo cold) and on a
 second pass (memo warm).  The engine's closure also searches only one of
@@ -261,12 +262,29 @@ def _assert_same_as_naive(os_alg, depth=2, limit=200, eclass_limit=30, step_limi
             for u in terms[:step_limit]:
                 got = _as_tuples(rewrite_step(alg, u, config))
                 assert got == naive_rewrite_step(alg, u, ECLASS_DEPTH, ECLASS_MAX), (memo, u)
+        # A subject whose core head no left side has is answered before
+        # its candidate key is built.
+        for index in (alg._rule_index, alg._equation_index):
+            if index is not None and index.heads is not None:
+                assert {head for head, _ in index.candidates} <= index.heads
 
 
 @pytest.mark.parametrize("fixture", ["imp.osa", "imp_real.osa"])
 def test_indexed_search_matches_naive_loop_on_fixtures(fixture):
     # A freshly parsed algebra starts with an empty index and memo.
     _assert_same_as_naive(_fixture(fixture))
+
+
+@pytest.mark.parametrize("fixture", ["imp.osa", "imp_real.osa"])
+def test_head_sets_of_the_fixture_indexes(fixture):
+    # Every rule's left side has a head; some equation direction's left
+    # side is a variable, so the equation index keeps no head set.
+    os_alg = _fixture(fixture)
+    ms_alg, _ = translate_algebra(os_alg)
+    assert rewrite._rule_index(os_alg).heads == {"+", "-", "<=", "pgm"}
+    assert rewrite._rule_index(ms_alg).heads == {"+AExp", "+BExp", "-BExp", "-int", "<=", "pgm"}
+    for alg in (os_alg, ms_alg):
+        assert rewrite._equation_index(alg).heads is None
 
 
 def test_indexed_search_matches_naive_loop_on_random_algebras():

@@ -27,6 +27,7 @@ from ostrans import (
     least_sort,
     ms_sort,
     print_term,
+    terms,
     translate_term,
     sorts_of,
     validate_algebra,
@@ -159,6 +160,44 @@ def test_least_sort_memo_keeps_successes_only(imp):
         assert key not in s._least_at_cache
     assert least_sort(sig, S0) == "nat"
     assert sig._least_at_cache[("s", ("nat",))] == "nat"
+
+
+def test_least_sort_over_sorted_children_matches_a_cold_walk(imp, imp_real, count_calls):
+    # A node whose children have cached sorts takes one ``_least_at``
+    # lookup and no fold; a new signature, every cache empty, folds.
+    folds = count_calls(terms.fold_term)
+    for sig in (imp.signature, imp_real.signature):
+        warm = _fresh_signature(sig)
+        nodes = [t for t in enumerate_ground_terms(sig, depth=2) if t.args]
+        assert len(nodes) > 200
+        for t in nodes:
+            for a in t.args:
+                least_sort(warm, a)
+            before = len(folds)
+            got = least_sort(warm, t)
+            assert len(folds) == before and warm._least_cache[t] == got
+            assert least_sort(_fresh_signature(sig), t) == got, t
+
+
+def test_least_sort_failures_over_sorted_children_match_a_cold_walk(imp):
+    # The same error and message whether the children's sorts are cached
+    # or not, and nothing is cached for the failing node.
+    cases = [(imp.signature, G("s", (TRUE,)), IllFormedTerm),
+             (imp.signature, G("+", (TRUE, S0)), IllFormedTerm),
+             (imp.signature, G("v", (G("-", (ZERO,)),)), IllFormedTerm),
+             (_ambiguous_signature(), G("f", (G("c"),)), AmbiguousSort)]
+    for sig, t, error in cases:
+        messages = []
+        for warm in (False, True):
+            fresh = _fresh_signature(sig)
+            if warm:
+                for a in t.args:
+                    least_sort(fresh, a)
+            with pytest.raises(error) as raised:
+                least_sort(fresh, t)
+            messages.append(str(raised.value))
+            assert t not in fresh._least_cache
+        assert messages[0] == messages[1], t
 
 
 def _admitting_cases(imp, imp_real):

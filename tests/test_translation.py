@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from importlib import resources
 
 import pytest
 
@@ -444,6 +445,49 @@ def test_translating_a_pattern_sorts_each_node_once(imp_text, count_calls):
     assert print_term(got) == print_term(PNode("Cast_int_to_AExp", (
         PNode("-int", (PNode("Cast_nat_to_int", (tower,)),)),
     )))
+
+
+@pytest.mark.parametrize("name", ["imp.osa", "imp_real.osa"])
+def test_translating_a_node_over_translated_children_matches_a_cold_walk(name, count_calls):
+    # A node whose children are translated takes one ``_translate_node``
+    # and no fold, lifted or not; a new translation, every cache emptied
+    # before each term, walks it.
+    text = (resources.files("ostrans") / "fixtures" / name).read_text(encoding="utf-8")
+    alg = parse_spec(text)
+    sig = alg.signature
+    _, warm = translate_algebra(alg)
+    _, cold = translate_algebra(parse_spec(text))
+    folds = count_calls(terms.fold_term)
+    nodes = [t for t in enumerate_ground_terms(sig, depth=2) if t.args]
+    assert len(nodes) > 200
+    for t in nodes:
+        tops = sorted(sig.poset.supersorts(least_sort(sig, t)), reverse=True) + [None]
+        for a in t.args:
+            translate_term(warm, a)
+        before = len(folds)
+        got = [translate_term(warm, t, expected=top) for top in tops]
+        assert len(folds) == before
+        for cache in (cold._tr_cache, cold._plans, cold.source._least_cache):
+            cache.clear()
+        assert [translate_term(cold, t, expected=top) for top in tops] == got, t
+
+
+def test_an_ill_formed_node_over_translated_children_fails_as_before(imp_text):
+    # The same message whether the children are translated or not, and no
+    # translation is cached for the node.
+    for t in (G("s", (G("true"),)), G("+", (G("true"), G("s", (ZERO,)))),
+              G("v", (G("-", (ZERO,)),))):
+        messages = []
+        for warm in (False, True):
+            _, tm = translate_algebra(parse_spec(imp_text))
+            if warm:
+                for a in t.args:
+                    translate_term(tm, a)
+            with pytest.raises(IllFormedTerm) as raised:
+                translate_term(tm, t)
+            messages.append(str(raised.value))
+            assert t not in tm._tr_cache
+        assert messages[0] == messages[1], t
 
 
 def test_tie_break_independence_small(imp_real):
