@@ -238,8 +238,8 @@ def test_rule_memos_keep_no_subject_of_the_last_height(imp_text):
 def test_forward_sweep_folds_few_nodes(imp_text, count_calls):
     # A node over cached children takes its least sort, its translation
     # and its redex list without a ``fold_term`` pass: the depth-3 sweep
-    # makes under 10,000 of them, where a pass per such node makes some
-    # 132,000.
+    # calls ``fold_term`` under 10,000 times, where a pass per such node
+    # called it some 132,000 times.
     alg = parse_spec(imp_text)
     ms, tm = translate_algebra(alg)
     folds = count_calls(terms.fold_term)

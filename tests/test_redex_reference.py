@@ -8,13 +8,13 @@ The engine narrows the candidates with a set of left-side heads and a
 two-level index (head, then argument heads), matches compiled left
 sides, memoises root hits per interned subterm, skips subterms with no
 redex and composes a term's results from its children's memoised result
-lists; all of these are
-pure speed-ups, so every step and every class member must come out the
-same and in the same order, on a fresh algebra (memo cold) and on a
-second pass (memo warm).  The engine's closure also searches only one of
-the equation directions that are equal up to renaming their variables,
-and none of an equation whose two sides have one core under casts (every
-core equation), while the reference keeps every usable direction.
+lists; all of these are pure speed-ups, so every step and every class
+member must come out the same and in the same order, on a fresh algebra
+(memo cold) and on a second pass (memo warm).  The engine's closure
+also searches only one of the equation directions that are equal up to
+renaming their variables, and none of an equation whose two sides have
+one core under casts (every core equation), while the reference keeps
+every usable direction.
 """
 
 from __future__ import annotations
