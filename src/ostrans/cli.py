@@ -68,7 +68,8 @@ def _load(path: str):
 def _cmd_check(args) -> int:
     alg, kind = _load(args.file)
     if kind == "msa":
-        print("many-sorted algebra: well-formed")
+        if args.format != "json-lines":
+            print("many-sorted algebra: well-formed")
         _emit({"kind": "check", "wellformed": True}, args)
         return 0
     report = validate_algebra(alg)

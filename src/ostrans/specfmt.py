@@ -354,8 +354,7 @@ class _Elaborator:
                 self.operators[op] = name
 
         signature = self._signature()
-        for op in self.operators:
-            self.arities.setdefault(op.constructor, set()).add(op.arity)
+        self.arities = _arities(self.operators)
         statements = {"eq": (Equation, self.equations, "equation"),
                       "rule": (Rule, self.rules, "rule")}
         try:
@@ -409,17 +408,28 @@ class _Elaborator:
                 if values[i + 2] not in self.sorts:
                     raise SpecUnknownSort(f"unknown sort {values[i + 2]!r}", *self._at(i))
             elif arity not in self.arities.get(values[i], ()):
-                self._known_constructor(values[i], arity, Token(self.doc.text, i))
+                _known_constructor(self.arities, values[i], arity, Token(self.doc.text, i))
         return _build(values, nodes, Var, PNode)
 
-    def _known_constructor(self, name: str, arity: int, tok: Token) -> None:
-        arities = self.arities.get(name)
-        if not arities:
-            raise SpecSyntaxError(f"unknown constructor {name!r}", tok.line, tok.col)
-        if arity not in arities:
-            raise SpecSyntaxError(
-                f"constructor {name!r} used with {arity} arguments", tok.line, tok.col
-            )
+
+def _arities(operators) -> dict[str, set[int]]:
+    """The arities each constructor is declared with."""
+    out: dict[str, set[int]] = {}
+    for op in operators:
+        out.setdefault(op.constructor, set()).add(op.arity)
+    return out
+
+
+def _known_constructor(arities: dict[str, set[int]], name: str, arity: int,
+                       tok: Token) -> None:
+    """Raise at ``tok`` unless ``name`` is declared with ``arity`` arguments."""
+    known = arities.get(name)
+    if not known:
+        raise SpecSyntaxError(f"unknown constructor {name!r}", tok.line, tok.col)
+    if arity not in known:
+        raise SpecSyntaxError(
+            f"constructor {name!r} used with {arity} arguments", tok.line, tok.col
+        )
 
 
 def _is_core_equation(sig: MSSignature, eq: Equation) -> bool:
@@ -477,7 +487,12 @@ def print_spec(alg, name: str = "spec") -> str:
 
 
 def parse_term_text(text: str, signature) -> GroundTerm:
-    """Parse a single ground term against a signature (CLI helper)."""
+    """Parse a single ground term against a signature (CLI helper).
+
+    An ill-formed term is reported at the first node, in preorder, whose
+    constructor the signature does not declare with that arity, or that
+    no operator admits over well-formed arguments.
+    """
     parser = _Parser(text)
     nodes = parser.parse_term()
     trailing = parser.values[parser.pos]
@@ -488,5 +503,12 @@ def parse_term_text(text: str, signature) -> GroundTerm:
             parser.fail("ground term expected, found a variable", nodes[k - 1])
     term = _build(parser.values, nodes, None, GroundTerm)
     if not sorts_of(signature, term):
-        raise SpecSyntaxError("term is not well-formed in the signature", 1, 1)
+        arities = _arities(signature.operators)
+        stack = [term]
+        for k in range(0, len(nodes), 2):
+            i, node = nodes[k], stack.pop()
+            stack += reversed(node.args)
+            _known_constructor(arities, parser.values[i], nodes[k + 1], Token(text, i))
+            if all(sorts_of(signature, a) for a in node.args) and not sorts_of(signature, node):
+                parser.fail("term is not well-formed in the signature", i)
     return term

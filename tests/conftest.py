@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 import pytest
@@ -89,3 +90,22 @@ def collections_in():
         return result, started
 
     return record_during
+
+
+@pytest.fixture
+def shallow_stack():
+    """``with shallow_stack():`` lowers the recursion limit to the frame
+    depth plus a small margin, so a call that recurses over a deep input
+    raises ``RecursionError``; the old limit comes back on the way out."""
+    @contextmanager
+    def lowered(margin: int = 60):
+        old, depth, frame = sys.getrecursionlimit(), 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        sys.setrecursionlimit(depth + margin)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(old)
+
+    return lowered

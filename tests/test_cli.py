@@ -34,11 +34,15 @@ def test_check_fails_on_broken_algebra(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
-def test_check_json_lines(imp_path, capsys):
-    assert main(["check", imp_path, "--format", "json-lines"]) == 0
-    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert all(r["schema"] == 1 for r in records)
-    assert records[0]["kind"] == "check"
+def test_check_json_lines(imp_path, tmp_path, capsys):
+    msa = str(tmp_path / "imp.msa")
+    assert main(["translate", imp_path, "-o", msa]) == 0
+    capsys.readouterr()
+    for path in (imp_path, msa):  # every line of either is a JSON record
+        assert main(["check", path, "--format", "json-lines"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert all(r["schema"] == 1 for r in records)
+        assert records[0]["kind"] == "check"
 
 
 def test_translate_writes_file(imp_path, tmp_path, capsys):

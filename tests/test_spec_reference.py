@@ -62,6 +62,7 @@ from ostrans.specfmt import (
     _KIND,
     Token,
     _Elaborator,
+    _known_constructor,
     _positions,
     _resolve_cast_profile,
     _scan,
@@ -527,7 +528,7 @@ def test_constructor_arities_match_the_operator_scan(name, alg):
         for ctor in sorted(names):
             assert elab.arities.get(ctor, set()) == oracle_arities(elab.operators, ctor)
             for arity in range(4):
-                got = _outcome(elab._known_constructor, ctor, arity, _token())
+                got = _outcome(_known_constructor, elab.arities, ctor, arity, _token())
                 want = _outcome(oracle_known_constructor, elab.operators, ctor, arity, _token())
                 assert got == want
 

@@ -13,6 +13,7 @@ from ostrans import (
     SpecUnknownSort,
     core_canonicalize,
     direct_steps,
+    e_class_bounded,
     enumerate_ground_terms,
     least_sort,
     parse_spec,
@@ -187,8 +188,18 @@ def test_parse_term_rejects_variables(imp):
 
 
 def test_parse_term_rejects_ill_formed(imp):
-    with pytest.raises(SpecSyntaxError):
-        parse_term_text("s(true)", imp.signature)
+    # At a token: a constructor not declared with its arity, or else the first
+    # node in preorder that no operator admits over well-formed arguments.
+    for text, message in [
+        ("s(true)", "1:1: term is not well-formed in the signature"),
+        ("+(0, bogus(0))", "1:6: unknown constructor 'bogus'"),
+        ("s(0, 0)", "1:1: constructor 's' used with 2 arguments"),
+        ("  +(0, s(true))", "1:8: term is not well-formed in the signature"),
+        ("+(s(true), bogus(0))", "1:3: term is not well-formed in the signature"),
+    ]:
+        with pytest.raises(SpecSyntaxError) as info:
+            parse_term_text(text, imp.signature)
+        assert str(info.value) == message
 
 
 def test_symbolic_constructors_tokenize(imp):
@@ -213,7 +224,8 @@ def test_deep_term_parses_and_prints_back(imp_text):
 def test_deep_statement_sides_round_trip():
     # Sides of height 3,000 on both statement kinds: parsing checks them
     # for duplicates, and the algebras key them, without walking them.
-    # Matching them still recurses, so nothing here rewrites.
+    # Indexing and matching them take explicit stacks, so both sides
+    # rewrite and close the subject under the equation too.
     side = "s(" * 3000 + "0" + ")" * 3000
     text = (
         "algebra d\nsorts n\nop 0 : -> n\nop s : n -> n\n"
@@ -221,6 +233,10 @@ def test_deep_statement_sides_round_trip():
     )
     alg = parse_spec(text)
     assert print_term(alg.rules[0].lhs) == side
-    ms, _ = translate_algebra(alg)
+    ms, tm = translate_algebra(alg)
     assert parse_spec(print_spec(alg)) == alg
     assert parse_spec(print_spec(ms), kind="msa") == ms
+    t = parse_term_text(side, alg.signature)
+    for a, u in ((alg, t), (ms, translate_term(tm, t))):
+        assert [s.result for s in direct_steps(a, u)] == [G("0")]
+        assert e_class_bounded(a, u, 1, 10).members[:2] == (u, G("0"))

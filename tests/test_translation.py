@@ -53,10 +53,6 @@ EXPECTED_CASTS = [
 ]
 
 
-def _cast(name, inner):
-    return PNode(name, (inner,)) if not isinstance(inner, GroundTerm) else G(name, (inner,))
-
-
 def test_select_representatives_imp(imp):
     reduced, reps = select_representatives(imp)
     assert len(reduced) == 21
