@@ -6,10 +6,13 @@ whose result is equivalent (modulo the translated equations, compared in
 core canonical form) to the translated result.  The backward check walks
 the other way: many-sorted terms in the image of the translation are
 inverted by stripping casts, and each of their steps must be mirrored by
-a source step.  Both directions replay steps through one routine,
-``_mirror``.  Verdicts are only recorded as failures when the bounded
-class searches involved reached a fixpoint; otherwise the step counts as
-skipped.
+a source step.  Both directions settle steps by index: the two redex
+lists of a term and its counterpart come out in the same order (by
+position, then by rule), so step ``j`` is mirrored when entry ``j`` of the
+counterpart's list has the same rule and reaches the target.  Any other
+step falls back to one routine, ``_mirror``.  Verdicts are only recorded
+as failures when the bounded class searches involved reached a fixpoint;
+otherwise the step counts as skipped.
 
 Enumeration builds each term of height ``h`` once, from argument tuples
 that hold a term of height ``h - 1``, and sorts it with one lookup per
@@ -34,7 +37,6 @@ from .rewrite import (
     core_canonicalize,
     e_class_bounded,
     resolve_position,
-    results_by_rule,
     rule_redexes,
 )
 from .terms import (
@@ -97,9 +99,9 @@ class BisimReport:
 
     @property
     def verdict(self) -> str:
-        """``fail`` on any failure, else ``inconclusive`` when a budget cut
-        the check short (a skipped step or a truncated enumeration), else
-        ``pass``."""
+        """``fail`` on any failure, else ``inconclusive`` when the check left
+        something undecided (a step skipped because a class search was not
+        exhausted, or a truncated enumeration), else ``pass``."""
         if not self.passed:
             return "fail"
         if self.skipped_unexhausted or self.truncated:
@@ -200,14 +202,23 @@ def _identity(t: GroundTerm) -> GroundTerm:
     return t
 
 
+def _by_rule(redexes) -> dict[int, list[GroundTerm]]:
+    """The results of ``redexes`` (a ``rule_redexes`` list) by rule index, in list order."""
+    groups: dict[int, list[GroundTerm]] = {}
+    for i, _, _, result in redexes:
+        groups.setdefault(i, []).append(result)
+    return groups
+
+
 def _mirror(alg, subject: GroundTerm, groups: dict, rule_index: int, lift,
             target: GroundTerm, ms: MSAlgebra, cfg: BisimConfig) -> str:
     """Replay rule ``rule_index`` of ``alg`` on ``subject``, looking for ``target``.
 
-    ``groups`` holds ``results_by_rule(alg, subject)``.  ``lift`` takes
-    ``alg``'s results into core canonical many-sorted form.  The
-    subject's own redexes come first, then its bounded class against that
-    of ``target``; a miss fails only when both classes were exhausted.
+    ``groups`` holds ``_by_rule(rule_redexes(alg, subject))``.
+    ``lift`` takes ``alg``'s results into core canonical many-sorted
+    form.  The subject's own redexes come first, then its bounded class
+    against that of ``target``; a miss fails only when both classes were
+    exhausted.
     """
     for result in groups.get(rule_index, ()):
         if lift(result) is target:
@@ -216,7 +227,7 @@ def _mirror(alg, subject: GroundTerm, groups: dict, rule_index: int, lift,
     cls_target = e_class_bounded(ms, target, cfg.eclass_depth, cfg.eclass_max)
     target_members = set(cls_target.members)
     for u in cls_subject.members:
-        member_groups = groups if u is subject else results_by_rule(alg, u)
+        member_groups = groups if u is subject else _by_rule(rule_redexes(alg, u))
         for result in member_groups.get(rule_index, ()):
             if lift(result) in target_members:
                 return MIRRORED
@@ -233,8 +244,10 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
     or ``None`` when ``t`` has no counterpart in ``alg``: each entry of
     ``redexes`` is a step of ``other`` on ``bridging`` (see
     ``rule_redexes``), to be replayed as rule ``i`` of ``alg`` on
-    ``subject``, looking for ``target_of(result)``.  The subject's results
-    are computed once, for all of its steps.  A failure alone builds its
+    ``subject``, looking for ``target_of(result)``; ``lift`` is ``None``
+    where ``alg``'s results need no lifting.  The subject's redexes are
+    computed once, for all of its steps, and settle them by index; a step
+    they do not settle goes to ``_mirror``.  A failure alone builds its
     witness ``RewriteStep``, resolving its position link; ``missing``
     explains it.
     """
@@ -251,13 +264,21 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
                 report.not_in_image += 1
                 continue
             bridging, redexes, subject, lift, target_of = found
+            if not redexes:
+                continue
+            report.steps_checked += len(redexes)
+            counterpart = rule_redexes(alg, subject)
+            listed = len(counterpart)
             groups = None
-            for i, link, subst, result in redexes:
-                report.steps_checked += 1
-                if groups is None:
-                    groups = results_by_rule(alg, subject)
+            for j, (i, link, subst, result) in enumerate(redexes):
                 target = target_of(result)
-                outcome = _mirror(alg, subject, groups, i, lift, target, ms, cfg)
+                if j < listed:
+                    k, _, _, mirrored = counterpart[j]
+                    if k == i and (mirrored if lift is None else lift(mirrored)) is target:
+                        continue
+                if groups is None:
+                    groups = _by_rule(counterpart)
+                outcome = _mirror(alg, subject, groups, i, lift or _identity, target, ms, cfg)
                 if outcome == SKIPPED:
                     report.skipped_unexhausted += 1
                 elif outcome == FAILED:
@@ -289,7 +310,7 @@ def check_forward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
         def target_of(result: GroundTerm) -> GroundTerm:
             return translate_term(tm, result, expected=top)
 
-        return t, redexes, translate_term(tm, t), _identity, target_of
+        return t, redexes, translate_term(tm, t), None, target_of
 
     return _sweep("forward", enumerate_ground_terms(os.signature, depth=cfg.term_depth),
                   ms, os, ms, cfg, obligations,
@@ -303,9 +324,11 @@ def check_backward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
     Terms outside the translation's image cannot mirror any source term;
     they are skipped and counted.
     """
+    stripped: dict[GroundTerm, GroundTerm] = {}
+
     def obligations(p: GroundTerm):
         canonical = core_canonicalize(ms.signature, p)
-        preimage = strip_casts(tm, canonical)
+        preimage = strip_casts(tm, canonical, stripped)
         if translate_term(tm, preimage) is not canonical:
             return None
         top = ms_sort(ms.signature, canonical)

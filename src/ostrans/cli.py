@@ -3,7 +3,9 @@ and the bisimulation harness.
 
 Exit codes: 0 on success or a passing check, 1 when a check or the
 bisimulation fails, 2 on usage or parse errors, 3 when a bisimulation
-finds no failure but its budgets cut the check short (inconclusive).
+finds no failure but leaves something undecided (inconclusive): a step
+skipped because a class search was not exhausted, or an enumeration
+truncated by ``--max-terms``.
 Set ``OSTR_COLOR=0`` to disable styling; ``--format json-lines`` emits
 one JSON record per report item with a ``schema`` field.
 """
@@ -202,7 +204,7 @@ def _cmd_bisim(args) -> int:
         print(f"steps checked: {report.steps_checked}")
         print(f"{len(report.forward_failures)} forward failures, "
               f"{len(report.backward_failures)} backward failures")
-        print(f"skipped (budget): {report.skipped_unexhausted}")
+        print(f"skipped (class not exhausted): {report.skipped_unexhausted}")
         print(f"not in image: {report.not_in_image}")
         print(f"verdict: {report.verdict}")
     return {"pass": 0, "fail": 1, "inconclusive": 3}[report.verdict]

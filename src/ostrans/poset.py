@@ -95,18 +95,19 @@ class SortPoset:
         """Pairs of connected sorts lacking a unique maximal common supersort.
 
         Returns one ``(a, b, maximal_bounds)`` entry per offending pair;
-        an empty list means the poset satisfies the requirement.
+        an empty list means the poset satisfies the requirement.  The
+        upper bounds of a pair are closed upward, so their maximal
+        elements are the component's maximal sorts that lie above both.
         """
+        up = self._up
         violations: list[tuple[Sort, Sort, tuple[Sort, ...]]] = []
         for comp in self.components():
             members = sorted(comp)
+            tops = [s for s in members if len(up[s]) == 1]
             for i, a in enumerate(members):
+                above_a = [t for t in tops if t in up[a]]
                 for b in members[i + 1:]:
-                    bounds = self.upper_bounds(a, b)
-                    maximal = tuple(sorted(
-                        u for u in bounds
-                        if not any(v != u and self.leq(u, v) for v in bounds)
-                    ))
+                    maximal = tuple(t for t in above_a if t in up[b])
                     if len(maximal) != 1:
                         violations.append((a, b, maximal))
         return violations

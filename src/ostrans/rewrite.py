@@ -419,26 +419,26 @@ class RedexIndex:
                 found.append((i, tuple(sorted(m.items())), apply_substitution(sig, rhs, m)))
         return tuple(found)
 
-    def _compose(self, node: GroundTerm, hits: tuple) -> list:
-        """The result list of ``node``, from its root ``hits`` and its children's lists.
+    def _compose(self, node: GroundTerm, hits: tuple, below: list) -> list:
+        """The result list of ``node``, from its root ``hits`` and its children's
+        memo entries ``below``.
 
         Each composed result is one new node over arguments whose normal
         forms and sorts are cached, so canonicalizing it or checking it (an
         ill-formed one is dropped, and all above it) reads that node alone.
         """
-        memo, finish = self.memo, self.finish
+        finish = self.finish
         ctor, args = node.constructor, node.args
         out = []
         for i, subst, result in hits:
             result = finish(result)
             if result is not None:
                 out.append((i, (), subst, result))
-        for k, a in enumerate(args):
-            below = memo[a]
-            if below is CLEAN:
+        for k, entry in enumerate(below):
+            if entry is CLEAN:
                 continue
             head, tail = args[:k], args[k + 1:]
-            for i, link, subst, r in below:
+            for i, link, subst, r in entry:
                 result = finish(GroundTerm(ctor, head + (r,) + tail))
                 if result is not None:
                     out.append((i, (k, link), subst, result))
@@ -545,34 +545,38 @@ def _redexes(index: RedexIndex, u: GroundTerm) -> list:
     proper subterm is answered from the memo, any other is composed
     again on every call.  A ``u`` whose children all have entries, as
     almost every subject of a bisimulation sweep has, is composed with
-    no stack, and one with no root hit over ``CLEAN`` children is
-    answered ``[]`` without composing.  Callers only read the list.
+    no stack, from its children's entries read once, and one with no
+    root hit over ``CLEAN`` children is answered ``[]`` without
+    composing.  Callers only read the list.
     """
     memo = index.memo
     entry = memo.get(u)
     if entry is not None:
         return [] if entry is CLEAN else entry
-    # One bottom-up pass over the proper subterms that have no entry yet;
-    # there are none when every child has one.
-    stack = [a for a in u.args if a not in memo]
-    while stack:
-        node = stack[-1]
-        pending = [a for a in node.args if a not in memo]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        if node in memo:
-            continue
-        hits = index._root_hits(node)
-        if not hits and all(memo[a] is CLEAN for a in node.args):
-            memo[node] = CLEAN
-        else:
-            memo[node] = index._compose(node, hits)
+    below = [memo.get(a) for a in u.args]
+    if None in below:
+        # One bottom-up pass over the proper subterms that have no entry yet.
+        stack = [a for a in u.args if a not in memo]
+        while stack:
+            node = stack[-1]
+            pending = [a for a in node.args if a not in memo]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            if node in memo:
+                continue
+            entries = [memo[a] for a in node.args]
+            hits = index._root_hits(node)
+            if not hits and entries.count(CLEAN) == len(entries):
+                memo[node] = CLEAN
+            else:
+                memo[node] = index._compose(node, hits, entries)
+        below = [memo[a] for a in u.args]
     hits = index._root_hits(u)
-    if not hits and all(memo[a] is CLEAN for a in u.args):
+    if not hits and below.count(CLEAN) == len(below):
         return []
-    return index._compose(u, hits)
+    return index._compose(u, hits, below)
 
 
 def rule_redexes(alg, u: GroundTerm) -> list:
@@ -582,15 +586,7 @@ def rule_redexes(alg, u: GroundTerm) -> list:
     ``RewriteStep`` for each; ``resolve_position`` turns a link into the
     step's position.  Callers only read the list.
     """
-    return _redexes(_rule_index(alg), u)
-
-
-def results_by_rule(alg, u: GroundTerm) -> dict[int, list[GroundTerm]]:
-    """The results of each rule on ``u``, by rule index, in position order."""
-    groups: dict[int, list[GroundTerm]] = {}
-    for i, _, _, result in rule_redexes(alg, u):
-        groups.setdefault(i, []).append(result)
-    return groups
+    return _redexes(alg._rule_index or _rule_index(alg), u)
 
 
 # --- equational closure -----------------------------------------------------

@@ -349,7 +349,9 @@ def _translate_node(tm: TranslationMap, t: Term, children) -> Term:
     one target sort, its representative's included, so a child's
     translated sort is its least sort: the plan key needs no sort pass,
     and translating a pattern sorts each node once.  The sorts are read
-    inline, not through a helper, as this runs once per new node.
+    inline, not through a helper, as this runs once per new node.  When
+    they are the representative's argument sorts, no child needs a cast
+    and ``children`` are the arguments as they are.
     """
     target_sort_of = tm.target_sort_of
     sorts = tuple([
@@ -364,6 +366,8 @@ def _translate_node(tm: TranslationMap, t: Term, children) -> Term:
         rep = tm.representative_of[admitting[0]]
         plan = tm._plans[key] = (tm.rename_of[rep], rep.arg_sorts)
     name, arg_sorts = plan
+    if sorts == arg_sorts:
+        return type(t)(name, children)
     args = tuple([
         out if sort == want else _lift(tm, a, out, sort, want)
         for a, out, sort, want in zip(t.args, children, sorts, arg_sorts)
@@ -471,16 +475,16 @@ def translate_algebra(
     return MSAlgebra(signature, equations, rules, core_equations=core), tm
 
 
-def strip_casts(tm: TranslationMap, t: GroundTerm) -> GroundTerm:
+def strip_casts(tm: TranslationMap, t: GroundTerm, cache: dict | None = None) -> GroundTerm:
     """Invert a translated ground term: drop casts, restore names.
 
     Every well-formed translated term strips to a well-formed source
     term; composition with ``translate_term`` recovers the original up
-    to core equality.  One ``fold_term`` with a per-call cache, so a
-    constructor that is not a translated name is reported children
-    first, in postorder.
+    to core equality.  One ``fold_term`` over ``cache``, a fresh dict
+    unless a caller that strips many terms passes one, so a constructor
+    that is not a translated name is reported children first, in postorder.
     """
-    return fold_term(t, {}, _itself, _strip_node, tm)
+    return fold_term(t, {} if cache is None else cache, _itself, _strip_node, tm)
 
 
 def _strip_node(tm: TranslationMap, t: GroundTerm, args: tuple) -> GroundTerm:

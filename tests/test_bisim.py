@@ -34,7 +34,7 @@ from ostrans import (
     translate_term,
     validate_algebra,
 )
-from ostrans.rewrite import results_by_rule, rule_redexes
+from ostrans.rewrite import rule_redexes
 
 G = GroundTerm
 ZERO = G("0")
@@ -150,16 +150,94 @@ def test_run_bisim_validates_once(imp, count_calls):
 
 def test_run_bisim_replays_each_subject_once(imp, count_calls):
     # Results are composed from memoised child results, never rebuilt
-    # along a spine, and a many-sorted subject is searched once for all of
-    # its steps.
+    # along a spine, and each direction searches a subject once on each
+    # side for all of its steps.
     spine = count_calls(replace_at)
-    grouped = count_calls(results_by_rule)
-    report = run_bisim(imp, BisimConfig(term_depth=2))
-    assert report.verdict == "pass"
+    searched = count_calls(rule_redexes)
+    ms, tm = translate_algebra(imp)
+    cfg = BisimConfig(term_depth=2)
+    shared = []
+    for check, counterpart_type in ((check_forward, MSAlgebra), (check_backward, OSAlgebra)):
+        searched.clear()
+        report = check(imp, ms, tm, cfg)
+        assert report.verdict == "pass"
+        keys = [(type(alg), u) for alg, u in searched]
+        assert len(keys) == len(set(keys)), check
+        subjects = [u for kind, u in keys if kind is counterpart_type]
+        assert 0 < len(subjects) <= report.steps_checked, check
+        shared.append(report.steps_checked - len(subjects))
     assert spine == []
-    ms_subjects = [u for alg, u in grouped if isinstance(alg, MSAlgebra)]
-    assert ms_subjects and len(ms_subjects) == len(set(ms_subjects))
-    assert report.steps_checked > len(grouped)
+    # Forward, some subjects have several steps and are searched once.
+    assert shared[0] > 0
+
+
+def _reversing_counterpart(monkeypatch, counterpart_type):
+    """Make the sweep see every ``counterpart_type`` redex list reversed,
+    so its steps no longer line up by index with the other side's."""
+    def reversed_redexes(alg, u):
+        found = rule_redexes(alg, u)
+        return found[::-1] if isinstance(alg, counterpart_type) else found
+
+    monkeypatch.setattr(bisim, "rule_redexes", reversed_redexes)
+
+
+@pytest.mark.parametrize("fixture", ["imp", "imp_real"])
+def test_misaligned_counterparts_fall_back_to_the_same_report(request, monkeypatch, fixture):
+    # The by-index settlement is a shortcut: when the counterpart's steps
+    # come in another order, ``_mirror`` settles them and the report is
+    # the same, field for field.
+    alg = request.getfixturevalue(fixture)
+    ms, tm = translate_algebra(alg)
+    mirror, mirrored, fell_back = bisim._mirror, [], []
+
+    def counted(*args):
+        mirrored.append(args)
+        return mirror(*args)
+
+    for check, depth, counterpart_type in ((check_forward, 2, MSAlgebra),
+                                           (check_backward, 2, OSAlgebra),
+                                           (check_backward, 3, OSAlgebra)):
+        cfg = BisimConfig(term_depth=depth)
+        aligned = check(alg, ms, tm, cfg)
+        with monkeypatch.context() as patch:
+            _reversing_counterpart(patch, counterpart_type)
+            patch.setattr(bisim, "_mirror", counted)
+            mirrored.clear()
+            assert check(alg, ms, tm, cfg) == aligned, (check, depth)
+        assert aligned.passed
+        fell_back.append(len(mirrored))
+    # Backward, no subject has two steps below depth 3, so nothing to reorder.
+    assert fell_back[0] > 0 and fell_back[1] == 0 and fell_back[2] > 0
+
+
+def _mutant(alg, edit):
+    """``alg``'s translation with its translated rules edited by ``edit``."""
+    ms, tm = translate_algebra(alg)
+    return MSAlgebra(ms.signature, ms.equations, tuple(edit(list(ms.rules))),
+                     ms.core_equations), tm
+
+
+def _swap_right_sides_2_and_3(rules):
+    two, three = rules[2], rules[3]
+    rules[2], rules[3] = Rule(two.lhs, three.rhs), Rule(three.lhs, two.rhs)
+    return rules
+
+
+@pytest.mark.parametrize("fixture", ["imp", "imp_real"])
+@pytest.mark.parametrize("edit", [_swap_right_sides_2_and_3, lambda rules: rules[:-1]],
+                         ids=["swap-right-sides-2-3", "drop-last-rule"])
+def test_translated_rule_mutants_are_not_passed(request, fixture, edit):
+    # Two unmirrored forward steps at depth 1; no class search on either
+    # fixture is exhausted, so they are skipped, not failed.
+    alg = request.getfixturevalue(fixture)
+    mutant, tm = _mutant(alg, edit)
+    cfg = BisimConfig(term_depth=1)
+    forward = check_forward(alg, mutant, tm, cfg)
+    backward = check_backward(alg, mutant, tm, cfg)
+    report = forward.merge(backward)
+    assert report.steps_checked == 6
+    assert (forward.skipped_unexhausted, backward.skipped_unexhausted) == (2, 0)
+    assert report.passed and report.verdict == "inconclusive"
 
 
 def test_run_bisim_builds_no_steps_when_nothing_fails(imp, count_calls):
@@ -343,6 +421,24 @@ def test_backward_failure_is_reported_when_mirror_is_wrong():
     )
     assert ce.witness == direct_steps(doctored, ce.source_term)[0]
     assert ce.witness.result is G("f", (G("f", (G("c"),)),))
+
+
+def test_a_result_reached_only_by_another_rule_is_not_a_mirror():
+    # The many-sorted side lists the two rules in the other order: each
+    # step's result comes out at the same index, but of the other rule.
+    from ostrans import Operator, OSSignature, Var as V
+    sig = OSSignature(["a"], [], [Operator("c", (), "a"), Operator("f", ("a",), "a"),
+                                  Operator("g", ("a",), "a")])
+    x = V("X", "a")
+    os_alg = OSAlgebra(sig, (), (Rule(PNode("f", (x,)), x), Rule(PNode("g", (x,)), x)))
+    ms_alg, tm = translate_algebra(os_alg)
+    swapped = MSAlgebra(ms_alg.signature, (), ms_alg.rules[::-1], ())
+    cfg = BisimConfig(term_depth=1)
+    report = check_forward(os_alg, swapped, tm, cfg).merge(
+        check_backward(os_alg, swapped, tm, cfg))
+    assert report.steps_checked == 4
+    assert len(report.forward_failures) == len(report.backward_failures) == 2
+    assert report.verdict == "fail"
 
 
 def test_failure_witnesses_carry_their_positions():

@@ -83,6 +83,20 @@ def test_bisim_passes(imp_path, capsys):
     assert "0 forward failures, 0 backward failures" in out
 
 
+def test_bisim_text_report(imp_path, capsys):
+    # Skips are named for their cause: a class search that was not
+    # exhausted, which on this fixture no budget can change.
+    assert main(["bisim", imp_path, "--depth", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "terms checked: 34",
+        "steps checked: 6",
+        "0 forward failures, 0 backward failures",
+        "skipped (class not exhausted): 0",
+        "not in image: 4",
+        "verdict: pass",
+    ]
+
+
 def test_bisim_json(imp_path, capsys):
     assert main(["bisim", imp_path, "--depth", "1", "--format", "json-lines"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

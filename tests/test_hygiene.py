@@ -237,6 +237,17 @@ def _chain(d):
             and find_diamonds(chain) == () and table.canonical(cast) is cast)
 
 
+def test_backward_sweep_strips_each_node_once(count_calls):
+    # One sweep strips its H + 1 tower terms through one cache, so no node
+    # is stripped twice, where a fresh cache per term stripped each whole.
+    from ostrans.translate import _strip_node
+    stripped = count_calls(_strip_node)
+    report = run_bisim(parse_spec(TOWER_SPEC), BisimConfig(term_depth=H))
+    nodes = [node for _, node, _ in stripped]
+    assert report.verdict == "pass"
+    assert len(nodes) == len(set(nodes)) > H
+
+
 # Exports that take no term, algebra or poset: configuration and report
 # classes, operator and variable declarations, and name helpers.
 NO_DEEP_INPUT = frozenset({

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen_algebras import random_dag_pairs
-from ostrans import CycleDetected, UnknownSort, build_poset, choose_canonical, find_diamonds
+from ostrans import (
+    CycleDetected, Operator, OSAlgebra, OSSignature, UnknownSort, build_poset, choose_canonical,
+    find_diamonds, validate_algebra,
+)
 from ostrans.poset import SortPoset, compute_canonical_paths
 
 IMP_SORTS = ["nat", "int", "AExp", "Id", "bool", "BExp", "Block", "Stmt", "Map", "Pgm"]
@@ -84,6 +88,46 @@ def test_unique_tops_violation():
 
 def test_unique_tops_single_sort():
     assert build_poset(["a"], []).check_unique_tops() == []
+
+
+def _brute_force_tops(poset):
+    """The definition: every pair of a component whose upper bounds have
+    no single maximal element, with those maximal elements."""
+    out = []
+    for comp in poset.components():
+        members = sorted(comp)
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                bounds = poset.upper_bounds(a, b)
+                maximal = tuple(sorted(
+                    u for u in bounds if not any(v != u and poset.leq(u, v) for v in bounds)))
+                if len(maximal) != 1:
+                    out.append((a, b, maximal))
+    return out
+
+
+def test_unique_tops_matches_the_definition_on_random_posets():
+    rng = random.Random(20261020)
+    found = 0
+    for _ in range(300):
+        names, pairs = random_dag_pairs(rng, 12)
+        poset = build_poset(names, pairs)
+        got = poset.check_unique_tops()
+        assert got == _brute_force_tops(poset), (names, pairs)
+        found += len(got)
+    assert found > 0
+
+
+def test_a_long_chain_validates_quickly():
+    # Every pair of a chain has its top as the one maximal bound; deciding
+    # that costs no scan of the pair's bounds.  Scanning each pair's bounds
+    # against each other took over 15 s on this chain.
+    names = [f"c{i}" for i in range(300)]
+    sig = OSSignature(names, list(zip(names, names[1:])), [Operator("k", (), "c0")])
+    started = time.perf_counter()
+    report = validate_algebra(OSAlgebra(sig, (), ()))
+    assert report.unique_tops and report.translatable
+    assert time.perf_counter() - started < 2.0
 
 
 def test_enumerate_paths_imp():

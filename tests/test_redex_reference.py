@@ -477,9 +477,9 @@ def test_child_results_reused_under_two_parents(monkeypatch):
     composed = []
     compose = rewrite.RedexIndex._compose
 
-    def counted(index, node, hits):
+    def counted(index, node, *rest):
         composed.append((index, node))
-        return compose(index, node, hits)
+        return compose(index, node, *rest)
 
     monkeypatch.setattr(rewrite.RedexIndex, "_compose", counted)
     for alg, shared in ((os_alg, child), (ms_alg, translate_term(tm, child))):
