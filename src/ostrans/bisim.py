@@ -28,6 +28,7 @@ generation, where only a full collection walks it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import product
 
 from .rewrite import (
@@ -43,12 +44,10 @@ from .terms import (
     GroundTerm,
     MSAlgebra,
     OSAlgebra,
-    OSSignature,
     Rule,
     Signature,
     Sort,
     least_sort,
-    ms_sort,
 )
 from .translate import TranslationMap, strip_casts, translate_algebra, translate_term
 
@@ -123,31 +122,26 @@ class BisimReport:
 def enumerate_ground_terms(sig: Signature, sort: Sort | None = None, depth: int = 0):
     """Yield all well-formed ground terms of height up to ``depth``.
 
-    Constants have height zero.  Order-sorted enumeration admits a term
-    wherever its least sort fits; with ``sort`` given, only terms whose
-    sort fits ``sort`` (exactly, for many-sorted signatures) are yielded.
+    Constants have height zero.  A term is admitted wherever its least
+    sort fits, that is at its one sort under a many-sorted signature;
+    with ``sort`` given, only terms whose least sort lies at or below
+    ``sort`` are yielded.
     The order is deterministic: by height, then by operator declaration,
     then by the product order of the argument pools.
     """
-    os_mode = isinstance(sig, OSSignature)
-    sort_of = least_sort if os_mode else ms_sort
-    poset = sig.poset if os_mode else None
+    poset = sig.poset
     # The pools a term of each sort joins, and whether it is yielded.
-    joins = {s: poset.supersorts(s) if os_mode else (s,) for s in sig.sorts}
-    wanted = {
-        s: sort is None or (poset.leq(s, sort) if os_mode else s == sort)
-        for s in sig.sorts
-    }
+    joins = {s: poset.supersorts(s) for s in sig.sorts}
+    wanted = {s: sort is None or poset.leq(s, sort) for s in sig.sorts}
     # For each operator, the argument sorts of the earlier overloads of
     # its constructor and arity whose products can meet its own (at each
     # argument some sort lies below both).  A tuple in one of those
-    # products was built by that overload already.  A many-sorted
-    # signature has one operator per argument sorts, so no tuple lies in
-    # two products.
+    # products was built by that overload already.  Under a many-sorted
+    # signature no two overloads meet: their argument sorts differ.
     earlier: list[list] = []
     seen: dict[tuple, list] = {}
     for op in sig.operators:
-        before = seen.setdefault((op.constructor, op.arity), []) if os_mode else []
+        before = seen.setdefault((op.constructor, op.arity), [])
         earlier.append([
             sorts for sorts in before
             if all(any({a, b} <= up for up in joins.values())
@@ -183,7 +177,7 @@ def enumerate_ground_terms(sig: Signature, sort: Sort | None = None, depth: int 
                 if others and any(all(c in m for c, m in zip(combo, ms)) for ms in others):
                     continue
                 t = GroundTerm(constructor, combo)
-                ts = sort_of(sig, t)
+                ts = least_sort(sig, t)
                 if keep:
                     layer[t] = None
                     for s in joins[ts]:
@@ -202,34 +196,26 @@ def _identity(t: GroundTerm) -> GroundTerm:
     return t
 
 
-def _by_rule(redexes) -> dict[int, list[GroundTerm]]:
-    """The results of ``redexes`` (a ``rule_redexes`` list) by rule index, in list order."""
-    groups: dict[int, list[GroundTerm]] = {}
-    for i, _, _, result in redexes:
-        groups.setdefault(i, []).append(result)
-    return groups
-
-
-def _mirror(alg, subject: GroundTerm, groups: dict, rule_index: int, lift,
-            target: GroundTerm, ms: MSAlgebra, cfg: BisimConfig) -> str:
+def _mirror(alg, subject: GroundTerm, counterpart: list, subject_class, rule_index: int,
+            lift, target: GroundTerm, ms: MSAlgebra, cfg: BisimConfig) -> str:
     """Replay rule ``rule_index`` of ``alg`` on ``subject``, looking for ``target``.
 
-    ``groups`` holds ``_by_rule(rule_redexes(alg, subject))``.
-    ``lift`` takes ``alg``'s results into core canonical many-sorted
-    form.  The subject's own redexes come first, then its bounded class
-    against that of ``target``; a miss fails only when both classes were
-    exhausted.
+    ``counterpart`` is ``rule_redexes(alg, subject)`` and
+    ``subject_class()`` the subject's bounded class, searched once for
+    all of its steps.  ``lift`` takes ``alg``'s results into core
+    canonical many-sorted form.  The subject's own redexes come first,
+    then its bounded class against that of ``target``; a miss fails only
+    when both classes were exhausted.
     """
-    for result in groups.get(rule_index, ()):
-        if lift(result) is target:
+    for i, _, _, result in counterpart:
+        if i == rule_index and lift(result) is target:
             return MIRRORED
-    cls_subject = e_class_bounded(alg, subject, cfg.eclass_depth, cfg.eclass_max)
+    cls_subject = subject_class()
     cls_target = e_class_bounded(ms, target, cfg.eclass_depth, cfg.eclass_max)
     target_members = set(cls_target.members)
     for u in cls_subject.members:
-        member_groups = groups if u is subject else _by_rule(rule_redexes(alg, u))
-        for result in member_groups.get(rule_index, ()):
-            if lift(result) in target_members:
+        for i, _, _, result in counterpart if u is subject else rule_redexes(alg, u):
+            if i == rule_index and lift(result) in target_members:
                 return MIRRORED
     if cls_subject.exhausted and cls_target.exhausted:
         return FAILED
@@ -247,7 +233,8 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
     ``subject``, looking for ``target_of(result)``; ``lift`` is ``None``
     where ``alg``'s results need no lifting.  The subject's redexes are
     computed once, for all of its steps, and settle them by index; a step
-    they do not settle goes to ``_mirror``.  A failure alone builds its
+    they do not settle goes to ``_mirror``, which searches the subject's
+    bounded class at most once for all of them.  A failure alone builds its
     witness ``RewriteStep``, resolving its position link; ``missing``
     explains it.
     """
@@ -269,16 +256,18 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
             report.steps_checked += len(redexes)
             counterpart = rule_redexes(alg, subject)
             listed = len(counterpart)
-            groups = None
+            subject_class = None
             for j, (i, link, subst, result) in enumerate(redexes):
                 target = target_of(result)
                 if j < listed:
                     k, _, _, mirrored = counterpart[j]
                     if k == i and (mirrored if lift is None else lift(mirrored)) is target:
                         continue
-                if groups is None:
-                    groups = _by_rule(counterpart)
-                outcome = _mirror(alg, subject, groups, i, lift or _identity, target, ms, cfg)
+                if subject_class is None:
+                    subject_class = cache(partial(e_class_bounded, alg, subject,
+                                                  cfg.eclass_depth, cfg.eclass_max))
+                outcome = _mirror(alg, subject, counterpart, subject_class, i,
+                                  lift or _identity, target, ms, cfg)
                 if outcome == SKIPPED:
                     report.skipped_unexhausted += 1
                 elif outcome == FAILED:
@@ -331,7 +320,7 @@ def check_backward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
         preimage = strip_casts(tm, canonical, stripped)
         if translate_term(tm, preimage) is not canonical:
             return None
-        top = ms_sort(ms.signature, canonical)
+        top = least_sort(ms.signature, canonical)
 
         def lift(result: GroundTerm) -> GroundTerm:
             return translate_term(tm, result, expected=top)

@@ -64,7 +64,6 @@ from .terms import (
     fold_term,
     inhabits,
     least_sort,
-    ms_sort,
     print_term,
     side_facts,
     well_formed_ground,
@@ -186,7 +185,7 @@ class _Compiled(NamedTuple):
 
 def _compile(sig, table: CastTable | None, p: Pattern) -> _Compiled:
     """``p`` compiled, in one pass over it; ``table`` is ``None`` order-sorted."""
-    sort = None if table is None else ms_sort(sig, p)
+    sort = None if table is None else least_sort(sig, p)
     return _Compiled(sort, fold_term(p, {}, _var_core, _node_core, (sig, table))[0])
 
 
@@ -208,7 +207,7 @@ def _node_core(context, p: Pattern, children: tuple) -> tuple:
         return _Node(p.constructor, None, cores, instance), instance
     if table.is_cast(p.constructor):
         return cores[0], instance
-    op = sig.lookup(p.constructor, tuple([ms_sort(sig, a) for a in p.args]))
+    op = sig.lookup(p.constructor, tuple([least_sort(sig, a) for a in p.args]))
     ground = None if instance is None else table.canonical(instance)
     return _Node(p.constructor, op, cores, ground), instance
 
@@ -232,7 +231,7 @@ def match_pattern(sig, pattern: Pattern | _Compiled, t: GroundTerm) -> Substitut
     table = cast_table(sig)
     if not isinstance(pattern, _Compiled):
         pattern = _compile(sig, table, pattern)
-    if pattern.sort != ms_sort(sig, t):
+    if pattern.sort != least_sort(sig, t):
         return None
     return binding if _match_ms(sig, table, pattern.core, t, binding) else None
 
@@ -270,7 +269,7 @@ def _match_ms(sig: MSSignature, table: CastTable, core: Var | _Node, t: GroundTe
         core, t = stack.pop()
         t = _core(table, t)
         if type(core) is Var:
-            bottom = ms_sort(sig, t)
+            bottom = least_sort(sig, t)
             want = core.sort
             if bottom == want:
                 value = t
@@ -292,7 +291,8 @@ def _match_ms(sig: MSSignature, table: CastTable, core: Var | _Node, t: GroundTe
         if core.constructor != t.constructor or len(core.args) != len(t.args):
             return False
         # Distinct overloads differ in some argument sort; require the same one.
-        if sig.lookup(t.constructor, tuple([ms_sort(sig, a) for a in t.args])) is not core.operator:
+        child_sorts = tuple([least_sort(sig, a) for a in t.args])
+        if sig.lookup(t.constructor, child_sorts) is not core.operator:
             return False
         stack += zip(reversed(core.args), reversed(t.args))
     return True

@@ -5,10 +5,12 @@ same tree twice yields the same object, so equality is identity and any
 term or statement side keys a dictionary in constant time.  Nodes are
 pooled by constructor, then by argument tuple, so a node's own ``args``
 is its only key and no per-node key tuple is kept.
-Signatures and algebras carry caches (sort sets, least sorts, cast
-tables, redex indexes), each a declared slot of its holder, that make the
-per-term operations amortized constant time; all are invisible to
-equality and never change observable behaviour.
+A many-sorted signature is an order-sorted one whose subsort order is the
+identity, so one least-sort computation serves both kinds.  Caches, each
+a declared slot of its holder, make the per-term operations amortized
+constant time: both signature kinds hold sort sets, least sorts and
+statement-side facts, a many-sorted one its cast table, an algebra its
+redex indexes.  None changes equality or observable behaviour.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     UnboundVariable,
     UnknownSort,
 )
-from .poset import build_poset
+from .poset import SortPoset, build_poset
 
 Sort = str
 
@@ -160,12 +162,17 @@ class Operator:
 
 
 class _Signature:
-    """Sorts and operators, with the parts both signature kinds share."""
+    """Sorts, operators and a subsort order, with the parts both kinds share."""
 
     __slots__ = (
-        "sorts", "operators", "_by_ctor",
+        "sorts", "operators", "poset", "_by_ctor",
         # ``side_facts`` of statement sides, by side.
         "_sides",
+        # Sort sets and least sorts, by term.
+        "_sorts_cache", "_least_cache",
+        # Least sorts by constructor and child sorts (``_least_at``);
+        # failures are not stored, so they raise again on every call.
+        "_least_at_cache",
     )
 
     def __init__(self, sorts, operators):
@@ -181,6 +188,9 @@ class _Signature:
             by_ctor.setdefault(op.constructor, []).append(op)
         self._by_ctor = {c: tuple(v) for c, v in by_ctor.items()}
         self._sides = {}
+        self._sorts_cache = {}
+        self._least_cache = {}
+        self._least_at_cache = {}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, type(self)) and self.sorts == other.sorts
@@ -203,16 +213,11 @@ class OSSignature(_Signature):
     """
 
     __slots__ = (
-        "subsort_pairs", "poset",
+        "subsort_pairs",
         # Overloads by constructor, arity and the component of the first
         # argument sort: a child sort can only lie below sorts of its own
         # component, so the other buckets never admit it.
         "_component", "_by_shape",
-        # Sort sets and least sorts, by term.
-        "_sorts_cache", "_least_cache",
-        # Least sorts found by ``_least_at``, by constructor and child
-        # sorts; failures are not stored, so they raise again on every call.
-        "_least_at_cache",
     )
 
     def __init__(self, sorts, subsort_pairs, operators):
@@ -227,9 +232,6 @@ class OSSignature(_Signature):
             first = op.arg_sorts[0] if op.arg_sorts else None
             by_shape.setdefault((op.constructor, op.arity, self._component.get(first)), []).append(op)
         self._by_shape = {k: tuple(v) for k, v in by_shape.items()}
-        self._sorts_cache = {}
-        self._least_cache = {}
-        self._least_at_cache = {}
 
     def __eq__(self, other) -> bool:
         return super().__eq__(other) and self.subsort_pairs == other.subsort_pairs
@@ -249,12 +251,10 @@ class OSSignature(_Signature):
 
 
 class MSSignature(_Signature):
-    """Many-sorted signature; ``non_core`` flags the generated casts."""
+    """Many-sorted signature, ordered by identity; ``non_core`` flags the casts."""
 
     __slots__ = (
         "non_core", "_by_key",
-        # Sorts by term, ``""`` for an ill-formed one.
-        "_sort_cache",
         # The signature's ``translate.CastTable``: the translation's own table
         # for a translated signature, otherwise built on first use.
         "_cast_index",
@@ -262,6 +262,9 @@ class MSSignature(_Signature):
 
     def __init__(self, sorts, operators, non_core=()):
         super().__init__(sorts, operators)
+        # The identity order, with no closure pass to build.
+        self.poset = SortPoset(self.sorts, frozenset(), {s: frozenset((s,)) for s in self.sorts},
+                               dict.fromkeys(self.sorts, ()))
         self.non_core = frozenset(non_core)
         if not self.non_core <= set(self.operators):
             raise InvalidSignature("non_core operators must belong to the signature")
@@ -276,7 +279,8 @@ class MSSignature(_Signature):
                     f"operators {self._by_key[key]!r} and {op!r} cannot be told apart"
                 )
             self._by_key[key] = op
-        self._sort_cache = {}
+        # Each least sort is known up front: the target of the one operator.
+        self._least_at_cache = {key: op.target_sort for key, op in self._by_key.items()}
         self._cast_index = None
 
     def __eq__(self, other) -> bool:
@@ -284,6 +288,11 @@ class MSSignature(_Signature):
 
     def lookup(self, constructor: str, arg_sorts: tuple[Sort, ...]) -> Operator | None:
         return self._by_key.get((constructor, arg_sorts))
+
+    def admitting(self, constructor: str, child_sorts: tuple[Sort, ...]) -> tuple[Operator, ...]:
+        """The operator ``constructor : child_sorts -> s``, if declared, as a 1-tuple."""
+        op = self._by_key.get((constructor, child_sorts))
+        return () if op is None else (op,)
 
 
 Signature = Union[OSSignature, MSSignature]
@@ -294,13 +303,11 @@ Signature = Union[OSSignature, MSSignature]
 def sorts_of(sig: Signature, t: Term) -> frozenset[Sort]:
     """Every sort the term inhabits; empty when the term is ill-formed.
 
-    In the order-sorted case a term of least sort ``s`` inhabits every
-    supersort of ``s``; in the many-sorted case the set is a singleton.
-    Variables contribute their declared sort.  Total: never raises.
+    A term of least sort ``s`` inhabits every supersort of ``s``; under a
+    many-sorted signature, whose order is the identity, that is ``s``
+    alone.  Variables contribute their declared sort.  Total: never raises.
     """
-    if isinstance(sig, OSSignature):
-        return _sorts_of_os(sig, t)
-    return _sorts_of_ms(sig, t)
+    return fold_term(t, sig._sorts_cache, _var_sort_set, _sort_set, sig)
 
 
 def fold_term(t: Term, cache: dict, leaf, combine, context):
@@ -347,15 +354,11 @@ def fold_term(t: Term, cache: dict, leaf, combine, context):
     return values[0]
 
 
-def _sorts_of_os(sig: OSSignature, t: Term) -> frozenset[Sort]:
-    return fold_term(t, sig._sorts_cache, _var_sort_set, _sort_set, sig)
-
-
-def _var_sort_set(sig: OSSignature, v: Var) -> frozenset[Sort]:
+def _var_sort_set(sig: Signature, v: Var) -> frozenset[Sort]:
     return sig.poset.supersorts(v.sort) if v.sort in sig.sorts else frozenset()
 
 
-def _sort_set(sig: OSSignature, t: Term, child_sets: tuple) -> frozenset[Sort]:
+def _sort_set(sig: Signature, t: Term, child_sets: tuple) -> frozenset[Sort]:
     """Every sort of ``t``, given the sort sets of its children."""
     acc: set[Sort] = set()
     for op in sig.ops_named(t.constructor):
@@ -365,33 +368,9 @@ def _sort_set(sig: OSSignature, t: Term, child_sets: tuple) -> frozenset[Sort]:
     return frozenset(acc)
 
 
-def _sorts_of_ms(sig: MSSignature, t: Term) -> frozenset[Sort]:
-    s = _ms_sort_opt(sig, t)
-    return frozenset() if s is None else frozenset((s,))
-
-
-def _ms_sort_opt(sig: MSSignature, t: Term) -> Sort | None:
-    # An ill-formed term is cached as "", so no shared subterm is walked twice.
-    return fold_term(t, sig._sort_cache, _ms_var_sort, _ms_sort_at, sig) or None
-
-
-def _ms_var_sort(sig: MSSignature, v: Var) -> Sort:
-    return v.sort if v.sort in sig.sorts else ""
-
-
-def _ms_sort_at(sig: MSSignature, t: Term, child_sorts: tuple) -> Sort:
-    if "" in child_sorts:
-        return ""
-    op = sig.lookup(t.constructor, child_sorts)
-    return "" if op is None else op.target_sort
-
-
 def ms_sort(sig: MSSignature, t: Term) -> Sort:
-    """The unique sort of a many-sorted term; raises when ill-formed."""
-    s = _ms_sort_opt(sig, t)
-    if s is None:
-        raise IllFormedTerm(f"term {print_term(t)} is not well-formed in the signature")
-    return s
+    """The one sort of a many-sorted term: its least sort (``least_sort``)."""
+    return least_sort(sig, t)
 
 
 def well_formed_ground(sig: Signature, t: Term) -> bool:
@@ -399,13 +378,14 @@ def well_formed_ground(sig: Signature, t: Term) -> bool:
     return bool(sorts_of(sig, t))
 
 
-def least_sort(sig: OSSignature, t: Term) -> Sort:
-    """Least sort of an order-sorted term.
+def least_sort(sig: Signature, t: Term) -> Sort:
+    """Least sort of a term; under a many-sorted signature, its one sort.
 
     Variables are taken at their declared sort, so this also computes the
-    sort of a pattern.  Raises ``IllFormedTerm`` when no operator admits
-    the children and ``AmbiguousSort`` when the admitting operators have
-    no common least target (input outside the strictly sensible fragment).
+    sort of a pattern; an undeclared one raises ``UnknownSort``.  Raises
+    ``IllFormedTerm`` when no operator admits the children and
+    ``AmbiguousSort`` when the admitting operators have no common least
+    target (order-sorted input outside the strictly sensible fragment).
     A cached sort is returned as it is, and a node over children with
     cached sorts takes one ``_least_at`` lookup, both without a
     ``fold_term`` pass; any other term takes one bottom-up pass.
@@ -422,24 +402,32 @@ def least_sort(sig: OSSignature, t: Term) -> Sort:
     return fold_term(t, cache, _var_sort, _least_at, sig)
 
 
-def _var_sort(sig: OSSignature, v: Var) -> Sort:
+def _var_sort(sig: Signature, v: Var) -> Sort:
     if v.sort not in sig.sorts:
         raise UnknownSort(f"unknown sort {v.sort!r}")
     return v.sort
 
 
-def _least_at(sig: OSSignature, t: Term, child_sorts: tuple[Sort, ...]) -> Sort:
-    """Least sort of ``t`` given the least sorts of its children."""
+def _least_at(sig: Signature, t: Term, child_sorts: tuple[Sort, ...]) -> Sort:
+    """Least sort of ``t`` given the least sorts of its children.
+
+    A lone admitting operator needs no ``leq`` test.  A many-sorted
+    signature starts with every well-formed key cached.
+    """
     key = (t.constructor, child_sorts)
     hit = sig._least_at_cache.get(key)
     if hit is not None:
         return hit
-    leq = sig.poset.leq
-    targets = [op.target_sort for op in sig.admitting(*key)]
-    if not targets:
+    admitting = sig.admitting(*key)
+    if len(admitting) == 1:
+        hit = sig._least_at_cache[key] = admitting[0].target_sort
+        return hit
+    if not admitting:
         raise IllFormedTerm(
             f"no operator admits {print_term(t)} (children sorted {child_sorts})"
         )
+    leq = sig.poset.leq
+    targets = [op.target_sort for op in admitting]
     for cand in targets:
         if all(leq(cand, other) for other in targets):
             sig._least_at_cache[key] = cand
@@ -449,12 +437,13 @@ def _least_at(sig: OSSignature, t: Term, child_sorts: tuple[Sort, ...]) -> Sort:
     )
 
 
-def inhabits(sig: OSSignature, t: Term, sort: Sort) -> bool:
-    """Whether the order-sorted term ``t`` has sort ``sort``.
+def inhabits(sig: Signature, t: Term, sort: Sort) -> bool:
+    """Whether ``t`` has sort ``sort``: its least sort lies at or below it.
 
-    That is, whether its least sort lies at or below ``sort``.  A term
-    over a signature that is not preregular may have no least sort; its
-    sort set decides then.  An ill-formed term raises ``IllFormedTerm``.
+    Under a many-sorted signature that is its one sort being ``sort``.
+    A term over a signature that is not preregular may have no least
+    sort; its sort set decides then.  An ill-formed term raises
+    ``IllFormedTerm``, and a ``sort`` not declared ``UnknownSort``.
     """
     try:
         return sig.poset.leq(least_sort(sig, t), sort)
@@ -463,10 +452,8 @@ def inhabits(sig: OSSignature, t: Term, sort: Sort) -> bool:
 
 
 def term_sort(sig: Signature, t: Term) -> Sort:
-    """Least sort under an order-sorted signature, exact sort otherwise."""
-    if isinstance(sig, OSSignature):
-        return least_sort(sig, t)
-    return ms_sort(sig, t)
+    """The least sort (``least_sort``), under either signature kind."""
+    return least_sort(sig, t)
 
 
 # --- patterns --------------------------------------------------------------
@@ -495,8 +482,8 @@ def variables_of(p: Pattern) -> dict[str, Sort]:
 def apply_substitution(sig: Signature, p: Pattern, h: Substitution) -> GroundTerm:
     """Replace every variable of ``p`` by its image under ``h``.
 
-    Order-sorted signatures admit images of any subsort of the declared
-    variable sort; many-sorted signatures require the exact sort.
+    An image must have the declared variable sort (``inhabits``): under
+    a many-sorted signature, exactly that sort.
     Variables are checked left to right (``fold_term``).
     """
     return fold_term(p, {}, _image, _instance, (sig, h))
@@ -507,11 +494,7 @@ def _image(context, v: Var) -> GroundTerm:
     image = h.get(v.name)
     if image is None:
         raise UnboundVariable(f"variable {v.name} has no binding")
-    if isinstance(sig, OSSignature):
-        ok = inhabits(sig, image, v.sort)
-    else:
-        ok = ms_sort(sig, image) == v.sort
-    if not ok:
+    if not inhabits(sig, image, v.sort):
         raise SortViolation(
             f"binding {v.name} = {print_term(image)} does not fit sort {v.sort!r}"
         )
@@ -557,17 +540,14 @@ def side_facts(sig: Signature, p: Pattern) -> tuple[dict[str, Sort], Sort | Ambi
     hit = sig._sides.get(p)
     if hit is None:
         variables = variables_of(p)
-        if isinstance(sig, MSSignature):
-            sort = _ms_sort_opt(sig, p)
-        else:
-            # A side whose least sort fails below any ambiguity has an
-            # empty sort set: no operator admits the failing node.
-            try:
-                sort = least_sort(sig, p)
-            except AmbiguousSort as exc:
-                sort = exc if _sorts_of_os(sig, p) else None
-            except (IllFormedTerm, UnknownSort):
-                sort = None
+        # A side whose least sort fails below any ambiguity has an
+        # empty sort set: no operator admits the failing node.
+        try:
+            sort = least_sort(sig, p)
+        except AmbiguousSort as exc:
+            sort = exc if sorts_of(sig, p) else None
+        except (IllFormedTerm, UnknownSort):
+            sort = None
         hit = sig._sides[p] = (variables, sort)
     return hit
 
