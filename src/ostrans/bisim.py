@@ -28,10 +28,10 @@ generation, where only a full collection walks it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
 from itertools import product
 
 from .rewrite import (
+    EClassApprox,
     RewriteConfig,
     RewriteStep,
     _collector_paused,
@@ -47,6 +47,8 @@ from .terms import (
     Rule,
     Signature,
     Sort,
+    _intern,
+    _least_at,
     least_sort,
 )
 from .translate import TranslationMap, strip_casts, translate_algebra, translate_term
@@ -149,6 +151,9 @@ def enumerate_ground_terms(sig: Signature, sort: Sort | None = None, depth: int 
         ])
         before.append(op.arg_sorts)
     pool: dict[Sort, list[GroundTerm]] = {s: [] for s in sig.sorts}
+    # Every term is sorted here, children first, so a term's children
+    # have cached least sorts and it takes one ``_least_at`` lookup.
+    least = sig._least_cache
 
     last = max(depth, 0)
     # Terms of the height being built, below the last: a tuple holding
@@ -176,8 +181,8 @@ def enumerate_ground_terms(sig: Signature, sort: Sort | None = None, depth: int 
                     continue
                 if others and any(all(c in m for c, m in zip(combo, ms)) for ms in others):
                     continue
-                t = GroundTerm(constructor, combo)
-                ts = least_sort(sig, t)
+                t = _intern(GroundTerm, constructor, combo)
+                ts = least[t] = _least_at(sig, t, tuple([least[c] for c in combo]))
                 if keep:
                     layer[t] = None
                     for s in joins[ts]:
@@ -196,22 +201,25 @@ def _identity(t: GroundTerm) -> GroundTerm:
     return t
 
 
-def _mirror(alg, subject: GroundTerm, counterpart: list, subject_class, rule_index: int,
-            lift, target: GroundTerm, ms: MSAlgebra, cfg: BisimConfig) -> str:
+def _mirror(alg, subject: GroundTerm, counterpart: list, class_of, rule_index: int,
+            lift, target: GroundTerm, ms: MSAlgebra) -> str:
     """Replay rule ``rule_index`` of ``alg`` on ``subject``, looking for ``target``.
 
-    ``counterpart`` is ``rule_redexes(alg, subject)`` and
-    ``subject_class()`` the subject's bounded class, searched once for
-    all of its steps.  ``lift`` takes ``alg``'s results into core
-    canonical many-sorted form.  The subject's own redexes come first,
-    then its bounded class against that of ``target``; a miss fails only
-    when both classes were exhausted.
+    A step of a rule that ``alg`` lacks fails at once: only a step of
+    the same rule can mirror it.  ``counterpart`` is ``rule_redexes(alg,
+    subject)`` and ``class_of(a, u)`` the bounded class of ``u`` in
+    ``a``, searched once per sweep.  ``lift`` takes ``alg``'s results
+    into core canonical many-sorted form.  The subject's own redexes
+    come first, then its bounded class against that of ``target``; a
+    miss fails only when both classes were exhausted.
     """
+    if rule_index >= len(alg.rules):
+        return FAILED
     for i, _, _, result in counterpart:
         if i == rule_index and lift(result) is target:
             return MIRRORED
-    cls_subject = subject_class()
-    cls_target = e_class_bounded(ms, target, cfg.eclass_depth, cfg.eclass_max)
+    cls_subject = class_of(alg, subject)
+    cls_target = class_of(ms, target)
     target_members = set(cls_target.members)
     for u in cls_subject.members:
         for i, _, _, result in counterpart if u is subject else rule_redexes(alg, u):
@@ -233,13 +241,23 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
     ``subject``, looking for ``target_of(result)``; ``lift`` is ``None``
     where ``alg``'s results need no lifting.  The subject's redexes are
     computed once, for all of its steps, and settle them by index; a step
-    they do not settle goes to ``_mirror``, which searches the subject's
-    bounded class at most once for all of them.  A failure alone builds its
-    witness ``RewriteStep``, resolving its position link; ``missing``
-    explains it.
+    they do not settle goes to ``_mirror``, and each bounded class it
+    needs, a subject's or a target's, is searched once per sweep.  A
+    failure alone builds its witness ``RewriteStep``, resolving its
+    position link; ``missing`` explains it, unless ``alg`` lacks the rule.
     """
     report = BisimReport()
     failures = report.forward_failures if direction == "forward" else report.backward_failures
+
+    classes: dict[tuple[int, GroundTerm], EClassApprox] = {}
+
+    def class_of(a, u: GroundTerm):
+        key = (id(a), u)
+        found = classes.get(key)
+        if found is None:
+            found = classes[key] = e_class_bounded(a, u, cfg.eclass_depth, cfg.eclass_max)
+        return found
+
     with _collector_paused():
         for t in terms:
             if report.terms_checked >= cfg.max_terms:
@@ -256,18 +274,14 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
             report.steps_checked += len(redexes)
             counterpart = rule_redexes(alg, subject)
             listed = len(counterpart)
-            subject_class = None
             for j, (i, link, subst, result) in enumerate(redexes):
                 target = target_of(result)
                 if j < listed:
                     k, _, _, mirrored = counterpart[j]
                     if k == i and (mirrored if lift is None else lift(mirrored)) is target:
                         continue
-                if subject_class is None:
-                    subject_class = cache(partial(e_class_bounded, alg, subject,
-                                                  cfg.eclass_depth, cfg.eclass_max))
-                outcome = _mirror(alg, subject, counterpart, subject_class, i,
-                                  lift or _identity, target, ms, cfg)
+                outcome = _mirror(alg, subject, counterpart, class_of, i,
+                                  lift or _identity, target, ms)
                 if outcome == SKIPPED:
                     report.skipped_unexhausted += 1
                 elif outcome == FAILED:
@@ -279,7 +293,8 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
                         rule=rule,
                         witness=RewriteStep(i, rule, resolve_position(link), subst,
                                             bridging, result),
-                        missing=missing.format(subject=subject, target=target),
+                        missing=(f"no rule {i} to replay the step with" if i >= len(alg.rules)
+                                 else missing.format(subject=subject, target=target)),
                     ))
     return report
 

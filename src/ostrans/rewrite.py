@@ -8,6 +8,9 @@ congruence identifying different cast chains between the same two sorts)
 is instead decided exactly: ``CastTable.canonical`` rewrites every maximal
 cast chain to the canonical chain for its endpoints, and the many-sorted
 engine matches, deduplicates and compares terms through that normal form.
+Where no two cast chains join the same pair of sorts
+(``CastTable.single_chain``), every well-formed term is its own normal
+form, and nothing is rewritten or recorded.
 
 Every search for redexes goes through one loop, ``_redexes``: a term's
 results are composed from its root matches and its children's result
@@ -18,10 +21,12 @@ Each new node the search meets or builds costs one lookup keyed by facts
 about its children: its candidate left sides by (core head, core
 argument heads), after a test of its core head against the left sides'
 heads, its core normal form by the fixpoint rule of
-``CastTable.canonical``, its order-sorted well-formedness by its
-children's least sorts, and its translation (``translate``) by
-(constructor, child least sorts); the last two take no ``fold_term``
-pass when the children's values are cached.  A result's position is a
+``CastTable.canonical`` (none under a single-chain table), its
+order-sorted well-formedness by its children's least sorts, and its
+translation (``translate``) by (constructor, child least sorts); the
+last two take no ``fold_term`` pass when the children's values are
+cached.  A node is built by the one interning body, ``terms._intern``,
+called directly rather than through the class.  A result's position is a
 parent link, made a tuple (``resolve_position``) only where a
 ``RewriteStep`` is built.
 The closure searches one equation direction per class of directions
@@ -60,6 +65,8 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    _intern,
+    _least_at,
     apply_substitution,
     fold_term,
     inhabits,
@@ -342,7 +349,9 @@ class RedexIndex:
     Each result node passes ``finish`` once: many-sorted, the core normal
     form, which a node over recorded fixpoints reaches in one lookup;
     order-sorted, a well-formedness check through the least sort, one
-    lookup per (constructor, child least sorts).  A result's position is
+    lookup per (constructor, child least sorts).  A many-sorted index
+    over a ``single_chain`` cast table has no ``finish``: each result is
+    its own normal form, and takes no pass.  A result's position is
     a parent link, ``()`` at the root or ``(argument index, link)``
     below it: composing a result costs one pair, and only a reader that
     needs the position makes it a tuple (``resolve_position``).
@@ -359,7 +368,8 @@ class RedexIndex:
         # The left sides' core heads; ``None`` when some left side's core is
         # a variable.
         "heads",
-        # ``None`` drops an ill-formed order-sorted result.
+        # Applied to each result; its ``None`` drops an ill-formed
+        # order-sorted one.  ``None`` keeps every result as it is.
         "finish",
     )
 
@@ -383,8 +393,10 @@ class RedexIndex:
                       else frozenset(own[0] for _, own, _ in shapes))
         self.candidates: dict[tuple, tuple[int, ...]] = {}
         self.memo: dict[GroundTerm, object] = {}
-        self.finish = (self.table.canonical if self.table is not None
-                       else partial(_checked_os, self.sig))
+        if self.table is None:
+            self.finish = partial(_checked_os, self.sig)
+        else:
+            self.finish = None if self.table.single_chain else self.table.canonical
 
     def _filter(self, key: tuple) -> tuple[int, ...]:
         head, arg_heads = key
@@ -396,15 +408,25 @@ class RedexIndex:
 
     def _root_hits(self, t: GroundTerm) -> tuple:
         """``(pair index, sorted substitution, right-side instance)`` of each
-        match at the root of ``t``, in pair order."""
+        match at the root of ``t``, in pair order.  Heads are read under
+        their casts inline, as this runs once per new node."""
         table, heads = self.table, self.heads
-        core = t if table is None else _core(table, t)
+        core = t
+        if table is not None:
+            casts = table.pair_of
+            while core.constructor in casts:
+                core = core.args[0]
         if heads is not None and core.constructor not in heads:
             return ()
         if table is None:
             key = (core.constructor, tuple([a.constructor for a in core.args]))
         else:
-            key = (core.constructor, tuple([_core(table, a).constructor for a in core.args]))
+            arg_heads = []
+            for a in core.args:
+                while a.constructor in casts:
+                    a = a.args[0]
+                arg_heads.append(a.constructor)
+            key = (core.constructor, tuple(arg_heads))
         candidates = self.candidates.get(key)
         if candidates is None:
             candidates = self.candidates[key] = self._filter(key)
@@ -431,16 +453,15 @@ class RedexIndex:
         ctor, args = node.constructor, node.args
         out = []
         for i, subst, result in hits:
-            result = finish(result)
-            if result is not None:
+            if finish is None or (result := finish(result)) is not None:
                 out.append((i, (), subst, result))
         for k, entry in enumerate(below):
             if entry is CLEAN:
                 continue
             head, tail = args[:k], args[k + 1:]
             for i, link, subst, r in entry:
-                result = finish(GroundTerm(ctor, head + (r,) + tail))
-                if result is not None:
+                result = _intern(GroundTerm, ctor, head + (r,) + tail)
+                if finish is None or (result := finish(result)) is not None:
                     out.append((i, (k, link), subst, result))
         return out
 
@@ -459,10 +480,20 @@ def _checked_os(sig: OSSignature, t: GroundTerm) -> GroundTerm | None:
 
     No operator admitting the children's least sorts means no operator
     admits any of their sorts, so ``IllFormedTerm`` is exact; an ambiguous
-    least sort says nothing, so the sort sets decide.
+    least sort says nothing, so the sort sets decide.  A node with a
+    cached least sort is well-formed, and one over children with cached
+    least sorts, as every composed result is, takes one ``_least_at``
+    lookup.
     """
+    cache = sig._least_cache
+    if t in cache:
+        return t
+    sorts = tuple([cache.get(a) for a in t.args])
     try:
-        least_sort(sig, t)
+        if None in sorts:
+            least_sort(sig, t)
+        else:
+            cache[t] = _least_at(sig, t, sorts)
     except IllFormedTerm:
         return None
     except AmbiguousSort:

@@ -50,8 +50,29 @@ class _Pool(dict):
         return args in self.get(constructor, ())
 
 
+def _intern(cls, constructor: str, args: tuple = ()):
+    """The ``cls`` node ``constructor(*args)``, from ``cls._pool`` or new.
+
+    The one interning body: ``_Interned.__new__``, so ``GroundTerm(c,
+    args)`` is one Python frame, and what the per-node builders (redex
+    composition, translation, enumeration) call directly, skipping the
+    class call.
+    """
+    by_args = cls._pool.get(constructor)
+    if by_args is None:
+        by_args = cls._pool.setdefault(constructor, {})
+    hit = by_args.get(args)
+    if hit is not None:
+        return hit
+    self = object.__new__(cls)
+    self.constructor = constructor
+    self.args = args
+    # setdefault is atomic under CPython, keeping interning race-free.
+    return by_args.setdefault(args, self)
+
+
 class _Interned:
-    """Constructor application, interned per subclass.
+    """Constructor application, interned per subclass (``_intern``).
 
     Structural equality coincides with ``is``, so the default identity
     hash keys every term dictionary.  Each subclass keeps its own
@@ -60,19 +81,7 @@ class _Interned:
 
     __slots__ = ("constructor", "args")
     _pool: _Pool
-
-    def __new__(cls, constructor: str, args: tuple = ()):
-        by_args = cls._pool.get(constructor)
-        if by_args is None:
-            by_args = cls._pool.setdefault(constructor, {})
-        hit = by_args.get(args)
-        if hit is not None:
-            return hit
-        self = object.__new__(cls)
-        self.constructor = constructor
-        self.args = args
-        # setdefault is atomic under CPython, keeping interning race-free.
-        return by_args.setdefault(args, self)
+    __new__ = _intern
 
     def __repr__(self) -> str:
         return print_term(self)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (
     IllFormedTerm,
@@ -35,6 +36,7 @@ from .terms import (
     Sort,
     Term,
     Var,
+    _intern,
     fold_term,
     least_sort,
     print_term,
@@ -63,6 +65,8 @@ class CastTable:
     """
 
     __slots__ = ("name_of", "pair_of", "poset", "canonical_path_of",
+                 # Whether no two cast chains join the same pair of sorts.
+                 "single_chain",
                  # Normal forms by term; each normal form maps to itself.
                  "_canon_cache")
 
@@ -72,6 +76,12 @@ class CastTable:
         self.pair_of = {name: pair for pair, name in pairs.items()}
         self.poset = poset
         self.canonical_path_of = canonical_paths
+        # Two chains join some pair exactly when they part at some sort:
+        # two of its successors share a supersort.
+        self.single_chain = not any(
+            poset.supersorts(x) & poset.supersorts(y)
+            for s in poset.sorts for x, y in combinations(poset.successors(s), 2)
+        )
         self._canon_cache: dict[Term, Term] = {}
 
     def is_cast(self, name: str) -> bool:
@@ -104,15 +114,21 @@ class CastTable:
 
         The output is the core-equality normal form: two terms are
         core-equal exactly when their canonical forms are identical.
-        Idempotent; works on patterns as well as ground terms.  One
-        ``fold_term`` over ``_canon_cache`` (``_canonical_node``), which
-        records each normal form as a fixpoint (it maps to itself), so a
-        node over recorded fixpoints is one ``combine`` and no stack.  A
-        cached term is read before the call: most calls are hits (26 of
-        43 thousand in a depth-3 check of IMP).  So is a node whose head
-        is not a cast and whose arguments are recorded fixpoints: it is
-        its own normal form, recorded here without the call.
+        Idempotent; works on patterns as well as ground terms.
+
+        Under a ``single_chain`` table, as for ``imp.osa``, the only
+        chain between two sorts is the canonical one, so every
+        well-formed term is its own normal form: it is returned as it is
+        and nothing is recorded.  Otherwise, one ``fold_term`` over
+        ``_canon_cache`` (``_canonical_node``), which records each normal
+        form as a fixpoint (it maps to itself), so a node over recorded
+        fixpoints is one ``combine`` and no stack.  A cached term is read
+        before the call, and so is a node whose head is not a cast and
+        whose arguments are recorded fixpoints: it is its own normal
+        form, recorded here without the call.
         """
+        if self.single_chain:
+            return t
         cache = self._canon_cache
         hit = cache.get(t)
         if hit is not None:
@@ -295,10 +311,19 @@ def translate_term(tm: TranslationMap, t: Term, expected: Sort | None = None) ->
     name; wherever a child's sort sits strictly below the sort the
     representative demands, the canonical cast chain bridges the gap.
     When ``expected`` is given the root is wrapped up to it as well.
+
+    A node whose children are all translated is one ``_translate_node``
+    call, with no ``fold_term`` pass: a translated child was checked to
+    be well-formed when it was translated.
     """
-    out = tm._tr_cache.get(t)
+    cache = tm._tr_cache
+    out = cache.get(t)
     if out is None:
-        out = _translate(tm, t)
+        children = None if type(t) is Var else tuple([cache.get(a) for a in t.args])
+        if children is None or None in children:
+            out = _translate(tm, t)
+        else:
+            out = cache[t] = _translate_node(tm, t, children)
     if expected is not None:
         sort = out.sort if type(out) is Var else tm.target_sort_of[out.constructor]
         if sort != expected:
@@ -316,29 +341,20 @@ def _lift(tm: TranslationMap, t: Term, out: Term, sort: Sort, expected: Sort) ->
 
 
 def _translate(tm: TranslationMap, t: Term) -> Term:
-    """The translation of ``t``; results are cached by term.
+    """The translation of ``t`` in one ``fold_term`` pass, cached by term.
 
     The translation's sort is not stored: a variable carries its own, and
     an application's head names one representative, whose target sort
     ``target_sort_of`` gives.
 
-    A node whose children are all translated is one ``_translate_node``
-    call, with no ``fold_term`` pass: a translated child was checked to
-    be well-formed when it was translated.  Otherwise, unless the root
-    already has a least sort, first checks the sorts of everything below
-    it, so an ill-formed subterm is reported by ``least_sort``; a
-    statement side that ``side_facts`` sorted needs no check.  Then takes
-    one ``fold_term`` pass.
+    Unless the root already has a least sort, first checks the sorts of
+    everything below it, so an ill-formed subterm is reported by
+    ``least_sort``; a statement side that ``side_facts`` sorted needs no
+    check.
     """
-    if type(t) is not Var:
-        cache = tm._tr_cache
-        children = tuple([cache.get(a) for a in t.args])
-        if None not in children:
-            out = cache[t] = _translate_node(tm, t, children)
-            return out
-        if t not in tm.source._least_cache:
-            for a in t.args:
-                least_sort(tm.source, a)
+    if type(t) is not Var and t not in tm.source._least_cache:
+        for a in t.args:
+            least_sort(tm.source, a)
     return fold_term(t, tm._tr_cache, _itself, _translate_node, tm)
 
 
@@ -367,12 +383,12 @@ def _translate_node(tm: TranslationMap, t: Term, children) -> Term:
         plan = tm._plans[key] = (tm.rename_of[rep], rep.arg_sorts)
     name, arg_sorts = plan
     if sorts == arg_sorts:
-        return type(t)(name, children)
+        return _intern(type(t), name, children)
     args = tuple([
         out if sort == want else _lift(tm, a, out, sort, want)
         for a, out, sort, want in zip(t.args, children, sorts, arg_sorts)
     ])
-    return type(t)(name, args)
+    return _intern(type(t), name, args)
 
 
 def generate_core_equations(tm: TranslationMap) -> tuple[Equation, ...]:

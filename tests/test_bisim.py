@@ -8,6 +8,7 @@ import pytest
 from gen_algebras import random_algebra
 from ostrans import (
     BisimConfig,
+    BisimReport,
     GroundTerm,
     MSAlgebra,
     NotStrictlySensible,
@@ -224,11 +225,14 @@ def _swap_right_sides_2_and_3(rules):
 
 
 @pytest.mark.parametrize("fixture", ["imp", "imp_real"])
-@pytest.mark.parametrize("edit", [_swap_right_sides_2_and_3, lambda rules: rules[:-1]],
-                         ids=["swap-right-sides-2-3", "drop-last-rule"])
-def test_translated_rule_mutants_are_not_passed(request, fixture, edit):
-    # Two unmirrored forward steps at depth 1; no class search on either
-    # fixture is exhausted, so they are skipped, not failed.
+@pytest.mark.parametrize("edit, failed, skipped", [
+    (_swap_right_sides_2_and_3, 0, 2),
+    (lambda rules: rules[:-1], 2, 0),
+], ids=["swap-right-sides-2-3", "drop-last-rule"])
+def test_translated_rule_mutants_are_not_passed(request, fixture, edit, failed, skipped):
+    # Two unmirrored forward steps at depth 1.  A step of the dropped rule
+    # fails at once; no class search on either fixture is exhausted, so
+    # the swapped right sides are skipped, not failed.
     alg = request.getfixturevalue(fixture)
     mutant, tm = _mutant(alg, edit)
     cfg = BisimConfig(term_depth=1)
@@ -236,8 +240,43 @@ def test_translated_rule_mutants_are_not_passed(request, fixture, edit):
     backward = check_backward(alg, mutant, tm, cfg)
     report = forward.merge(backward)
     assert report.steps_checked == 6
-    assert (forward.skipped_unexhausted, backward.skipped_unexhausted) == (2, 0)
-    assert report.passed and report.verdict == "inconclusive"
+    assert (len(forward.forward_failures), forward.skipped_unexhausted) == (failed, skipped)
+    assert backward.passed and backward.skipped_unexhausted == 0
+    assert report.verdict == ("fail" if failed else "inconclusive")
+
+
+def test_a_step_of_an_absent_rule_fails_without_a_class_search(imp, count_calls):
+    # Only a rule-12 step can mirror a rule-12 step, so with the last
+    # translated rule dropped each of them fails at once.
+    searched = count_calls(e_class_bounded)
+    mutant, tm = _mutant(imp, lambda rules: rules[:-1])
+    cfg = BisimConfig(term_depth=2)
+    report = check_forward(imp, mutant, tm, cfg).merge(check_backward(imp, mutant, tm, cfg))
+    assert report.verdict == "fail" and report.skipped_unexhausted == 0
+    assert len(report.forward_failures) == 55 and report.backward_failures == []
+    assert {(ce.rule_index, ce.rule, ce.missing) for ce in report.forward_failures} == {
+        (12, imp.rules[12], "no rule 12 to replay the step with")}
+    assert searched == []
+
+
+def test_a_sweep_searches_each_class_once(imp, count_calls):
+    # The right sides of rules 2 and 3 swapped: 48 forward and 2 backward
+    # steps go to the class search, and no (algebra, term) class is
+    # searched twice within a sweep.
+    searched = count_calls(e_class_bounded)
+    mutant, tm = _mutant(imp, _swap_right_sides_2_and_3)
+    cfg = BisimConfig(term_depth=2)
+    reports = []
+    for check in (check_forward, check_backward):
+        searched.clear()
+        reports.append(check(imp, mutant, tm, cfg))
+        keys = [(id(alg), t) for alg, t, *_ in searched]
+        assert len(keys) == len(set(keys)) > 0, check
+    # The reports as they were when each step searched its classes anew.
+    assert reports == [
+        BisimReport(terms_checked=247, steps_checked=173, skipped_unexhausted=48),
+        BisimReport(terms_checked=37, steps_checked=5, skipped_unexhausted=2, not_in_image=7),
+    ]
 
 
 def test_run_bisim_builds_no_steps_when_nothing_fails(imp, count_calls):
@@ -518,7 +557,6 @@ def test_max_terms_truncates(imp):
 
 
 def test_verdict_is_three_way():
-    from ostrans import BisimReport
     assert BisimReport(steps_checked=4).verdict == "pass"
     assert BisimReport(truncated=True).verdict == "inconclusive"
     skipped = BisimReport(skipped_unexhausted=1)

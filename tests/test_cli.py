@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import ostrans
 from ostrans import parse_spec
 from ostrans.cli import main
 
@@ -105,6 +109,23 @@ def test_bisim_json(imp_path, capsys):
     assert summary["forward_failures"] == 0
     assert summary["backward_failures"] == 0
     assert summary["skipped_unexhausted"] == 0
+
+
+def test_the_package_runs_as_a_module(imp_path):
+    # ``python -m ostrans`` from a checkout: the package's directory on
+    # the path, nothing installed.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ostrans.__file__).parent.parent)] + env.get("PYTHONPATH", "").split(os.pathsep))
+    done = subprocess.run(
+        [sys.executable, "-m", "ostrans", "bisim", imp_path, "--depth", "3",
+         "--format", "json-lines"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [json.loads(line) for line in done.stdout.splitlines()] == [{
+        "schema": 1, "kind": "bisim-summary", "terms": 27422, "steps": 42535,
+        "forward_failures": 0, "backward_failures": 0, "skipped_unexhausted": 0,
+        "not_in_image": 13, "truncated": False, "verdict": "pass"}]
 
 
 def test_bisim_default_depth_one_run_passes(imp_path, capsys):

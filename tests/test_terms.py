@@ -79,6 +79,22 @@ def test_patterns_leave_the_ground_pool_alone():
     assert ("fresh-pattern-leaf", ()) not in GroundTerm._pool
 
 
+def test_the_builders_intern_through_the_class_pools():
+    # ``_intern`` is the class call's own body: either way a node comes
+    # from its class's pool, and the ground and pattern pools stay apart.
+    assert terms._Interned.__new__ is terms._intern
+    leaf = terms._intern(GroundTerm, "intern-leaf", ())
+    assert leaf is G("intern-leaf") and type(leaf) is GroundTerm
+    node = terms._intern(GroundTerm, "intern-node", (leaf, S0))
+    assert node is G("intern-node", (G("intern-leaf"), S0))
+    pattern = terms._intern(PNode, "intern-leaf", ())
+    assert pattern is PNode("intern-leaf") and type(pattern) is PNode
+    assert pattern is not leaf
+    assert terms._intern(PNode, "intern-node", (pattern, S0)) is not node
+    assert ("intern-node", (leaf, S0)) not in PNode._pool
+    assert ("intern-node", (pattern, S0)) not in GroundTerm._pool
+
+
 def test_the_ground_pool_counts_and_finds_its_nodes():
     before = len(GroundTerm._pool)
     leaves = [G(f"pool-leaf-{i}") for i in range(3)]

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 from importlib import resources
 
 import pytest
 
+from chain_oracle import all_paths_from, chain_term, chain_world
 from gen_algebras import random_algebra
 from ostrans import terms, translate, validity
 from ostrans import (
+    BisimConfig,
     Equation,
     GroundTerm,
     IllFormedTerm,
@@ -23,8 +26,11 @@ from ostrans import (
     Var,
     build_poset,
     cast_table,
+    check_backward,
+    check_forward,
     core_canonicalize,
     enumerate_ground_terms,
+    find_diamonds,
     generate_cast_operators,
     generate_core_equations,
     least_sort,
@@ -410,6 +416,64 @@ def test_canonical_matches_a_fresh_full_fold(imp_real):
         for t in subjects:
             assert table.canonical(t) is _full_fold(table, t), (memo, t)
     assert sum(_full_fold(table, t) is not t for t in subjects) > 50
+
+
+def _tables(imp, imp_real):
+    """``(poset, table, many-sorted terms)`` for the fixtures, subsort
+    chains, the three-sort triangle and seeded random posets and algebras.
+
+    The terms are the ground terms of height up to 3 of a translated
+    algebra, or every declared cast chain of up to 4 casts.
+    """
+    out = []
+    rng = random.Random(2406)
+    for alg in [imp, imp_real] + [random_algebra(rng) for _ in range(30)]:
+        ms, tm = translate_algebra(alg)
+        out.append((alg.signature.poset, tm.table,
+                    list(itertools.islice(enumerate_ground_terms(ms.signature, depth=3), 2000))))
+    chains = [(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]),
+              ([f"c{i}" for i in range(6)], [(f"c{i}", f"c{i + 1}") for i in range(5)])]
+    worlds = [OSSignature(names, pairs, ()) for names, pairs in chains]
+    worlds += [chain_world(rng, 7)[0] for _ in range(60)]
+    for sig in worlds:
+        table = translate.CastTable(
+            {pair: op.constructor for pair, op in generate_cast_operators(sig.poset).items()},
+            sig.poset, translate.compute_canonical_paths(sig.poset, "lex"))
+        paths = [p for s in sorted(sig.sorts) for p in all_paths_from(sig.poset, s, 4)]
+        out.append((sig.poset, table, [chain_term(p) for p in paths]))
+    return out
+
+
+def test_single_chain_tables_are_the_diamond_free_ones(imp, imp_real):
+    # A table reads ``single_chain`` off successors and supersorts; it
+    # must agree with the path enumeration of ``find_diamonds``, and
+    # under it the reference fold must change no term: each is its own
+    # normal form.
+    tables = _tables(imp, imp_real)
+    flags = [table.single_chain for _, table, _ in tables]
+    assert flags == [not find_diamonds(poset) for poset, _, _ in tables]
+    assert flags[:2] == [True, False]
+    assert flags[2 + 30] is False  # the triangle a < b < c with a < c
+    assert 10 < sum(flags) < len(flags) - 10
+    checked = 0
+    for (_, table, subjects), single in zip(tables, flags):
+        if single:
+            for t in subjects:
+                assert _full_fold(table, t) is t, t
+                assert table.canonical(t) is t
+            checked += len(subjects)
+    assert checked > 4000
+
+
+@pytest.mark.parametrize("fixture, recorded", [("imp", False), ("imp_real", True)])
+def test_only_a_table_with_a_diamond_records_normal_forms(request, fixture, recorded):
+    alg = request.getfixturevalue(fixture)
+    ms, tm = translate_algebra(alg)
+    cfg = BisimConfig(term_depth=2)
+    report = check_forward(alg, ms, tm, cfg).merge(check_backward(alg, ms, tm, cfg))
+    assert report.verdict == "pass"
+    assert cast_table(ms) is tm.table
+    assert bool(tm.table._canon_cache) is recorded
 
 
 def test_translate_term_deep(imp_text):
