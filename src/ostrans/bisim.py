@@ -6,13 +6,15 @@ whose result is equivalent (modulo the translated equations, compared in
 core canonical form) to the translated result.  The backward check walks
 the other way: many-sorted terms in the image of the translation are
 inverted by stripping casts, and each of their steps must be mirrored by
-a source step.  Both directions settle steps by index: the two redex
-lists of a term and its counterpart come out in the same order (by
-position, then by rule), so step ``j`` is mirrored when entry ``j`` of the
-counterpart's list has the same rule and reaches the target.  Any other
-step falls back to one routine, ``_mirror``.  Verdicts are only recorded
-as failures when the bounded class searches involved reached a fixpoint;
-otherwise the step counts as skipped.
+a source step.  Forward, a subject whose steps all lie below its root is
+settled from its children's rule memo entries, once per (child, sort its
+translation is lifted to) and not once per parent: the step is mirrored
+when the lifted child's many-sorted entry lists the same rule with the
+translation of the child's result (``_settler``).  Each step of any
+other subject, such as one with a root step, is replayed by one
+routine, ``_mirror``, which scans the counterpart's redex list first.
+Verdicts are only recorded as failures when the bounded class searches
+involved reached a fixpoint; otherwise the step counts as skipped.
 
 Enumeration builds each term of height ``h`` once, from argument tuples
 that hold a term of height ``h - 1``, and sorts it with one lookup per
@@ -30,11 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+from .errors import AlgebraError
 from .rewrite import (
+    CLEAN,
     EClassApprox,
     RewriteConfig,
     RewriteStep,
     _collector_paused,
+    _entry,
+    _rule_index,
     core_canonicalize,
     e_class_bounded,
     resolve_position,
@@ -234,17 +240,18 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
            obligations, missing: str) -> BisimReport:
     """Check one direction on at most ``cfg.max_terms`` of ``terms``.
 
-    ``obligations(t)`` gives ``(bridging, redexes, subject, lift, target_of)``,
-    or ``None`` when ``t`` has no counterpart in ``alg``: each entry of
+    ``obligations(t)`` gives ``None`` when ``t`` has no counterpart in
+    ``alg``, the number of its steps when it settled all of them itself,
+    or ``(bridging, redexes, subject, lift, target_of)``: each entry of
     ``redexes`` is a step of ``other`` on ``bridging`` (see
     ``rule_redexes``), to be replayed as rule ``i`` of ``alg`` on
-    ``subject``, looking for ``target_of(result)``; ``lift`` is ``None``
-    where ``alg``'s results need no lifting.  The subject's redexes are
-    computed once, for all of its steps, and settle them by index; a step
-    they do not settle goes to ``_mirror``, and each bounded class it
-    needs, a subject's or a target's, is searched once per sweep.  A
-    failure alone builds its witness ``RewriteStep``, resolving its
-    position link; ``missing`` explains it, unless ``alg`` lacks the rule.
+    ``subject``, looking for ``target_of(result)``, and ``lift`` takes
+    ``alg``'s results to the targets' form.  The subject's redexes are
+    computed once, for all of its steps, and each step goes to
+    ``_mirror``, which scans them first; each bounded class it needs, a
+    subject's or a target's, is searched once per sweep.  A failure
+    alone builds its witness ``RewriteStep``, resolving its position
+    link; ``missing`` explains it, unless ``alg`` lacks the rule.
     """
     report = BisimReport()
     failures = report.forward_failures if direction == "forward" else report.backward_failures
@@ -268,20 +275,17 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
             if found is None:
                 report.not_in_image += 1
                 continue
+            if type(found) is int:
+                report.steps_checked += found
+                continue
             bridging, redexes, subject, lift, target_of = found
             if not redexes:
                 continue
             report.steps_checked += len(redexes)
             counterpart = rule_redexes(alg, subject)
-            listed = len(counterpart)
-            for j, (i, link, subst, result) in enumerate(redexes):
+            for i, link, subst, result in redexes:
                 target = target_of(result)
-                if j < listed:
-                    k, _, _, mirrored = counterpart[j]
-                    if k == i and (mirrored if lift is None else lift(mirrored)) is target:
-                        continue
-                outcome = _mirror(alg, subject, counterpart, class_of, i,
-                                  lift or _identity, target, ms)
+                outcome = _mirror(alg, subject, counterpart, class_of, i, lift, target, ms)
                 if outcome == SKIPPED:
                     report.skipped_unexhausted += 1
                 elif outcome == FAILED:
@@ -299,11 +303,110 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
     return report
 
 
+def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
+    """``settle(t)``: the number of forward steps of ``t`` when its
+    children's rule memo entries show that all of them are mirrored,
+    else the redex list of ``t`` (``rule_redexes``), composed from the
+    same entries and root hits.
+
+    A step below the root of ``t = f(a1..an)``, at child ``k``, turns a
+    result ``r`` of ``ak``'s entry into ``f(.., r, ..)``.  Let ``want``
+    be the argument sort at ``k`` of ``t``'s translation plan (the plan
+    of ``f`` over its children's translated sorts, ``tm._plans``): the
+    translation of ``ak`` lifted to ``want`` is child ``k`` of ``t``'s
+    translation.  When entry ``j`` of that child's many-sorted memo
+    entry has ``r``'s rule and, as its result, ``r``'s translation
+    lifted to ``want``, the many-sorted result composed from it is the
+    translation of ``f(.., r, ..)``, so the step is mirrored: nodes are
+    interned, and a node's translation reads only its constructor and
+    its children's translations and sorts.  The plan's target sort must
+    be ``t``'s least sort, so that the target needs no lift.  That holds
+    as it stands when ``r``'s sort is ``ak``'s.  A result whose sort
+    moves to ``s`` also needs ``(f, sorts with s at k)`` to be planned
+    already, with ``t``'s plan.  Sorts are read off translations, as
+    ``_translate_node`` reads them; in a translated algebra a term's
+    translated sort is its least sort, so a planned key is well-formed
+    and ``_compose`` keeps the result.  The verdict of ``(ak, want)`` is
+    kept for the sweep, with the sorts its results move to.
+
+    A subject with a root step, an unplanned key, a mismatch or an error
+    in the translation is left undecided; the sweep replays its steps.
+    """
+    sig = os.signature
+    os_index, ms_index = _rule_index(os), _rule_index(ms)
+    os_memo = os_index.memo
+    plans, sort_of = tm._plans, tm.target_sort_of
+    # (child, wanted sort) -> the sorts its results move to, or False.
+    verdicts: dict[tuple[GroundTerm, Sort], tuple | bool] = {}
+
+    def mirrored(a: GroundTerm, sort: Sort, want: Sort, entry: list):
+        mirror = _entry(ms_index, translate_term(tm, a, expected=want))
+        if mirror is CLEAN or len(mirror) < len(entry):
+            return False
+        moved = set()
+        for (i, _, _, r), (j, _, _, image) in zip(entry, mirror):
+            if i != j or translate_term(tm, r, expected=want) is not image:
+                return False
+            s = sort_of[translate_term(tm, r).constructor]
+            if s != sort:
+                moved.add(s)
+        return tuple(moved)
+
+    def below(t: GroundTerm, entries: list) -> int | None:
+        args = t.args
+        sorts = tuple([sort_of[translate_term(tm, a).constructor] for a in args])
+        plan = plans.get((t.constructor, sorts))
+        if plan is None or sort_of[plan[0]] != least_sort(sig, t):
+            return None
+        wants = plan[1]
+        steps = 0
+        for k, entry in enumerate(entries):
+            if entry is CLEAN:
+                continue
+            a, want = args[k], wants[k]
+            moved = verdicts.get((a, want))
+            if moved is None:
+                moved = verdicts[a, want] = mirrored(a, sorts[k], want, entry)
+            if moved is False:
+                return None
+            for s in moved:
+                if plans.get((t.constructor, sorts[:k] + (s,) + sorts[k + 1:])) != plan:
+                    return None
+            steps += len(entry)
+        return steps
+
+    def settle(t: GroundTerm):
+        entries = [os_memo.get(a) or _entry(os_index, a) for a in t.args]
+        hits = os_index._root_hits(t)
+        if not hits:
+            if entries.count(CLEAN) == len(entries):
+                return 0
+            try:
+                steps = below(t, entries)
+            except AlgebraError:
+                steps = None
+            if steps is not None:
+                return steps
+        return os_index._compose(t, hits, entries)
+
+    return settle
+
+
 def check_forward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
                   cfg: BisimConfig = BisimConfig()) -> BisimReport:
-    """Every source step must be mirrored by a translated step."""
+    """Every source step must be mirrored by a translated step.
+
+    A subject whose steps all lie below its root is settled from its
+    children's rule memo entries (``_settler``), building neither its
+    results nor its translation.  Any other subject is translated and
+    searched on both sides, and each of its steps replayed (``_sweep``).
+    """
+    settle = _settler(os, ms, tm)
+
     def obligations(t: GroundTerm):
-        redexes = rule_redexes(os, t)
+        redexes = settle(t)
+        if type(redexes) is int:
+            return redexes
         if not redexes:
             # Nothing to replay: leave ``t`` untranslated.
             return t, redexes, None, None, None
@@ -314,7 +417,7 @@ def check_forward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
         def target_of(result: GroundTerm) -> GroundTerm:
             return translate_term(tm, result, expected=top)
 
-        return t, redexes, translate_term(tm, t), None, target_of
+        return t, redexes, translate_term(tm, t), _identity, target_of
 
     return _sweep("forward", enumerate_ground_terms(os.signature, depth=cfg.term_depth),
                   ms, os, ms, cfg, obligations,

@@ -12,11 +12,12 @@ Where no two cast chains join the same pair of sorts
 (``CastTable.single_chain``), every well-formed term is its own normal
 form, and nothing is rewritten or recorded.
 
-Every search for redexes goes through one loop, ``_redexes``: a term's
-results are composed from its root matches and its children's result
-lists, which a ``RedexIndex`` memoises for the proper subterms of the
-terms searched, not for those terms themselves; a term whose children
-all have entries is composed in the search's own frame, with no stack.
+Every search for redexes composes a term's results from its root
+matches and its children's result lists (``RedexIndex._compose``),
+which a ``RedexIndex`` memoises for the proper subterms of the terms
+searched, not for those terms themselves: one bottom-up pass,
+``_entry``, fills the memo, and ``_redexes`` answers a term whose
+children all have entries with no pass.
 Each new node the search meets or builds costs one lookup keyed by facts
 about its children: its candidate left sides by (core head, core
 argument heads), after a test of its core head against the left sides'
@@ -563,6 +564,36 @@ def _direction_key(src: Pattern, dst: Pattern) -> tuple:
     return tuple(key)
 
 
+def _entry(index: RedexIndex, u: GroundTerm):
+    """The memo entry of ``u``, a proper subterm of a searched term.
+
+    ``CLEAN`` or ``u``'s result list (see ``_redexes``), composed in one
+    bottom-up pass over the subterms of ``u`` that have no entry yet and
+    stored with theirs.  Callers only read it.
+    """
+    memo = index.memo
+    entry = memo.get(u)
+    if entry is not None:
+        return entry
+    stack = [u]
+    while stack:
+        node = stack[-1]
+        pending = [a for a in node.args if a not in memo]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        if node in memo:
+            continue
+        entries = [memo[a] for a in node.args]
+        hits = index._root_hits(node)
+        if not hits and entries.count(CLEAN) == len(entries):
+            memo[node] = CLEAN
+        else:
+            memo[node] = index._compose(node, hits, entries)
+    return memo[u]
+
+
 def _redexes(index: RedexIndex, u: GroundTerm) -> list:
     """``(pair index, position link, substitution, result)`` for every redex of ``u``.
 
@@ -572,11 +603,11 @@ def _redexes(index: RedexIndex, u: GroundTerm) -> list:
     child, each result of the child put back under the subterm's head.
     Many-sorted results are core-canonicalized; order-sorted results that
     are not well-formed are dropped.  The entries of ``u``'s proper
-    subterms are memoised, ``u``'s own is not: a ``u`` met before as a
-    proper subterm is answered from the memo, any other is composed
-    again on every call.  A ``u`` whose children all have entries, as
-    almost every subject of a bisimulation sweep has, is composed with
-    no stack, from its children's entries read once, and one with no
+    subterms are memoised (``_entry``), ``u``'s own is not: a ``u`` met
+    before as a proper subterm is answered from the memo, any other is
+    composed again on every call.  A ``u`` whose children all have
+    entries, as almost every subject of a bisimulation sweep has, is
+    composed from its children's entries read once, and one with no
     root hit over ``CLEAN`` children is answered ``[]`` without
     composing.  Callers only read the list.
     """
@@ -584,26 +615,7 @@ def _redexes(index: RedexIndex, u: GroundTerm) -> list:
     entry = memo.get(u)
     if entry is not None:
         return [] if entry is CLEAN else entry
-    below = [memo.get(a) for a in u.args]
-    if None in below:
-        # One bottom-up pass over the proper subterms that have no entry yet.
-        stack = [a for a in u.args if a not in memo]
-        while stack:
-            node = stack[-1]
-            pending = [a for a in node.args if a not in memo]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
-            if node in memo:
-                continue
-            entries = [memo[a] for a in node.args]
-            hits = index._root_hits(node)
-            if not hits and entries.count(CLEAN) == len(entries):
-                memo[node] = CLEAN
-            else:
-                memo[node] = index._compose(node, hits, entries)
-        below = [memo[a] for a in u.args]
+    below = [memo.get(a) or _entry(index, a) for a in u.args]
     hits = index._root_hits(u)
     if not hits and below.count(CLEAN) == len(below):
         return []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+from functools import partial
 
 import pytest
 
@@ -35,7 +36,7 @@ from ostrans import (
     translate_term,
     validate_algebra,
 )
-from ostrans.rewrite import rule_redexes
+from ostrans.rewrite import CLEAN, RedexIndex, _entry, rule_redexes
 
 G = GroundTerm
 ZERO = G("0")
@@ -149,66 +150,128 @@ def test_run_bisim_validates_once(imp, count_calls):
     assert len(calls) == 1
 
 
-def test_run_bisim_replays_each_subject_once(imp, count_calls):
+def test_run_bisim_replays_each_subject_once(imp, count_calls, monkeypatch):
     # Results are composed from memoised child results, never rebuilt
-    # along a spine, and each direction searches a subject once on each
-    # side for all of its steps.
+    # along a spine, and each direction searches a subject at most once
+    # on each side for all of its steps: through ``rule_redexes``, or,
+    # forward, by composing the subject's list from its children's
+    # entries, a list the memo does not keep.
     spine = count_calls(replace_at)
     searched = count_calls(rule_redexes)
+    compose, composed = RedexIndex._compose, []
+
+    def recording(index, node, hits, below):
+        out = compose(index, node, hits, below)
+        composed.append((index, node, out))
+        return out
+
+    monkeypatch.setattr(RedexIndex, "_compose", recording)
     ms, tm = translate_algebra(imp)
     cfg = BisimConfig(term_depth=2)
     shared = []
     for check, counterpart_type in ((check_forward, MSAlgebra), (check_backward, OSAlgebra)):
         searched.clear()
+        composed.clear()
         report = check(imp, ms, tm, cfg)
         assert report.verdict == "pass"
         keys = [(type(alg), u) for alg, u in searched]
         assert len(keys) == len(set(keys)), check
+        lists = [(index, u) for index, u, out in composed if index.memo.get(u) is not out]
+        assert len(lists) == len(set(lists)), check
         subjects = [u for kind, u in keys if kind is counterpart_type]
         assert 0 < len(subjects) <= report.steps_checked, check
         shared.append(report.steps_checked - len(subjects))
     assert spine == []
-    # Forward, some subjects have several steps and are searched once.
+    # Forward, some subjects have several steps and are searched once,
+    # and a settled subject is not searched on the other side at all.
     assert shared[0] > 0
 
 
 def _reversing_counterpart(monkeypatch, counterpart_type):
-    """Make the sweep see every ``counterpart_type`` redex list reversed,
-    so its steps no longer line up by index with the other side's."""
+    """Make the sweep see every ``counterpart_type`` redex list and rule
+    memo entry reversed, so its steps no longer line up by index with the
+    other side's."""
     def reversed_redexes(alg, u):
         found = rule_redexes(alg, u)
         return found[::-1] if isinstance(alg, counterpart_type) else found
 
+    def reversed_entry(index, u):
+        found = _entry(index, u)
+        mine = (index.table is not None) == (counterpart_type is MSAlgebra)
+        return found[::-1] if mine and found is not CLEAN else found
+
     monkeypatch.setattr(bisim, "rule_redexes", reversed_redexes)
+    monkeypatch.setattr(bisim, "_entry", reversed_entry)
 
 
 @pytest.mark.parametrize("fixture", ["imp", "imp_real"])
 def test_misaligned_counterparts_fall_back_to_the_same_report(request, monkeypatch, fixture):
-    # The by-index settlement is a shortcut: when the counterpart's steps
-    # come in another order, ``_mirror`` settles them and the report is
-    # the same, field for field.
+    # Settling a step by index against a child's memo entry is a
+    # shortcut: when the counterpart's steps come in another order, the
+    # settlement declines, ``_mirror`` replays the steps, and the report
+    # is the same, field for field.
+    # Each run gets a fresh translation: which subjects are settled
+    # depends on the translation plans made so far.
     alg = request.getfixturevalue(fixture)
-    ms, tm = translate_algebra(alg)
-    mirror, mirrored, fell_back = bisim._mirror, [], []
+    mirror, mirrored = bisim._mirror, []
 
     def counted(*args):
         mirrored.append(args)
         return mirror(*args)
 
-    for check, depth, counterpart_type in ((check_forward, 2, MSAlgebra),
+    monkeypatch.setattr(bisim, "_mirror", counted)
+    for check, depth, counterpart_type in ((check_forward, 3, MSAlgebra),
                                            (check_backward, 2, OSAlgebra),
                                            (check_backward, 3, OSAlgebra)):
         cfg = BisimConfig(term_depth=depth)
-        aligned = check(alg, ms, tm, cfg)
+        mirrored.clear()
+        aligned = check(alg, *translate_algebra(alg), cfg)
+        replayed = len(mirrored)
         with monkeypatch.context() as patch:
             _reversing_counterpart(patch, counterpart_type)
-            patch.setattr(bisim, "_mirror", counted)
             mirrored.clear()
-            assert check(alg, ms, tm, cfg) == aligned, (check, depth)
+            assert check(alg, *translate_algebra(alg), cfg) == aligned, (check, depth)
         assert aligned.passed
-        fell_back.append(len(mirrored))
-    # Backward, no subject has two steps below depth 3, so nothing to reorder.
-    assert fell_back[0] > 0 and fell_back[1] == 0 and fell_back[2] > 0
+        if check is check_forward:
+            assert replayed < len(mirrored) < aligned.steps_checked
+        else:
+            # Backward, every step is replayed, whatever the order.
+            assert replayed == len(mirrored) == aligned.steps_checked > 0
+
+
+def _unsettled(monkeypatch):
+    """Make the forward sweep replay the steps of every subject, as it
+    would if its children's memo entries settled none of them."""
+    monkeypatch.setattr(bisim, "_settler", lambda os, ms, tm: partial(rule_redexes, os))
+
+
+def _settled_steps(monkeypatch) -> list:
+    """Collect the step count of each subject the forward sweep settles."""
+    settler, counts = bisim._settler, []
+
+    def counting(os, ms, tm):
+        settle = settler(os, ms, tm)
+
+        def counted(t):
+            found = settle(t)
+            if type(found) is int:
+                counts.append(found)
+            return found
+
+        return counted
+
+    monkeypatch.setattr(bisim, "_settler", counting)
+    return counts
+
+
+def _same_report_unsettled(monkeypatch, check, alg, ms, tm, cfg) -> BisimReport:
+    """``check``'s report, after requiring it to equal, field for field, the
+    report of a sweep that settles no subject from its children."""
+    report = check(alg, ms, tm, cfg)
+    with monkeypatch.context() as patch:
+        _unsettled(patch)
+        assert check(alg, ms, tm, cfg) == report, (check, cfg)
+    return report
 
 
 def _mutant(alg, edit):
@@ -221,6 +284,11 @@ def _mutant(alg, edit):
 def _swap_right_sides_2_and_3(rules):
     two, three = rules[2], rules[3]
     rules[2], rules[3] = Rule(two.lhs, three.rhs), Rule(three.lhs, two.rhs)
+    return rules
+
+
+def _swap_rules_2_and_3(rules):
+    rules[2], rules[3] = rules[3], rules[2]
     return rules
 
 
@@ -277,6 +345,82 @@ def test_a_sweep_searches_each_class_once(imp, count_calls):
         BisimReport(terms_checked=247, steps_checked=173, skipped_unexhausted=48),
         BisimReport(terms_checked=37, steps_checked=5, skipped_unexhausted=2, not_in_image=7),
     ]
+
+
+@pytest.mark.parametrize("fixture", ["imp", "imp_real"])
+def test_settled_subjects_give_the_replayed_report(request, monkeypatch, fixture):
+    # A subject settled from its children's memo entries gets the steps
+    # and verdicts the full replay gives it: the reports are equal field
+    # for field, counterexamples, witnesses and ``missing`` texts
+    # included, on the fixture and on three mutants of its translation.
+    # Dropping the last rule fails its steps at once, so that mutant is
+    # also cheap to check forward at depth 3, where rule 12 first applies
+    # below the root.  With rules 2 and 3 in each other's place, a step's
+    # result can come out at its index under the other rule; shallow
+    # class searches keep that mutant quick.
+    alg = request.getfixturevalue(fixture)
+    ms, tm = translate_algebra(alg)
+    runs = [(check_forward, ms, tm, BisimConfig(term_depth=3), "pass"),
+            (check_forward, ms, tm, BisimConfig(term_depth=2), "pass"),
+            (check_backward, ms, tm, BisimConfig(term_depth=2), "pass")]
+    for edit, cfgs, verdict in (
+            (_swap_right_sides_2_and_3, [BisimConfig(term_depth=2)] * 2, "inconclusive"),
+            (lambda rules: rules[:-1], [BisimConfig(term_depth=3), BisimConfig(term_depth=2)],
+             "fail"),
+            (_swap_rules_2_and_3, [BisimConfig(term_depth=2, eclass_depth=2)] * 2,
+             "inconclusive")):
+        mutant, mutant_tm = _mutant(alg, edit)
+        runs += [(check, mutant, mutant_tm, cfg, verdict if check is check_forward else None)
+                 for check, cfg in zip((check_forward, check_backward), cfgs)]
+    settled = _settled_steps(monkeypatch)
+    for check, other, translation, cfg, verdict in runs:
+        settled.clear()
+        report = _same_report_unsettled(monkeypatch, check, alg, other, translation, cfg)
+        assert verdict in (None, report.verdict), (check, cfg)
+        # Forward, the settlement decided steps; backward, it takes no part.
+        assert (sum(settled) > 0) == (check is check_forward), (check, cfg)
+
+
+def test_settled_subjects_give_the_replayed_report_on_random_algebras(monkeypatch):
+    rng = random.Random(20261020)
+    settled = _settled_steps(monkeypatch)
+    cfg = BisimConfig(term_depth=3, max_terms=3000)
+    decided = 0
+    for _ in range(50):
+        alg = random_algebra(rng)
+        ms, tm = translate_algebra(alg)
+        settled.clear()
+        report = _same_report_unsettled(monkeypatch, check_forward, alg, ms, tm, cfg)
+        assert report.passed, alg
+        decided += sum(settled) > 0
+    assert decided >= 10
+
+
+def test_a_result_whose_sort_moves_needs_the_subject_s_plan(imp):
+    # In +(0, -(0)) the step -(0) -> 0 moves child 1 from int down to
+    # nat.  Its result is the composed many-sorted result only when
+    # +(nat, nat) has the plan of +(nat, int); with another plan the
+    # subject is left to the full replay.
+    ms, tm = translate_algebra(imp)
+    assert check_forward(imp, ms, tm, BisimConfig(term_depth=2)).passed
+    t = G("+", (ZERO, G("-", (ZERO,))))
+    moved = ("+", ("nat", "nat"))
+    assert [least_sort(imp.signature, a) for a in t.args] == ["nat", "int"]
+    assert tm._plans[moved] == tm._plans["+", ("nat", "int")]
+    settle = bisim._settler(imp, ms, tm)
+    assert settle(t) == len(rule_redexes(imp, t)) == 1
+    name, arg_sorts = tm._plans[moved]
+    tm._plans[moved] = (name + "'", arg_sorts)
+    assert settle(t) == rule_redexes(imp, t)
+
+
+def test_a_forward_check_translates_few_terms(imp):
+    # Settled subjects and their results are never translated: a depth-3
+    # forward check of IMP translates some 1,400 terms, where translating
+    # every subject and every result took some 28,000.
+    ms, tm = translate_algebra(imp)
+    assert check_forward(imp, ms, tm, BisimConfig(term_depth=3)).steps_checked == 42_410
+    assert len(tm._tr_cache) < 3_000
 
 
 def test_run_bisim_builds_no_steps_when_nothing_fails(imp, count_calls):
