@@ -57,7 +57,7 @@ from .terms import (
     _least_at,
     least_sort,
 )
-from .translate import TranslationMap, strip_casts, translate_algebra, translate_term
+from .translate import TranslationMap, _plan, strip_casts, translate_algebra, translate_term
 
 
 @dataclass(frozen=True)
@@ -312,30 +312,31 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
     A step below the root of ``t = f(a1..an)``, at child ``k``, turns a
     result ``r`` of ``ak``'s entry into ``f(.., r, ..)``.  Let ``want``
     be the argument sort at ``k`` of ``t``'s translation plan (the plan
-    of ``f`` over its children's translated sorts, ``tm._plans``): the
-    translation of ``ak`` lifted to ``want`` is child ``k`` of ``t``'s
-    translation.  When entry ``j`` of that child's many-sorted memo
-    entry has ``r``'s rule and, as its result, ``r``'s translation
+    of ``f`` over its children's translated sorts, ``translate._plan``):
+    the translation of ``ak`` lifted to ``want`` is child ``k`` of
+    ``t``'s translation.  When entry ``j`` of that child's many-sorted
+    memo entry has ``r``'s rule and, as its result, ``r``'s translation
     lifted to ``want``, the many-sorted result composed from it is the
     translation of ``f(.., r, ..)``, so the step is mirrored: nodes are
     interned, and a node's translation reads only its constructor and
     its children's translations and sorts.  The plan's target sort must
     be ``t``'s least sort, so that the target needs no lift.  That holds
     as it stands when ``r``'s sort is ``ak``'s.  A result whose sort
-    moves to ``s`` also needs ``(f, sorts with s at k)`` to be planned
-    already, with ``t``'s plan.  Sorts are read off translations, as
-    ``_translate_node`` reads them; in a translated algebra a term's
-    translated sort is its least sort, so a planned key is well-formed
-    and ``_compose`` keeps the result.  The verdict of ``(ak, want)`` is
-    kept for the sweep, with the sorts its results move to.
+    moves to ``s`` also needs ``(f, sorts with s at k)`` to have ``t``'s
+    plan.  In a translated algebra a term's translated sort is its least
+    sort, so the sorts are read off ``sig._least_cache``, which the
+    enumeration fills for every subject and ``_checked_os`` for every
+    result; a key with a plan is well-formed, and ``_compose`` keeps the
+    result.  The verdict of ``(ak, want)`` is kept for the sweep, with
+    the sorts its results move to.
 
-    A subject with a root step, an unplanned key, a mismatch or an error
-    in the translation is left undecided; the sweep replays its steps.
+    A subject with a root step, a mismatch or an error in the
+    translation is left undecided; the sweep replays its steps.
     """
     sig = os.signature
     os_index, ms_index = _rule_index(os), _rule_index(ms)
-    os_memo = os_index.memo
-    plans, sort_of = tm._plans, tm.target_sort_of
+    os_memo, least = os_index.memo, sig._least_cache
+    sort_of = tm.target_sort_of
     # (child, wanted sort) -> the sorts its results move to, or False.
     verdicts: dict[tuple[GroundTerm, Sort], tuple | bool] = {}
 
@@ -347,16 +348,16 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
         for (i, _, _, r), (j, _, _, image) in zip(entry, mirror):
             if i != j or translate_term(tm, r, expected=want) is not image:
                 return False
-            s = sort_of[translate_term(tm, r).constructor]
+            s = least.get(r) or least_sort(sig, r)
             if s != sort:
                 moved.add(s)
         return tuple(moved)
 
     def below(t: GroundTerm, entries: list) -> int | None:
         args = t.args
-        sorts = tuple([sort_of[translate_term(tm, a).constructor] for a in args])
-        plan = plans.get((t.constructor, sorts))
-        if plan is None or sort_of[plan[0]] != least_sort(sig, t):
+        sorts = tuple([least[a] for a in args])
+        plan = _plan(tm, t.constructor, sorts)
+        if plan is None or sort_of[plan[0]] != least[t]:
             return None
         wants = plan[1]
         steps = 0
@@ -370,7 +371,7 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
             if moved is False:
                 return None
             for s in moved:
-                if plans.get((t.constructor, sorts[:k] + (s,) + sorts[k + 1:])) != plan:
+                if _plan(tm, t.constructor, sorts[:k] + (s,) + sorts[k + 1:]) != plan:
                     return None
             steps += len(entry)
         return steps

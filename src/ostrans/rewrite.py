@@ -24,12 +24,12 @@ argument heads), after a test of its core head against the left sides'
 heads, its core normal form by the fixpoint rule of
 ``CastTable.canonical`` (none under a single-chain table), its
 order-sorted well-formedness by its children's least sorts, and its
-translation (``translate``) by (constructor, child least sorts); the
-last two take no ``fold_term`` pass when the children's values are
-cached.  A node is built by the one interning body, ``terms._intern``,
-called directly rather than through the class.  A result's position is a
-parent link, made a tuple (``resolve_position``) only where a
-``RewriteStep`` is built.
+translation (``translate``) by (constructor, child least sorts).  Each
+of the last three is one ``fold_term`` over its cache, which combines a
+node over cached children in one step.  A node is built by the one
+interning body, ``terms._intern``, called directly rather than through
+the class.  A result's position is a parent link, made a tuple
+(``resolve_position``) only where a ``RewriteStep`` is built.
 The closure searches one equation direction per class of directions
 equal up to renaming their variables, so a commutativity equation is
 searched one way, and none of an equation whose sides have one core
@@ -67,7 +67,6 @@ from .terms import (
     Term,
     Var,
     _intern,
-    _least_at,
     apply_substitution,
     fold_term,
     inhabits,
@@ -481,20 +480,12 @@ def _checked_os(sig: OSSignature, t: GroundTerm) -> GroundTerm | None:
 
     No operator admitting the children's least sorts means no operator
     admits any of their sorts, so ``IllFormedTerm`` is exact; an ambiguous
-    least sort says nothing, so the sort sets decide.  A node with a
-    cached least sort is well-formed, and one over children with cached
-    least sorts, as every composed result is, takes one ``_least_at``
-    lookup.
+    least sort says nothing, so the sort sets decide.  ``least_sort``
+    caches the sort, and a node over children with cached least sorts,
+    as every composed result is, takes one ``_least_at`` lookup.
     """
-    cache = sig._least_cache
-    if t in cache:
-        return t
-    sorts = tuple([cache.get(a) for a in t.args])
     try:
-        if None in sorts:
-            least_sort(sig, t)
-        else:
-            cache[t] = _least_at(sig, t, sorts)
+        least_sort(sig, t)
     except IllFormedTerm:
         return None
     except AmbiguousSort:

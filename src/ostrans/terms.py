@@ -395,20 +395,11 @@ def least_sort(sig: Signature, t: Term) -> Sort:
     ``IllFormedTerm`` when no operator admits the children and
     ``AmbiguousSort`` when the admitting operators have no common least
     target (order-sorted input outside the strictly sensible fragment).
-    A cached sort is returned as it is, and a node over children with
-    cached sorts takes one ``_least_at`` lookup, both without a
-    ``fold_term`` pass; any other term takes one bottom-up pass.
+    One ``fold_term`` over ``sig._least_cache``: a cached sort is read
+    off it, and a node over children with cached sorts is one
+    ``_least_at`` lookup.
     """
-    cache = sig._least_cache
-    hit = cache.get(t)
-    if hit is not None:
-        return hit
-    if type(t) is not Var:
-        sorts = tuple([cache.get(a) for a in t.args])
-        if None not in sorts:
-            hit = cache[t] = _least_at(sig, t, sorts)
-            return hit
-    return fold_term(t, cache, _var_sort, _least_at, sig)
+    return fold_term(t, sig._least_cache, _var_sort, _least_at, sig)
 
 
 def _var_sort(sig: Signature, v: Var) -> Sort:

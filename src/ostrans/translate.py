@@ -122,25 +122,11 @@ class CastTable:
         and nothing is recorded.  Otherwise, one ``fold_term`` over
         ``_canon_cache`` (``_canonical_node``), which records each normal
         form as a fixpoint (it maps to itself), so a node over recorded
-        fixpoints is one ``combine`` and no stack.  A cached term is read
-        before the call, and so is a node whose head is not a cast and
-        whose arguments are recorded fixpoints: it is its own normal
-        form, recorded here without the call.
+        fixpoints is one ``combine`` and no stack.
         """
         if self.single_chain:
             return t
-        cache = self._canon_cache
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        if type(t) is not Var and t.constructor not in self.pair_of:
-            for a in t.args:
-                if cache.get(a) is not a:
-                    break
-            else:
-                cache[t] = t
-                return t
-        return fold_term(t, cache, _itself, _canonical_node, self)
+        return fold_term(t, self._canon_cache, _itself, _canonical_node, self)
 
 
 def _itself(context, v: Var) -> Var:
@@ -195,8 +181,8 @@ class TranslationMap:
     # Translations of applications, by term; a translation's sort is read
     # off its head through ``target_sort_of``.
     _tr_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # One plan per (constructor, child least sorts): the representative's
-    # final name and argument sorts.
+    # One plan per (constructor, child least sorts), made by ``_plan``: the
+    # representative's final name and argument sorts.
     _plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -312,18 +298,19 @@ def translate_term(tm: TranslationMap, t: Term, expected: Sort | None = None) ->
     representative demands, the canonical cast chain bridges the gap.
     When ``expected`` is given the root is wrapped up to it as well.
 
-    A node whose children are all translated is one ``_translate_node``
-    call, with no ``fold_term`` pass: a translated child was checked to
-    be well-formed when it was translated.
+    Unless the root already has a least sort, first checks the sorts of
+    everything below it, so an ill-formed subterm is reported by
+    ``least_sort``; a statement side that ``side_facts`` sorted needs no
+    check.  Then one ``fold_term`` over ``tm._tr_cache``: a node whose
+    children are translated is one ``_translate_node`` call.  The
+    translation's sort is not stored: a variable carries its own, and an
+    application's head names one representative, whose target sort
+    ``target_sort_of`` gives.
     """
-    cache = tm._tr_cache
-    out = cache.get(t)
-    if out is None:
-        children = None if type(t) is Var else tuple([cache.get(a) for a in t.args])
-        if children is None or None in children:
-            out = _translate(tm, t)
-        else:
-            out = cache[t] = _translate_node(tm, t, children)
+    if type(t) is not Var and t not in tm.source._least_cache:
+        for a in t.args:
+            least_sort(tm.source, a)
+    out = fold_term(t, tm._tr_cache, _itself, _translate_node, tm)
     if expected is not None:
         sort = out.sort if type(out) is Var else tm.target_sort_of[out.constructor]
         if sort != expected:
@@ -338,24 +325,6 @@ def _lift(tm: TranslationMap, t: Term, out: Term, sort: Sort, expected: Sort) ->
             f"cannot cast {print_term(t)} from {sort!r} up to {expected!r}"
         )
     return tm.table.wrap_canonical(out, sort, expected)
-
-
-def _translate(tm: TranslationMap, t: Term) -> Term:
-    """The translation of ``t`` in one ``fold_term`` pass, cached by term.
-
-    The translation's sort is not stored: a variable carries its own, and
-    an application's head names one representative, whose target sort
-    ``target_sort_of`` gives.
-
-    Unless the root already has a least sort, first checks the sorts of
-    everything below it, so an ill-formed subterm is reported by
-    ``least_sort``; a statement side that ``side_facts`` sorted needs no
-    check.
-    """
-    if type(t) is not Var and t not in tm.source._least_cache:
-        for a in t.args:
-            least_sort(tm.source, a)
-    return fold_term(t, tm._tr_cache, _itself, _translate_node, tm)
 
 
 def _translate_node(tm: TranslationMap, t: Term, children) -> Term:
@@ -373,14 +342,9 @@ def _translate_node(tm: TranslationMap, t: Term, children) -> Term:
     sorts = tuple([
         c.sort if type(c) is Var else target_sort_of[c.constructor] for c in children
     ])
-    key = (t.constructor, sorts)
-    plan = tm._plans.get(key)
+    plan = _plan(tm, t.constructor, sorts)
     if plan is None:
-        admitting = tm.source.admitting(t.constructor, sorts)
-        if not admitting:
-            raise IllFormedTerm(f"no operator admits {print_term(t)}")
-        rep = tm.representative_of[admitting[0]]
-        plan = tm._plans[key] = (tm.rename_of[rep], rep.arg_sorts)
+        raise IllFormedTerm(f"no operator admits {print_term(t)}")
     name, arg_sorts = plan
     if sorts == arg_sorts:
         return _intern(type(t), name, children)
@@ -389,6 +353,22 @@ def _translate_node(tm: TranslationMap, t: Term, children) -> Term:
         for a, out, sort, want in zip(t.args, children, sorts, arg_sorts)
     ])
     return _intern(type(t), name, args)
+
+
+def _plan(tm: TranslationMap, constructor: str, sorts: tuple[Sort, ...]):
+    """The plan of ``constructor`` over children translated at ``sorts``:
+    its representative's final name and argument sorts, made on first
+    use and kept in ``tm._plans``; ``None`` when no operator admits
+    ``sorts``."""
+    key = (constructor, sorts)
+    plan = tm._plans.get(key)
+    if plan is None:
+        admitting = tm.source.admitting(constructor, sorts)
+        if not admitting:
+            return None
+        rep = tm.representative_of[admitting[0]]
+        plan = tm._plans[key] = (tm.rename_of[rep], rep.arg_sorts)
+    return plan
 
 
 def generate_core_equations(tm: TranslationMap) -> tuple[Equation, ...]:

@@ -31,7 +31,6 @@ from ostrans import (
     replace_at,
     run_bisim,
     strip_casts,
-    terms,
     translate_algebra,
     translate_term,
     validate_algebra,
@@ -210,9 +209,8 @@ def test_misaligned_counterparts_fall_back_to_the_same_report(request, monkeypat
     # shortcut: when the counterpart's steps come in another order, the
     # settlement declines, ``_mirror`` replays the steps, and the report
     # is the same, field for field.
-    # Each run gets a fresh translation: which subjects are settled
-    # depends on the translation plans made so far.
     alg = request.getfixturevalue(fixture)
+    ms, tm = translate_algebra(alg)
     mirror, mirrored = bisim._mirror, []
 
     def counted(*args):
@@ -225,12 +223,12 @@ def test_misaligned_counterparts_fall_back_to_the_same_report(request, monkeypat
                                            (check_backward, 3, OSAlgebra)):
         cfg = BisimConfig(term_depth=depth)
         mirrored.clear()
-        aligned = check(alg, *translate_algebra(alg), cfg)
+        aligned = check(alg, ms, tm, cfg)
         replayed = len(mirrored)
         with monkeypatch.context() as patch:
             _reversing_counterpart(patch, counterpart_type)
             mirrored.clear()
-            assert check(alg, *translate_algebra(alg), cfg) == aligned, (check, depth)
+            assert check(alg, ms, tm, cfg) == aligned, (check, depth)
         assert aligned.passed
         if check is check_forward:
             assert replayed < len(mirrored) < aligned.steps_checked
@@ -245,23 +243,28 @@ def _unsettled(monkeypatch):
     monkeypatch.setattr(bisim, "_settler", lambda os, ms, tm: partial(rule_redexes, os))
 
 
-def _settled_steps(monkeypatch) -> list:
-    """Collect the step count of each subject the forward sweep settles."""
-    settler, counts = bisim._settler, []
+def _settle_outcomes(monkeypatch) -> list:
+    """Collect ``(subject, outcome)`` for each subject the forward sweep
+    hands the settlement: a step count when it settled the subject, else
+    the redex list the sweep replays."""
+    settler, outcomes = bisim._settler, []
 
-    def counting(os, ms, tm):
+    def recording(os, ms, tm):
         settle = settler(os, ms, tm)
 
-        def counted(t):
+        def recorded(t):
             found = settle(t)
-            if type(found) is int:
-                counts.append(found)
+            outcomes.append((t, found))
             return found
 
-        return counted
+        return recorded
 
-    monkeypatch.setattr(bisim, "_settler", counting)
-    return counts
+    monkeypatch.setattr(bisim, "_settler", recording)
+    return outcomes
+
+
+def _settled_some(outcomes) -> bool:
+    return any(type(found) is int and found > 0 for _, found in outcomes)
 
 
 def _same_report_unsettled(monkeypatch, check, alg, ms, tm, cfg) -> BisimReport:
@@ -372,27 +375,27 @@ def test_settled_subjects_give_the_replayed_report(request, monkeypatch, fixture
         mutant, mutant_tm = _mutant(alg, edit)
         runs += [(check, mutant, mutant_tm, cfg, verdict if check is check_forward else None)
                  for check, cfg in zip((check_forward, check_backward), cfgs)]
-    settled = _settled_steps(monkeypatch)
+    outcomes = _settle_outcomes(monkeypatch)
     for check, other, translation, cfg, verdict in runs:
-        settled.clear()
+        outcomes.clear()
         report = _same_report_unsettled(monkeypatch, check, alg, other, translation, cfg)
         assert verdict in (None, report.verdict), (check, cfg)
         # Forward, the settlement decided steps; backward, it takes no part.
-        assert (sum(settled) > 0) == (check is check_forward), (check, cfg)
+        assert _settled_some(outcomes) == (check is check_forward), (check, cfg)
 
 
 def test_settled_subjects_give_the_replayed_report_on_random_algebras(monkeypatch):
     rng = random.Random(20261020)
-    settled = _settled_steps(monkeypatch)
+    outcomes = _settle_outcomes(monkeypatch)
     cfg = BisimConfig(term_depth=3, max_terms=3000)
     decided = 0
     for _ in range(50):
         alg = random_algebra(rng)
         ms, tm = translate_algebra(alg)
-        settled.clear()
+        outcomes.clear()
         report = _same_report_unsettled(monkeypatch, check_forward, alg, ms, tm, cfg)
         assert report.passed, alg
-        decided += sum(settled) > 0
+        decided += _settled_some(outcomes)
     assert decided >= 10
 
 
@@ -414,9 +417,23 @@ def test_a_result_whose_sort_moves_needs_the_subject_s_plan(imp):
     assert settle(t) == rule_redexes(imp, t)
 
 
+def test_only_subjects_with_a_root_step_are_replayed(imp_text, monkeypatch):
+    # Plans are made as the settlement needs them, so a depth-3 forward
+    # check of IMP replays exactly the subjects that have a root step;
+    # the rest are settled from their children or have no step.
+    alg = parse_spec(imp_text)
+    ms, tm = translate_algebra(alg)
+    outcomes = _settle_outcomes(monkeypatch)
+    assert check_forward(alg, ms, tm, BisimConfig(term_depth=3)).passed
+    counts = [found for _, found in outcomes if type(found) is int]
+    replayed = [t for t, found in outcomes if type(found) is not int]
+    assert (sum(n > 0 for n in counts), counts.count(0), len(replayed)) == (21_185, 5_358, 545)
+    assert all(any(link == () for _, link, _, _ in rule_redexes(alg, t)) for t in replayed)
+
+
 def test_a_forward_check_translates_few_terms(imp):
     # Settled subjects and their results are never translated: a depth-3
-    # forward check of IMP translates some 1,400 terms, where translating
+    # forward check of IMP translates some 1,200 terms, where translating
     # every subject and every result took some 28,000.
     ms, tm = translate_algebra(imp)
     assert check_forward(imp, ms, tm, BisimConfig(term_depth=3)).steps_checked == 42_410
@@ -496,16 +513,21 @@ def test_rule_memos_keep_no_subject_of_the_last_height(imp_text):
     assert len(os_memo) < 300 and len(ms_memo) < 300
 
 
-def test_forward_sweep_folds_few_nodes(imp_text, count_calls):
-    # A node over cached children takes its least sort, its translation
-    # and its redex list without a ``fold_term`` pass: the depth-3 sweep
-    # calls ``fold_term`` under 10,000 times, where a pass per such node
-    # called it some 132,000 times.
+def test_forward_sweep_caches_match_a_cold_walk(imp_text):
+    # The enumeration sorts each new node by one lookup, and the redex
+    # search and the settlement read and fill the least-sort and
+    # translation caches: after a depth-3 sweep every entry of both is
+    # what a new signature and translation, every cache empty, give.
     alg = parse_spec(imp_text)
     ms, tm = translate_algebra(alg)
-    folds = count_calls(terms.fold_term)
     assert check_forward(alg, ms, tm, BisimConfig(term_depth=3)).steps_checked == 42_410
-    assert len(folds) < 20_000
+    _, cold = translate_algebra(parse_spec(imp_text))
+    sorted_terms = alg.signature._least_cache
+    assert len(sorted_terms) > 27_088
+    for t, sort in sorted_terms.items():
+        assert least_sort(cold.source, t) == sort, t
+    for t, out in tm._tr_cache.items():
+        assert translate_term(cold, t) is out, t
 
 
 def test_translation_preserves_equivalence_classes(imp, imp_translated):

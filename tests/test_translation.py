@@ -373,21 +373,20 @@ def test_a_node_over_normal_forms_is_one_step(imp_real, count_calls):
     assert len(steps) == 1
 
 
-def test_a_core_node_over_normal_forms_skips_the_fold(imp_real, count_calls):
+def test_a_core_node_over_normal_forms_is_its_own_normal_form(imp_real):
     # A node whose head is not a cast, over recorded fixpoints, is its own
-    # normal form: it is recorded without a fold.
-    ms, _ = translate_algebra(imp_real)
+    # normal form, recorded as a fixpoint, as a fresh full fold finds.
+    ms, tm = translate_algebra(imp_real)
     via_real = G("Cast_real_to_AExp", (G("Cast_nat_to_real", (ZERO,)),))
     normal = core_canonicalize(ms.signature, via_real)
-    passes = count_calls(terms.fold_term)
     node = G("+AExp", (normal, normal))
     for _ in range(2):
         assert core_canonicalize(ms.signature, node) is node
-    assert passes == []
-    # A node over an argument that is not a normal form takes the fold.
-    assert core_canonicalize(ms.signature, G("+AExp", (via_real, normal))) is G(
-        "+AExp", (normal, normal))
-    assert len(passes) == 1
+        assert tm.table._canon_cache[node] is node
+    assert _full_fold(tm.table, node) is node
+    # A node over an argument that is not a normal form is rebuilt.
+    mixed = G("+AExp", (via_real, normal))
+    assert core_canonicalize(ms.signature, mixed) is node is _full_fold(tm.table, mixed)
 
 
 def _full_fold(table, t):
@@ -508,25 +507,22 @@ def test_translating_a_pattern_sorts_each_node_once(imp_text, count_calls):
 
 
 @pytest.mark.parametrize("name", ["imp.osa", "imp_real.osa"])
-def test_translating_a_node_over_translated_children_matches_a_cold_walk(name, count_calls):
-    # A node whose children are translated takes one ``_translate_node``
-    # and no fold, lifted or not; a new translation, every cache emptied
-    # before each term, walks it.
+def test_translating_a_node_over_translated_children_matches_a_cold_walk(name):
+    # A node whose children are translated gets, lifted or not, the
+    # translation that a new translation, every cache emptied before each
+    # term, gives it.
     text = (resources.files("ostrans") / "fixtures" / name).read_text(encoding="utf-8")
     alg = parse_spec(text)
     sig = alg.signature
     _, warm = translate_algebra(alg)
     _, cold = translate_algebra(parse_spec(text))
-    folds = count_calls(terms.fold_term)
     nodes = [t for t in enumerate_ground_terms(sig, depth=2) if t.args]
     assert len(nodes) > 200
     for t in nodes:
         tops = sorted(sig.poset.supersorts(least_sort(sig, t)), reverse=True) + [None]
         for a in t.args:
             translate_term(warm, a)
-        before = len(folds)
         got = [translate_term(warm, t, expected=top) for top in tops]
-        assert len(folds) == before
         for cache in (cold._tr_cache, cold._plans, cold.source._least_cache):
             cache.clear()
         assert [translate_term(cold, t, expected=top) for top in tops] == got, t
