@@ -251,7 +251,8 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
     ``_mirror``, which scans them first; each bounded class it needs, a
     subject's or a target's, is searched once per sweep.  A failure
     alone builds its witness ``RewriteStep``, resolving its position
-    link; ``missing`` explains it, unless ``alg`` lacks the rule.
+    link; ``missing`` explains it, unless ``alg`` lacks the rule or a
+    translation in the replay raised an ``AlgebraError``, whose text does.
     """
     report = BisimReport()
     failures = report.forward_failures if direction == "forward" else report.backward_failures
@@ -284,8 +285,12 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
             report.steps_checked += len(redexes)
             counterpart = rule_redexes(alg, subject)
             for i, link, subst, result in redexes:
-                target = target_of(result)
-                outcome = _mirror(alg, subject, counterpart, class_of, i, lift, target, ms)
+                try:
+                    target = target_of(result)
+                    outcome = _mirror(alg, subject, counterpart, class_of, i, lift, target, ms)
+                    error = None
+                except AlgebraError as exc:
+                    outcome, error = FAILED, str(exc)
                 if outcome == SKIPPED:
                     report.skipped_unexhausted += 1
                 elif outcome == FAILED:
@@ -297,8 +302,9 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
                         rule=rule,
                         witness=RewriteStep(i, rule, resolve_position(link), subst,
                                             bridging, result),
-                        missing=(f"no rule {i} to replay the step with" if i >= len(alg.rules)
-                                 else missing.format(subject=subject, target=target)),
+                        missing=error or (
+                            f"no rule {i} to replay the step with" if i >= len(alg.rules)
+                            else missing.format(subject=subject, target=target)),
                     ))
     return report
 

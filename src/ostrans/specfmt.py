@@ -61,10 +61,10 @@ from .terms import (
     Rule,
     Var,
     _check_statement,
+    is_reserved_name,
     print_term,
     sorts_of,
 )
-from .translate import is_reserved_name
 
 _KEYWORDS = frozenset({"algebra", "sorts", "subsorts", "op", "eq", "rule"})
 # The kind of every token value that is not an identifier.
@@ -366,12 +366,8 @@ class _Elaborator:
                     if seen.setdefault(statement, i) != i:
                         raise DuplicateDeclaration(f"{what} declared twice", *self._at(i))
             # The algebra constructor checks each statement.
-            if self.kind == "osa":
-                return OSAlgebra(signature, tuple(self.equations), tuple(self.rules))
-            core = frozenset(
-                eq for eq in self.equations if _is_core_equation(signature, eq)
-            )
-            return MSAlgebra(signature, tuple(self.equations), tuple(self.rules), core)
+            algebra = OSAlgebra if self.kind == "osa" else MSAlgebra
+            return algebra(signature, tuple(self.equations), tuple(self.rules))
         except (SpecError, InconsistentAnnotation, IllFormedTerm):
             # A bad statement before the failure is the first error in the
             # file: check those built, in file order, to position it.
@@ -390,10 +386,7 @@ class _Elaborator:
         if self.kind == "osa":
             return OSSignature(frozenset(self.sorts), frozenset(self.pairs),
                                tuple(self.operators))
-        non_core = frozenset(
-            op for op in self.operators if is_reserved_name(op.constructor)
-        )
-        return MSSignature(frozenset(self.sorts), tuple(self.operators), non_core)
+        return MSSignature(frozenset(self.sorts), tuple(self.operators))
 
     def _known_sort(self, i: int) -> None:
         if self.values[i] not in self.sorts:
@@ -430,24 +423,6 @@ def _known_constructor(arities: dict[str, set[int]], name: str, arity: int,
         raise SpecSyntaxError(
             f"constructor {name!r} used with {arity} arguments", tok.line, tok.col
         )
-
-
-def _is_core_equation(sig: MSSignature, eq: Equation) -> bool:
-    def chain_over_var(p: Pattern):
-        casts = 0
-        while not isinstance(p, Var):
-            op = sig.ops_named(p.constructor)
-            if len(p.args) != 1 or not op or op[0] not in sig.non_core:
-                return None
-            casts += 1
-            p = p.args[0]
-        return p.name, p.sort, casts
-
-    a, b = chain_over_var(eq.lhs), chain_over_var(eq.rhs)
-    return (
-        a is not None and b is not None
-        and a[:2] == b[:2] and a[2] >= 1 and b[2] >= 1
-    )
 
 
 def parse_spec(text: str, kind: str = "osa"):

@@ -15,6 +15,7 @@ redex indexes.  None changes equality or observable behaviour.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -170,6 +171,18 @@ class Operator:
         return f"{self.constructor} : {args + ' ' if args else ''}-> {self.target_sort}"
 
 
+CAST_NAME_RE = re.compile(r"^Cast_.+_to_.+$")
+
+
+def cast_name(sub: Sort, sup: Sort) -> str:
+    return f"Cast_{sub}_to_{sup}"
+
+
+def is_reserved_name(name: str) -> bool:
+    """Whether a constructor name is in the cast naming scheme."""
+    return CAST_NAME_RE.match(name) is not None
+
+
 class _Signature:
     """Sorts, operators and a subsort order, with the parts both kinds share."""
 
@@ -260,7 +273,11 @@ class OSSignature(_Signature):
 
 
 class MSSignature(_Signature):
-    """Many-sorted signature, ordered by identity; ``non_core`` flags the casts."""
+    """Many-sorted signature, ordered by identity.
+
+    ``non_core`` holds the casts: the operators whose names are in the
+    cast naming scheme (``is_reserved_name``), each of which must be unary.
+    """
 
     __slots__ = (
         "non_core", "_by_key",
@@ -269,14 +286,12 @@ class MSSignature(_Signature):
         "_cast_index",
     )
 
-    def __init__(self, sorts, operators, non_core=()):
+    def __init__(self, sorts, operators):
         super().__init__(sorts, operators)
         # The identity order, with no closure pass to build.
         self.poset = SortPoset(self.sorts, frozenset(), {s: frozenset((s,)) for s in self.sorts},
                                dict.fromkeys(self.sorts, ()))
-        self.non_core = frozenset(non_core)
-        if not self.non_core <= set(self.operators):
-            raise InvalidSignature("non_core operators must belong to the signature")
+        self.non_core = frozenset(op for op in self.operators if is_reserved_name(op.constructor))
         for op in self.non_core:
             if op.arity != 1:
                 raise InvalidSignature(f"non-core operator {op!r} is not unary")
@@ -291,9 +306,6 @@ class MSSignature(_Signature):
         # Each least sort is known up front: the target of the one operator.
         self._least_at_cache = {key: op.target_sort for key, op in self._by_key.items()}
         self._cast_index = None
-
-    def __eq__(self, other) -> bool:
-        return super().__eq__(other) and self.non_core == other.non_core
 
     def lookup(self, constructor: str, arg_sorts: tuple[Sort, ...]) -> Operator | None:
         return self._by_key.get((constructor, arg_sorts))
@@ -623,19 +635,30 @@ class OSAlgebra(_Algebra):
 
 
 class MSAlgebra(_Algebra):
-    """Many-sorted signature plus equations (core ones flagged) and rules."""
+    """Many-sorted signature plus equations and rules.
+
+    ``core_equations`` are the equations whose two sides are each one or
+    more casts over one variable, the same on both sides.
+    """
 
     __slots__ = ("core_equations",)
 
-    def __init__(self, signature, equations=(), rules=(), core_equations=()):
+    def __init__(self, signature, equations=(), rules=()):
         super().__init__(signature, equations, rules)
-        self.core_equations = frozenset(core_equations)
-        if not self.core_equations <= set(self.equations):
-            raise InvalidSignature("core equations must be a subset of the equations")
         self._check_statements(same_sort=True)
+        self.core_equations = frozenset(
+            eq for eq in self.equations
+            if _cast_chain_root(eq.lhs) is _cast_chain_root(eq.rhs) is not None
+        )
 
-    def __eq__(self, other) -> bool:
-        return super().__eq__(other) and self.core_equations == other.core_equations
+
+def _cast_chain_root(side: Pattern) -> Var | None:
+    """The variable under a well-formed ``side`` that is one or more casts
+    over it; casts are unary (``MSSignature``)."""
+    p = side
+    while type(p) is not Var and is_reserved_name(p.constructor):
+        p = p.args[0]
+    return p if type(p) is Var and p is not side else None
 
 
 Algebra = Union[OSAlgebra, MSAlgebra]

@@ -11,7 +11,6 @@ between the same two sorts, generated core equations equate them.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -37,31 +36,25 @@ from .terms import (
     Term,
     Var,
     _intern,
+    cast_name,
     fold_term,
+    is_reserved_name,
     least_sort,
     print_term,
 )
 from .validity import ValidityReport, validate_algebra
 
-CAST_NAME_RE = re.compile(r"^Cast_.+_to_.+$")
-
-
-def cast_name(sub: Sort, sup: Sort) -> str:
-    return f"Cast_{sub}_to_{sup}"
-
-
-def is_reserved_name(name: str) -> bool:
-    """Whether a constructor name collides with the cast naming scheme."""
-    return CAST_NAME_RE.match(name) is not None
-
 
 # --- cast bookkeeping -------------------------------------------------------
 
 class CastTable:
-    """Cast operators of a translated signature, canonical chains, normal forms.
+    """Cast operators by sort pair, canonical chains, normal forms.
 
-    A translation builds one table, which its map and its many-sorted
-    signature share, so both canonicalize along the same chains.
+    ``pairs`` names the cast of each declared subsort pair of ``poset``;
+    ``tie_break`` (one of ``poset.TIE_BREAKS``) picks the canonical chain
+    of each related pair, kept in ``canonical_path_of``.  A translation
+    builds one table, which its map and its many-sorted signature share,
+    so both canonicalize along the same chains.
     """
 
     __slots__ = ("name_of", "pair_of", "poset", "canonical_path_of",
@@ -70,12 +63,11 @@ class CastTable:
                  # Normal forms by term; each normal form maps to itself.
                  "_canon_cache")
 
-    def __init__(self, pairs: dict[tuple[Sort, Sort], str], poset: SortPoset,
-                 canonical_paths: dict[tuple[Sort, Sort], tuple[Sort, ...]]):
+    def __init__(self, pairs: dict[tuple[Sort, Sort], str], poset: SortPoset, tie_break: str):
         self.name_of = dict(pairs)
         self.pair_of = {name: pair for pair, name in pairs.items()}
         self.poset = poset
-        self.canonical_path_of = canonical_paths
+        self.canonical_path_of = compute_canonical_paths(poset, tie_break)
         # Two chains join some pair exactly when they part at some sort:
         # two of its successors share a supersort.
         self.single_chain = not any(
@@ -161,18 +153,15 @@ def _canonical_node(table: CastTable, t: Term, args: tuple) -> Term:
 class TranslationMap:
     """Audit record of one translation run; also drives term translation.
 
-    ``casts`` is a bijection between declared subsort pairs and generated
-    unary operators; ``canonical_path_of`` fixes one chain per related
-    sort pair, chosen by ``tie_break``.  ``table`` holds both, over the
-    source's subsort poset, and is shared with the translated signature.
+    ``table`` holds one cast per declared subsort pair of the source
+    (``generate_cast_operators``) and one canonical chain per related
+    sort pair, chosen by ``tie_break``; the translated signature shares it.
     """
 
     source: OSSignature
     tie_break: str
     representative_of: dict[Operator, Operator]
     rename_of: dict[Operator, str]
-    casts: dict[tuple[Sort, Sort], Operator]
-    canonical_path_of: dict[tuple[Sort, Sort], tuple[Sort, ...]]
     original_name_of: dict[str, str] = field(init=False, repr=False)
     # The target sort of each representative, by its final name: the sort
     # of every translated application whose head carries that name.
@@ -192,21 +181,18 @@ class TranslationMap:
         self.target_sort_of = {
             name: op.target_sort for op, name in self.rename_of.items()
         }
-        self.table = CastTable(
-            {pair: op.constructor for pair, op in self.casts.items()},
-            self.source.poset,
-            self.canonical_path_of,
-        )
+        casts = generate_cast_operators(self.source.poset)
+        self.table = CastTable({pair: op.constructor for pair, op in casts.items()},
+                               self.source.poset, self.tie_break)
 
 
 def cast_table(source) -> CastTable:
-    """The cast table of a translation map, signature or algebra.
+    """The cast table of a translation map, many-sorted signature or algebra.
 
-    A translated signature shares its map's table; a signature read from
-    a ``.msa`` file carries no tie-break and gets a lex table on first use.
+    A translated signature shares its map's table.  Any other signature,
+    such as one read from a ``.msa`` file, carries no tie-break: on first
+    use it gets a ``"lex"`` table over its casts (``non_core``).
     """
-    if isinstance(source, CastTable):
-        return source
     if isinstance(source, TranslationMap):
         return source.table
     if isinstance(source, MSAlgebra):
@@ -215,8 +201,7 @@ def cast_table(source) -> CastTable:
         raise TypeError(f"cannot derive a cast table from {type(source).__name__}")
     if source._cast_index is None:
         pairs = {(op.arg_sorts[0], op.target_sort): op.constructor for op in source.non_core}
-        poset = build_poset(source.sorts, pairs)
-        source._cast_index = CastTable(pairs, poset, compute_canonical_paths(poset, "lex"))
+        source._cast_index = CastTable(pairs, build_poset(source.sorts, pairs), "lex")
     return source._cast_index
 
 
@@ -277,17 +262,10 @@ def rename_constructors(
     return renames
 
 
-def generate_cast_operators(
-    poset: SortPoset, reserved: frozenset[str] = frozenset()
-) -> dict[tuple[Sort, Sort], Operator]:
+def generate_cast_operators(poset: SortPoset) -> dict[tuple[Sort, Sort], Operator]:
     """One unary cast operator per declared subsort pair."""
-    casts: dict[tuple[Sort, Sort], Operator] = {}
-    for lo, hi in sorted(poset.base_pairs):
-        name = cast_name(lo, hi)
-        if name in reserved:
-            raise RenameCollision(f"cast name {name!r} clashes with a constructor")
-        casts[(lo, hi)] = Operator(name, (lo,), hi)
-    return casts
+    return {(lo, hi): Operator(cast_name(lo, hi), (lo,), hi)
+            for lo, hi in sorted(poset.base_pairs)}
 
 
 def translate_term(tm: TranslationMap, t: Term, expected: Sort | None = None) -> Term:
@@ -446,29 +424,17 @@ def translate_algebra(
         )
     reduced, reps = select_representatives(alg, report)
     renames = rename_constructors(reduced, taken=alg.signature.constructors)
-    final_names = frozenset(renames.values())
-    casts = generate_cast_operators(alg.signature.poset, reserved=final_names)
-    tm = TranslationMap(
-        source=alg.signature,
-        tie_break=tie_break,
-        representative_of=reps,
-        rename_of=renames,
-        casts=casts,
-        canonical_path_of=compute_canonical_paths(alg.signature.poset, tie_break),
-    )
-    core = generate_core_equations(tm)
-    equations = translate_equations(tm, alg.equations) + core
+    reserved = sorted(name for name in renames.values() if is_reserved_name(name))
+    if reserved:
+        raise RenameCollision(f"constructor {reserved[0]!r} is in the reserved cast naming scheme")
+    tm = TranslationMap(alg.signature, tie_break, reps, renames)
+    equations = translate_equations(tm, alg.equations) + generate_core_equations(tm)
     rules = translate_rules(tm, alg.rules)
-    core_ops = [
-        Operator(renames[op], op.arg_sorts, op.target_sort) for op in reduced
-    ]
-    signature = MSSignature(
-        sorts=alg.signature.sorts,
-        operators=tuple(core_ops) + tuple(casts.values()),
-        non_core=frozenset(casts.values()),
-    )
+    core_ops = [Operator(renames[op], op.arg_sorts, op.target_sort) for op in reduced]
+    casts = generate_cast_operators(alg.signature.poset).values()
+    signature = MSSignature(alg.signature.sorts, core_ops + list(casts))
     signature._cast_index = tm.table
-    return MSAlgebra(signature, equations, rules, core_equations=core), tm
+    return MSAlgebra(signature, equations, rules), tm
 
 
 def strip_casts(tm: TranslationMap, t: GroundTerm, cache: dict | None = None) -> GroundTerm:

@@ -18,8 +18,6 @@ from ostrans import (
     PNode,
     TranslationMap,
     cast_name,
-    compute_canonical_paths,
-    generate_cast_operators,
 )
 
 G = GroundTerm
@@ -34,8 +32,6 @@ def chain_world(rng: random.Random, max_sorts: int):
         tie_break="lex",
         representative_of={},
         rename_of={},
-        casts=generate_cast_operators(sig.poset),
-        canonical_path_of=compute_canonical_paths(sig.poset, "lex"),
     )
     return sig, tm
 

@@ -31,10 +31,8 @@ from ostrans import (
     PNode,
     TranslationMap,
     Var,
-    compute_canonical_paths,
     core_canonicalize,
     enumerate_ground_terms,
-    generate_cast_operators,
     generate_core_equations,
     least_sort,
     ms_sort,
@@ -113,8 +111,6 @@ def test_03_equation_count_bound(imp, imp_translated, imp_real, imp_real_transla
                 tie_break="lex",
                 representative_of={},
                 rename_of={},
-                casts=generate_cast_operators(sig.poset),
-                canonical_path_of=compute_canonical_paths(sig.poset, "lex"),
             )
             core = generate_core_equations(tm)
             assert len(core) < len(names) ** 2, (names, pairs, len(core))

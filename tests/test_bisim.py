@@ -280,8 +280,7 @@ def _same_report_unsettled(monkeypatch, check, alg, ms, tm, cfg) -> BisimReport:
 def _mutant(alg, edit):
     """``alg``'s translation with its translated rules edited by ``edit``."""
     ms, tm = translate_algebra(alg)
-    return MSAlgebra(ms.signature, ms.equations, tuple(edit(list(ms.rules))),
-                     ms.core_equations), tm
+    return MSAlgebra(ms.signature, ms.equations, tuple(edit(list(ms.rules)))), tm
 
 
 def _swap_right_sides_2_and_3(rules):
@@ -328,6 +327,25 @@ def test_a_step_of_an_absent_rule_fails_without_a_class_search(imp, count_calls)
     assert {(ce.rule_index, ce.rule, ce.missing) for ce in report.forward_failures} == {
         (12, imp.rules[12], "no rule 12 to replay the step with")}
     assert searched == []
+
+
+def test_a_target_that_cannot_be_translated_fails_its_step():
+    # Not strongly sensible: f(k) has least sort a, but its translation
+    # goes through f : b -> b.  With that violation ignored, the result
+    # f(k2) of a step of f(k) cannot be cast down to the subject's sort a,
+    # and the step fails with that error rather than ending the run.
+    from ostrans import Operator, OSSignature
+    sig = OSSignature(["a", "b"], [("a", "b")], [
+        Operator("k", (), "a"), Operator("k2", (), "a"),
+        Operator("f", ("a",), "a"), Operator("f", ("b",), "b")])
+    alg = OSAlgebra(sig, (), (Rule(PNode("k", ()), PNode("k2", ())),))
+    validate_algebra(alg).strong_sensible = True
+    report = run_bisim(alg, BisimConfig(term_depth=2))
+    assert report.verdict == "fail" and report.backward_failures == []
+    fk = G("f", (G("k"),))
+    assert [(ce.source_term, ce.missing) for ce in report.forward_failures] == [
+        (fk, "cannot cast f(k2) from 'b' up to 'a'"),
+        (G("f", (fk,)), "cannot cast f(f(k2)) from 'b' up to 'a'")]
 
 
 def test_a_sweep_searches_each_class_once(imp, count_calls):
@@ -583,7 +601,7 @@ def test_forward_failure_is_reported_when_mirror_is_wrong():
         PNode("f", (V("X", "a"),)),
         PNode("f", (PNode("f", (V("X", "a"),)),)),
     )
-    doctored = MSAlgebra(ms_alg.signature, (), (wrong_rule,), ())
+    doctored = MSAlgebra(ms_alg.signature, (), (wrong_rule,))
     report = check_forward(os_alg, doctored, tm, BisimConfig(term_depth=2))
     assert report.forward_failures
     ce = report.forward_failures[0]
@@ -607,8 +625,7 @@ def _doctored_pair(equations=()):
     os_alg = OSAlgebra(sig, equations, (Rule(PNode("f", (x,)), x),))
     ms_alg, tm = translate_algebra(os_alg)
     wrong_rule = Rule(PNode("f", (x,)), PNode("f", (PNode("f", (x,)),)))
-    doctored = MSAlgebra(ms_alg.signature, ms_alg.equations, (wrong_rule,),
-                         ms_alg.core_equations)
+    doctored = MSAlgebra(ms_alg.signature, ms_alg.equations, (wrong_rule,))
     return os_alg, doctored, tm
 
 
@@ -628,6 +645,30 @@ def test_backward_failure_is_reported_when_mirror_is_wrong():
     assert ce.witness.result is G("f", (G("f", (G("c"),)),))
 
 
+def test_a_step_is_mirrored_by_a_class_member_of_its_result():
+    # The source rewrites f(X) to g(X), the many-sorted side to h(X), and
+    # g(X) = h(X) on both sides: no step reaches the other's result itself,
+    # so each is mirrored by a member of the result's class.  Without the
+    # equations on the many-sorted side, every step fails both ways.
+    from ostrans import Equation, Operator, OSSignature, Var as V
+    sig = OSSignature(["a"], [], [Operator("c", (), "a")]
+                      + [Operator(name, ("a",), "a") for name in "fgh"])
+    x = V("X", "a")
+    os_alg = OSAlgebra(sig, (Equation(PNode("g", (x,)), PNode("h", (x,))),),
+                       (Rule(PNode("f", (x,)), PNode("g", (x,))),))
+    ms_alg, tm = translate_algebra(os_alg)
+    rule = Rule(PNode("f", (x,)), PNode("h", (x,)))
+    cfg = BisimConfig(term_depth=2)
+    for equations, verdict, failures in ((ms_alg.equations, "pass", 0), ((), "fail", 7)):
+        doctored = MSAlgebra(ms_alg.signature, equations, (rule,))
+        report = check_forward(os_alg, doctored, tm, cfg).merge(
+            check_backward(os_alg, doctored, tm, cfg))
+        assert (report.terms_checked, report.steps_checked, report.skipped_unexhausted) == (
+            26, 14, 0)
+        assert report.verdict == verdict
+        assert len(report.forward_failures) == len(report.backward_failures) == failures
+
+
 def test_a_result_reached_only_by_another_rule_is_not_a_mirror():
     # The many-sorted side lists the two rules in the other order: each
     # step's result comes out at the same index, but of the other rule.
@@ -637,7 +678,7 @@ def test_a_result_reached_only_by_another_rule_is_not_a_mirror():
     x = V("X", "a")
     os_alg = OSAlgebra(sig, (), (Rule(PNode("f", (x,)), x), Rule(PNode("g", (x,)), x)))
     ms_alg, tm = translate_algebra(os_alg)
-    swapped = MSAlgebra(ms_alg.signature, (), ms_alg.rules[::-1], ())
+    swapped = MSAlgebra(ms_alg.signature, (), ms_alg.rules[::-1])
     cfg = BisimConfig(term_depth=1)
     report = check_forward(os_alg, swapped, tm, cfg).merge(
         check_backward(os_alg, swapped, tm, cfg))

@@ -230,7 +230,7 @@ def _chain(d):
     chain, top = build_poset(d.sorts, d.pairs), d.sorts[-1]
     sig = OSSignature(d.sorts, d.pairs, [Operator("f", (top,), "c0")])
     casts = generate_cast_operators(chain).values()
-    table = cast_table(MSSignature(d.sorts, casts, casts))
+    table = cast_table(MSSignature(d.sorts, casts))
     cast = table.wrap_canonical(GroundTerm("k"), "c0", top)
     return (chain.components() == [frozenset(d.sorts)] == [sig.poset.supersorts("c0")]
             and chain.enumerate_paths("c0", top) == (tuple(d.sorts),)

@@ -13,6 +13,7 @@ with the caches cold and warm.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -64,7 +65,7 @@ def _assert_matches_reference(ms, rng):
     """Compare on a fresh copy of ``ms``'s signature, cold then warm.
 
     Returns the numbers of well-formed and ill-formed subjects."""
-    sig = MSSignature(ms.signature.sorts, ms.signature.operators, ms.signature.non_core)
+    sig = MSSignature(ms.signature.sorts, ms.signature.operators)
     subjects = _subjects(ms, rng)
     sorts = sorted(sig.sorts)
     counts = [0, 0]
@@ -96,9 +97,14 @@ def test_translated_fixture_sorts_match_the_exact_sort_fold(request, fixture):
     ms, _ = translate_algebra(request.getfixturevalue(fixture))
     reparsed = parse_spec(print_spec(ms), kind="msa")
     assert reparsed == ms
+    true = GroundTerm("true")
     for alg in (ms, reparsed):
         well, ill = _assert_matches_reference(alg, random.Random(fixture))
         assert well > 100 and ill > 150, (well, ill)
+        # Only +AExp : AExp AExp -> AExp is declared; nothing lifts bool to AExp.
+        with pytest.raises(IllFormedTerm, match=re.escape(
+                "no operator admits +AExp(true, true) (children sorted ('bool', 'bool'))")):
+            least_sort(alg.signature, GroundTerm("+AExp", (true, true)))
 
 
 def test_random_translation_sorts_match_the_exact_sort_fold():

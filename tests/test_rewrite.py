@@ -408,7 +408,7 @@ def test_core_equality_decision_matches_search_oracle():
 def test_core_equality_complete_on_dense_poset():
     # Complete order on six sorts: sixteen distinct chains join bottom
     # and top, yet the generated equations connect every pair of them.
-    from ostrans import TranslationMap, compute_canonical_paths, generate_cast_operators
+    from ostrans import TranslationMap
     names = [f"s{i}" for i in range(6)]
     pairs = {(names[i], names[j]) for i in range(6) for j in range(i + 1, 6)}
     sig = OSSignature(names, pairs, ())
@@ -417,8 +417,6 @@ def test_core_equality_complete_on_dense_poset():
         tie_break="lex",
         representative_of={},
         rename_of={},
-        casts=generate_cast_operators(sig.poset),
-        canonical_path_of=compute_canonical_paths(sig.poset, "lex"),
     )
     segments = [segment_of(tm, eq) for eq in generate_core_equations(tm)]
     chains = [p for p in all_paths_from(sig.poset, names[0], 5) if p[-1] == names[5]]
