@@ -9,6 +9,7 @@ no realizable coercion chain of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import CycleDetected, UnknownSort
 
@@ -90,6 +91,16 @@ class SortPoset:
             seen |= comp
             out.append(frozenset(comp))
         return out
+
+    def single_chain(self) -> bool:
+        """Whether no two declared-pair paths join the same pair of sorts.
+
+        Two paths join some pair exactly when they part at some sort:
+        two of its successors share a supersort.
+        """
+        up = self._up
+        return not any(up[x] & up[y] for succ in self._succ.values()
+                       for x, y in combinations(succ, 2))
 
     def check_unique_tops(self) -> list[tuple[Sort, Sort, tuple[Sort, ...]]]:
         """Pairs of connected sorts lacking a unique maximal common supersort.
@@ -218,8 +229,11 @@ def find_diamonds(poset: SortPoset, tie_break: str = "lex") -> tuple[Diamond, ..
     """Every pair of sorts joined by two or more declared-pair paths.
 
     Each non-canonical path is reported once, against the canonical path
-    of its endpoints.  The paths of each pair are enumerated once.
+    of its endpoints.  The paths of each pair are enumerated once, and
+    none when the poset is a ``single_chain`` one.
     """
+    if poset.single_chain():
+        return ()
     diamonds = []
     for (bottom, top), paths in _paths_by_pair(poset):
         canon = choose_canonical(paths, tie_break)

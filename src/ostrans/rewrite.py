@@ -334,8 +334,8 @@ class RedexIndex:
     shapes are scanned only on a miss.  When no left side's core is a
     variable, as in any rule set, ``heads`` holds the left sides' core
     heads, read once off ``shapes``: a subterm whose core head is not
-    among them has no candidate, and ``_root_hits`` answers it before
-    building its key.  An index with a variable-core side, such as an
+    among them has no candidate, and ``_root_candidates`` answers it
+    before building its key.  An index with a variable-core side, such as an
     equation index over ``+(true, A) = A``, has ``heads`` ``None``.
     The index only filters:
     candidates are still tried in pair order through ``match_pattern``,
@@ -406,30 +406,35 @@ class RedexIndex:
             if (own is None or own == shape) and all(arg_heads[j] == h for j, h in wanted)
         )
 
-    def _root_hits(self, t: GroundTerm) -> tuple:
-        """``(pair index, sorted substitution, right-side instance)`` of each
-        match at the root of ``t``, in pair order.  Heads are read under
-        their casts inline, as this runs once per new node."""
+    def _root_candidates(self, constructor: str, args: tuple) -> tuple[int, ...]:
+        """The pair indices that pass the filter at the root of
+        ``constructor(*args)``, which need not be built.  Heads are read
+        under their casts inline, as this runs once per new node."""
         table, heads = self.table, self.heads
-        core = t
         if table is not None:
             casts = table.pair_of
-            while core.constructor in casts:
-                core = core.args[0]
-        if heads is not None and core.constructor not in heads:
+            while constructor in casts:
+                constructor, args = args[0].constructor, args[0].args
+        if heads is not None and constructor not in heads:
             return ()
         if table is None:
-            key = (core.constructor, tuple([a.constructor for a in core.args]))
+            key = (constructor, tuple([a.constructor for a in args]))
         else:
             arg_heads = []
-            for a in core.args:
+            for a in args:
                 while a.constructor in casts:
                     a = a.args[0]
                 arg_heads.append(a.constructor)
-            key = (core.constructor, tuple(arg_heads))
+            key = (constructor, tuple(arg_heads))
         candidates = self.candidates.get(key)
         if candidates is None:
             candidates = self.candidates[key] = self._filter(key)
+        return candidates
+
+    def _root_hits(self, t: GroundTerm) -> tuple:
+        """``(pair index, sorted substitution, right-side instance)`` of each
+        match at the root of ``t``, in pair order."""
+        candidates = self._root_candidates(t.constructor, t.args)
         if not candidates:
             return ()
         sig = self.sig

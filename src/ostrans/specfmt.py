@@ -44,6 +44,7 @@ from .errors import (
     DuplicateDeclaration,
     IllFormedTerm,
     InconsistentAnnotation,
+    InvalidSignature,
     SpecError,
     SpecSyntaxError,
     SpecUnknownSort,
@@ -60,6 +61,7 @@ from .terms import (
     PNode,
     Rule,
     Var,
+    _check_cast,
     _check_statement,
     is_reserved_name,
     print_term,
@@ -269,29 +271,13 @@ def _build(values: list[str], nodes: TermNodes, var, app):
     return stack[0]
 
 
-def _resolve_cast_profile(name: str, sorts: frozenset[str], op: Operator,
-                          tok: Token) -> None:
-    # A cast-named operator in a many-sorted file must be the cast it names.
-    # Sort names may contain "_to_", so try every split of the name there.
-    rest = name[len("Cast_"):]
-    matches = []
-    cut = rest.find("_to_")
-    while cut != -1:
-        sub, sup = rest[:cut], rest[cut + len("_to_"):]
-        if sub in sorts and sup in sorts:
-            matches.append((sub, sup))
-        cut = rest.find("_to_", cut + 1)
-    if len(matches) != 1:
-        raise CastNameReserved(
-            f"cast-named operator {name!r} does not name a unique sort pair",
-            tok.line, tok.col,
-        )
-    sub, sup = matches[0]
-    if op.arg_sorts != (sub,) or op.target_sort != sup:
-        raise CastNameReserved(
-            f"cast-named operator {name!r} must have profile {sub} -> {sup}",
-            tok.line, tok.col,
-        )
+def _resolve_cast_profile(op: Operator, sorts: frozenset[str], tok: Token) -> None:
+    # A cast-named operator in a many-sorted file must be the cast it
+    # names; the signature would refuse it too, but without a position.
+    try:
+        _check_cast(op, sorts)
+    except InvalidSignature as exc:
+        raise CastNameReserved(str(exc), tok.line, tok.col) from None
 
 
 class _Elaborator:
@@ -348,7 +334,7 @@ class _Elaborator:
                             " naming scheme",
                             *self._at(name),
                         )
-                    _resolve_cast_profile(op.constructor, sort_set, op, Token(self.doc.text, name))
+                    _resolve_cast_profile(op, sort_set, Token(self.doc.text, name))
                 if op in self.operators:
                     raise DuplicateDeclaration(f"operator {op!r} declared twice", *self._at(name))
                 self.operators[op] = name

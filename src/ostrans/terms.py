@@ -183,6 +183,29 @@ def is_reserved_name(name: str) -> bool:
     return CAST_NAME_RE.match(name) is not None
 
 
+def _check_cast(op: Operator, sorts) -> None:
+    """Raise ``InvalidSignature`` unless ``op``, named in the cast naming
+    scheme, is the cast its name names: ``Cast_a_to_b : a -> b``.
+
+    Sort names may contain ``_to_``, so every split of the name there is
+    tried; exactly one must name two of ``sorts``.
+    """
+    name = op.constructor
+    rest = name[len("Cast_"):]
+    matches = []
+    cut = rest.find("_to_")
+    while cut != -1:
+        sub, sup = rest[:cut], rest[cut + len("_to_"):]
+        if sub in sorts and sup in sorts:
+            matches.append((sub, sup))
+        cut = rest.find("_to_", cut + 1)
+    if len(matches) != 1:
+        raise InvalidSignature(f"cast-named operator {name!r} does not name a unique sort pair")
+    sub, sup = matches[0]
+    if op.arg_sorts != (sub,) or op.target_sort != sup:
+        raise InvalidSignature(f"cast-named operator {name!r} must have profile {sub} -> {sup}")
+
+
 class _Signature:
     """Sorts, operators and a subsort order, with the parts both kinds share."""
 
@@ -276,7 +299,8 @@ class MSSignature(_Signature):
     """Many-sorted signature, ordered by identity.
 
     ``non_core`` holds the casts: the operators whose names are in the
-    cast naming scheme (``is_reserved_name``), each of which must be unary.
+    cast naming scheme (``is_reserved_name``), each of which must be the
+    cast its name names (``_check_cast``).
     """
 
     __slots__ = (
@@ -293,8 +317,7 @@ class MSSignature(_Signature):
                                dict.fromkeys(self.sorts, ()))
         self.non_core = frozenset(op for op in self.operators if is_reserved_name(op.constructor))
         for op in self.non_core:
-            if op.arity != 1:
-                raise InvalidSignature(f"non-core operator {op!r} is not unary")
+            _check_cast(op, self.sorts)
         self._by_key = {}
         for op in self.operators:
             key = (op.constructor, op.arg_sorts)

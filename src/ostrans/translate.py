@@ -12,7 +12,6 @@ between the same two sorts, generated core equations equate them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import (
     IllFormedTerm,
@@ -68,12 +67,7 @@ class CastTable:
         self.pair_of = {name: pair for pair, name in pairs.items()}
         self.poset = poset
         self.canonical_path_of = compute_canonical_paths(poset, tie_break)
-        # Two chains join some pair exactly when they part at some sort:
-        # two of its successors share a supersort.
-        self.single_chain = not any(
-            poset.supersorts(x) & poset.supersorts(y)
-            for s in poset.sorts for x, y in combinations(poset.successors(s), 2)
-        )
+        self.single_chain = poset.single_chain()
         self._canon_cache: dict[Term, Term] = {}
 
     def is_cast(self, name: str) -> bool:

@@ -246,6 +246,26 @@ def test_find_diamonds_walks_each_pair_once(monkeypatch):
         assert tuple((d.bottom, d.top, d.path_a, d.path_b) for d in got) == want
 
 
+def test_find_diamonds_walks_no_path_of_a_chain(monkeypatch):
+    # A chain has one path per related pair, so no pair can hold a
+    # diamond: none of its 1,770 pairs is walked.
+    names = [f"c{i:02}" for i in range(60)]
+    chain = build_poset(names, list(zip(names, names[1:])))
+    walked = []
+    enumerate_paths = SortPoset.enumerate_paths
+
+    def counted(self, start, end):
+        walked.append((start, end))
+        return enumerate_paths(self, start, end)
+
+    monkeypatch.setattr(SortPoset, "enumerate_paths", counted)
+    assert chain.single_chain()
+    assert find_diamonds(chain) == find_diamonds(chain, "revlex") == ()
+    assert walked == []
+    fork = build_poset(names[:3], [("c00", "c01"), ("c00", "c02"), ("c01", "c02")])
+    assert not fork.single_chain() and len(find_diamonds(fork)) == 1
+
+
 def test_choose_canonical_tie_breaks():
     paths = [("n", "i", "A"), ("n", "r", "A"), ("n", "x", "y", "A")]
     assert choose_canonical(paths, "lex") == ("n", "i", "A")

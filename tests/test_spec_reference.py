@@ -496,7 +496,7 @@ def test_cast_names_resolve_like_the_pair_scan(name, alg):
     some = min(sorts)
     cases += [Operator(f"Cast_nosuch_to_{some}", (some,), some)]
     for op in cases:
-        got = _outcome(_resolve_cast_profile, op.constructor, sorts, op, _token())
+        got = _outcome(_resolve_cast_profile, op, sorts, _token())
         want = _outcome(oracle_resolve_cast_profile, op.constructor, sorts, op, _token())
         assert got == want, op
 
@@ -510,7 +510,7 @@ def test_cast_names_with_to_in_sort_names_resolve_like_the_pair_scan():
         for name in sorted(names):
             for profile in product(sorted(sorts), repeat=2):
                 op = Operator(name, (profile[0],), profile[1])
-                got = _outcome(_resolve_cast_profile, name, sorts, op, _token())
+                got = _outcome(_resolve_cast_profile, op, sorts, _token())
                 want = _outcome(oracle_resolve_cast_profile, name, sorts, op, _token())
                 assert got == want, (sorted(sorts), name, profile)
 

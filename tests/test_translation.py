@@ -12,8 +12,12 @@ from ostrans import terms, translate, validity
 from ostrans import (
     BisimConfig,
     Equation,
+    CastNameReserved,
     GroundTerm,
     IllFormedTerm,
+    InvalidSignature,
+    MSAlgebra,
+    MSSignature,
     NoPath,
     NotStrictlySensible,
     Operator,
@@ -132,6 +136,25 @@ def test_translation_refuses_a_constructor_in_the_cast_scheme():
                       [Operator("k", (), "a"), Operator("Cast_b_to_a", ("b",), "b")])
     with pytest.raises(RenameCollision, match="'Cast_b_to_a' is in the reserved cast naming"):
         translate_algebra(OSAlgebra(sig))
+
+
+def test_a_cast_name_must_have_the_profile_it_names():
+    # Built in Python as read from a ``.msa`` file, a signature refuses an
+    # operator in the cast naming scheme that is not the cast it names.
+    # The parser reports the same text at the declaration's position.
+    for ops in ([Operator("k", (), "b"), Operator("Cast_b_to_a", ("b",), "b")],
+                [Operator("Cast_b_to_a", ("b", "b"), "a")]):
+        with pytest.raises(InvalidSignature,
+                           match="^cast-named operator 'Cast_b_to_a' must have profile b -> a$"):
+            MSSignature(["a", "b"], ops)
+    with pytest.raises(InvalidSignature, match="does not name a unique sort pair"):
+        MSSignature(["a"], [Operator("Cast_a_to_c", ("a",), "a")])
+    with pytest.raises(CastNameReserved, match="^4:4: cast-named operator 'Cast_b_to_a' must"):
+        parse_spec("algebra t\nsorts a b\nop k : -> b\nop Cast_b_to_a : b -> b\n", kind="msa")
+    cast = Operator("Cast_b_to_a", ("b",), "a")
+    sig = MSSignature(["a", "b"], [Operator("k", (), "b"), cast])
+    assert sig.non_core == {cast}
+    assert parse_spec(print_spec(MSAlgebra(sig)), kind="msa").signature == sig
 
 
 def test_canonical_path_choice(imp_translated, imp_real_translated):
