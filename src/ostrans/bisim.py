@@ -35,6 +35,7 @@ generation, where only a full collection walks it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from .errors import AlgebraError
@@ -268,28 +269,32 @@ def _mirror(alg, subject: GroundTerm, counterpart: list, class_of, rule_index: i
     return SKIPPED
 
 
-def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
-           obligations, missing: str) -> BisimReport:
+def _sweep(direction: str, terms, os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
+           cfg: BisimConfig, obligations, missing: str) -> BisimReport:
     """Check one direction on at most ``cfg.max_terms`` of ``terms``.
 
-    Each of ``terms`` is a subject ``t`` as ``obligations`` reads it: a
-    node backward, a ``_ground_applications`` tuple forward.
-    ``obligations(t)`` gives ``None`` when ``t`` has no counterpart in
-    ``alg``, the number of its steps when it settled all of them itself,
-    or ``(bridging, redexes, subject, lift, target_of)``: each entry of
-    ``redexes`` is a step of ``other`` on ``bridging`` (see
-    ``rule_redexes``), to be replayed as rule ``i`` of ``alg`` on
-    ``subject``, looking for ``target_of(result)``, and ``lift`` takes
-    ``alg``'s results to the targets' form.  The subject's redexes are
-    computed once, for all of its steps, and each step goes to
-    ``_mirror``, which scans them first; each bounded class it needs, a
-    subject's or a target's, is searched once per sweep.  A failure
-    alone builds its witness ``RewriteStep``, resolving its position
-    link; ``missing`` explains it, unless ``alg`` lacks the rule or a
-    translation in the replay raised an ``AlgebraError``, whose text does.
+    Forward, each step of ``os`` is replayed in ``ms``; backward, each
+    step of ``ms`` in ``os``.  Each of ``terms`` is a subject ``t`` as
+    ``obligations`` reads it: a node backward, a ``_ground_applications``
+    tuple forward.  ``obligations(t)`` gives ``None`` when ``t`` has no
+    counterpart, the number of its steps when it settled all of them
+    itself, or ``(bridging, redexes, subject, top)``: each entry of
+    ``redexes`` is a step on ``bridging`` (see ``rule_redexes``), to be
+    replayed as the same rule on its counterpart ``subject``.  Results
+    are compared in many-sorted form, each source term translated with
+    ``top`` as its expected sort: forward, the targets; backward,
+    ``os``'s results.  The subject's redexes are computed once, for all
+    of its steps, and each step goes to ``_mirror``, which scans them
+    first; each bounded class it needs, a subject's or a target's, is
+    searched once per sweep.  A failure alone builds its witness
+    ``RewriteStep``, resolving its position link; ``missing`` explains
+    it, unless the counterpart lacks the rule or a translation in the
+    replay raised an ``AlgebraError``, whose text does.
     """
+    forward = direction == "forward"
+    alg, other = (ms, os) if forward else (os, ms)
     report = BisimReport()
-    failures = report.forward_failures if direction == "forward" else report.backward_failures
+    failures = report.forward_failures if forward else report.backward_failures
 
     classes: dict[tuple[int, GroundTerm], EClassApprox] = {}
 
@@ -313,14 +318,16 @@ def _sweep(direction: str, terms, alg, other, ms: MSAlgebra, cfg: BisimConfig,
             if type(found) is int:
                 report.steps_checked += found
                 continue
-            bridging, redexes, subject, lift, target_of = found
+            bridging, redexes, subject, top = found
             if not redexes:
                 continue
             report.steps_checked += len(redexes)
+            to_ms = partial(translate_term, tm, expected=top)
+            lift = _identity if forward else to_ms
             counterpart = rule_redexes(alg, subject)
             for i, link, subst, result in redexes:
                 try:
-                    target = target_of(result)
+                    target = to_ms(result) if forward else result
                     outcome = _mirror(alg, subject, counterpart, class_of, i, lift, target, ms)
                     error = None
                 except AlgebraError as exc:
@@ -349,7 +356,8 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
     forward steps of ``t`` when its children's rule memo entries show
     that all of them are mirrored, else ``t``, interned, and its redex
     list (``rule_redexes``), composed from the same entries and root
-    hits.  Whether a left side can match at the root is read off
+    hits, or ``0`` when ``_compose`` finds it empty (``CLEAN``).
+    Whether a left side can match at the root is read off
     ``constructor`` and its arguments' heads, so a subject that none can
     match is settled without being built or sorted.
 
@@ -371,15 +379,16 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
     sort, so the subject's sort is the one enumerated with it, and the
     others are read off ``sig._least_cache``, which the enumeration
     fills for every child and ``_checked_os`` for every result; a key
-    with a plan is well-formed, and ``_compose`` keeps the result.  The verdict of ``(ak, want)`` is kept for the sweep, with
-    the sorts its results move to.
+    with a plan is well-formed, and ``_compose`` keeps the result.  The
+    verdict of ``(ak, want)`` is kept for the sweep, with the sorts its
+    results move to.
 
     A subject with a root step, a mismatch or an error in the
     translation is left undecided; the sweep replays its steps.
     """
     sig = os.signature
     os_index, ms_index = _rule_index(os), _rule_index(ms)
-    os_memo, least = os_index.memo, sig._least_cache
+    least = sig._least_cache
     sort_of = tm.target_sort_of
     # (child, wanted sort) -> the sorts its results move to, or False.
     verdicts: dict[tuple[GroundTerm, Sort], tuple | bool] = {}
@@ -392,7 +401,7 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
         for (i, _, _, r), (j, _, _, image) in zip(entry, mirror):
             if i != j or translate_term(tm, r, expected=want) is not image:
                 return False
-            s = least.get(r) or least_sort(sig, r)
+            s = least_sort(sig, r)
             if s != sort:
                 moved.add(s)
         return tuple(moved)
@@ -420,7 +429,7 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
         return steps
 
     def settle(t: GroundTerm | None, constructor: str, args: tuple, sort: Sort):
-        entries = [os_memo.get(a) or _entry(os_index, a) for a in args]
+        entries = [_entry(os_index, a) for a in args]
         hits = ()
         if os_index._root_candidates(constructor, args):
             t = t or _node(sig, constructor, args, sort)
@@ -435,7 +444,8 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
             if steps is not None:
                 return steps
         t = t or _node(sig, constructor, args, sort)
-        return t, os_index._compose(t, hits, entries)
+        redexes = os_index._compose(t, hits, entries)
+        return 0 if redexes is CLEAN else (t, redexes)
 
     return settle
 
@@ -444,12 +454,14 @@ def check_forward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
                   cfg: BisimConfig = BisimConfig()) -> BisimReport:
     """Every source step must be mirrored by a translated step.
 
-    A subject whose steps all lie below its root is settled from its
-    children's rule memo entries (``_settler``), building neither its
-    results nor its translation, nor the subject itself at the last
-    height when no left side can match at its root.  Any other subject
-    is translated and searched on both sides, and each of its steps
-    replayed (``_sweep``).
+    A subject whose steps all lie below its root, or that has none, is
+    settled from its children's rule memo entries (``_settler``) as a
+    step count, building neither its results nor its translation, nor
+    the subject itself at the last height when no left side can match at
+    its root.  Any other subject ``t`` is the obligation ``(t, redexes,
+    translation of t, least sort of t)`` (see ``_sweep``): it is
+    searched on both sides, and each step is replayed against its
+    result translated at ``t``'s least sort.
     """
     settle = _settler(os, ms, tm)
 
@@ -458,20 +470,12 @@ def check_forward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
         if type(found) is int:
             return found
         t, redexes = found
-        if not redexes:
-            # Nothing to replay: leave ``t`` untranslated.
-            return t, redexes, None, None, None
         # A many-sorted step preserves the subject's sort exactly, so a
         # sort-decreasing root step shows up wrapped in the right-side casts.
-        top = application[3]
-
-        def target_of(result: GroundTerm) -> GroundTerm:
-            return translate_term(tm, result, expected=top)
-
-        return t, redexes, translate_term(tm, t), _identity, target_of
+        return t, redexes, translate_term(tm, t), application[3]
 
     return _sweep("forward", _ground_applications(os.signature, None, cfg.term_depth),
-                  ms, os, ms, cfg, obligations,
+                  os, ms, tm, cfg, obligations,
                   "no many-sorted step reaches the translated result {target!r}")
 
 
@@ -489,15 +493,11 @@ def check_backward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
         preimage = strip_casts(tm, canonical, stripped)
         if translate_term(tm, preimage) is not canonical:
             return None
-        top = least_sort(ms.signature, canonical)
-
-        def lift(result: GroundTerm) -> GroundTerm:
-            return translate_term(tm, result, expected=top)
-
-        return canonical, rule_redexes(ms, canonical), preimage, lift, _identity
+        return (canonical, rule_redexes(ms, canonical), preimage,
+                least_sort(ms.signature, canonical))
 
     return _sweep("backward", enumerate_ground_terms(ms.signature, depth=cfg.term_depth),
-                  os, ms, ms, cfg, obligations,
+                  os, ms, tm, cfg, obligations,
                   "no order-sorted step from {subject!r} maps onto {target!r}")
 
 

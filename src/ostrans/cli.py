@@ -111,20 +111,19 @@ def _cmd_translate(args) -> int:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise _Unusable(f"cannot write output: {exc}") from None
-        summary = (
-            f"wrote {args.output}: {len(ms.signature.operators)} operators "
-            f"({len(ms.signature.non_core)} casts), {len(ms.equations)} equations "
-            f"({len(ms.core_equations)} core), {len(ms.rules)} rules"
-        )
-        if args.format == "json-lines":
-            _emit({"kind": "translate", "output": args.output,
-                   "operators": len(ms.signature.operators),
-                   "casts": len(ms.signature.non_core),
-                   "equations": len(ms.equations),
-                   "core_equations": len(ms.core_equations),
-                   "rules": len(ms.rules)}, args)
-        else:
-            print(summary)
+    sig = ms.signature
+    if args.format == "json-lines":
+        record = {"kind": "translate", "output": args.output,
+                  "operators": len(sig.operators), "casts": len(sig.non_core),
+                  "equations": len(ms.equations),
+                  "core_equations": len(ms.core_equations), "rules": len(ms.rules)}
+        if not args.output:
+            record["spec"] = text
+        _emit(record, args)
+    elif args.output:
+        print(f"wrote {args.output}: {len(sig.operators)} operators "
+              f"({len(sig.non_core)} casts), {len(ms.equations)} equations "
+              f"({len(ms.core_equations)} core), {len(ms.rules)} rules")
     else:
         sys.stdout.write(text)
     return 0

@@ -12,12 +12,12 @@ Where no two cast chains join the same pair of sorts
 (``CastTable.single_chain``), every well-formed term is its own normal
 form, and nothing is rewritten or recorded.
 
-Every search for redexes composes a term's results from its root
-matches and its children's result lists (``RedexIndex._compose``),
-which a ``RedexIndex`` memoises for the proper subterms of the terms
-searched, not for those terms themselves: one bottom-up pass,
-``_entry``, fills the memo, and ``_redexes`` answers a term whose
-children all have entries with no pass.
+Every search for redexes composes a term's entry from its root matches
+and its children's entries (``RedexIndex._compose``), the one routine
+that decides when an entry is empty (``CLEAN``).  A ``RedexIndex``
+memoises the entries of the proper subterms of the terms searched, not
+of those terms themselves: one bottom-up pass, ``_entry``, fills the
+memo, and ``_redexes`` composes a searched term from its children's.
 Each new node the search meets or builds costs one lookup keyed by facts
 about its children: its candidate left sides by (core head, core
 argument heads), after a test of its core head against the left sides'
@@ -112,7 +112,6 @@ class RewriteStep:
 class EClassApprox:
     """Bounded approximation of a term's equivalence class modulo equations."""
 
-    seed: GroundTerm
     members: tuple[GroundTerm, ...]
     depth_used: int
     exhausted: bool
@@ -314,7 +313,8 @@ def _core(table: CastTable | None, t: Term) -> Term:
     return t
 
 
-# Memo entry of a subterm in which no position has a hit.
+# Memo entry of a subterm with no result: no position has a hit, or
+# every result was dropped.
 CLEAN = object()
 
 
@@ -342,8 +342,8 @@ class RedexIndex:
     on left sides compiled once (``lhs``).
 
     ``memo`` gives each proper subterm of a searched term one entry:
-    ``CLEAN`` when no position in it has a hit, else its result list
-    (see ``_redexes``).  The searched term itself gets none, so the memo
+    ``CLEAN``, the one empty value, when it has no result, else its
+    list (``_compose``).  The searched term itself gets none, so the memo
     grows with the subterms that terms share, not with the terms
     searched.  Results depend on the subterm alone, never on its context.
     Each result node passes ``finish`` once: many-sorted, the core normal
@@ -446,14 +446,18 @@ class RedexIndex:
                 found.append((i, tuple(sorted(m.items())), apply_substitution(sig, rhs, m)))
         return tuple(found)
 
-    def _compose(self, node: GroundTerm, hits: tuple, below: list) -> list:
-        """The result list of ``node``, from its root ``hits`` and its children's
-        memo entries ``below``.
+    def _compose(self, node: GroundTerm, hits: tuple, below: list):
+        """The memo entry of ``node``, from its root ``hits`` and its children's
+        memo entries ``below``: ``CLEAN`` when it has no result, else its
+        result list.
 
-        Each composed result is one new node over arguments whose normal
-        forms and sorts are cached, so canonicalizing it or checking it (an
+        With no hit and every child ``CLEAN``, ``node`` is not read.  Each
+        composed result is one new node over arguments whose normal forms
+        and sorts are cached, so canonicalizing it or checking it (an
         ill-formed one is dropped, and all above it) reads that node alone.
         """
+        if not hits and below.count(CLEAN) == len(below):
+            return CLEAN
         finish = self.finish
         ctor, args = node.constructor, node.args
         out = []
@@ -468,7 +472,7 @@ class RedexIndex:
                 result = _intern(GroundTerm, ctor, head + (r,) + tail)
                 if finish is None or (result := finish(result)) is not None:
                     out.append((i, (k, link), subst, result))
-        return out
+        return out or CLEAN
 
 
 def resolve_position(link) -> Position:
@@ -563,9 +567,9 @@ def _direction_key(src: Pattern, dst: Pattern) -> tuple:
 def _entry(index: RedexIndex, u: GroundTerm):
     """The memo entry of ``u``, a proper subterm of a searched term.
 
-    ``CLEAN`` or ``u``'s result list (see ``_redexes``), composed in one
-    bottom-up pass over the subterms of ``u`` that have no entry yet and
-    stored with theirs.  Callers only read it.
+    ``RedexIndex._compose``'s entry, made in one bottom-up pass over the
+    subterms of ``u`` that have no entry yet and stored with theirs.
+    Callers only read it.
     """
     memo = index.memo
     entry = memo.get(u)
@@ -579,14 +583,9 @@ def _entry(index: RedexIndex, u: GroundTerm):
             stack += pending
             continue
         stack.pop()
-        if node in memo:
-            continue
-        entries = [memo[a] for a in node.args]
-        hits = index._root_hits(node)
-        if not hits and entries.count(CLEAN) == len(entries):
-            memo[node] = CLEAN
-        else:
-            memo[node] = index._compose(node, hits, entries)
+        if node not in memo:
+            memo[node] = index._compose(
+                node, index._root_hits(node), [memo[a] for a in node.args])
     return memo[u]
 
 
@@ -601,21 +600,12 @@ def _redexes(index: RedexIndex, u: GroundTerm) -> list:
     are not well-formed are dropped.  The entries of ``u``'s proper
     subterms are memoised (``_entry``), ``u``'s own is not: a ``u`` met
     before as a proper subterm is answered from the memo, any other is
-    composed again on every call.  A ``u`` whose children all have
-    entries, as almost every subject of a bisimulation sweep has, is
-    composed from its children's entries read once, and one with no
-    root hit over ``CLEAN`` children is answered ``[]`` without
-    composing.  Callers only read the list.
+    composed from its children's entries on every call.  An entry of
+    ``CLEAN`` reads ``[]``.  Callers only read the list.
     """
-    memo = index.memo
-    entry = memo.get(u)
-    if entry is not None:
-        return [] if entry is CLEAN else entry
-    below = [memo.get(a) or _entry(index, a) for a in u.args]
-    hits = index._root_hits(u)
-    if not hits and below.count(CLEAN) == len(below):
-        return []
-    return index._compose(u, hits, below)
+    entry = index.memo.get(u) or index._compose(
+        u, index._root_hits(u), [_entry(index, a) for a in u.args])
+    return [] if entry is CLEAN else entry
 
 
 def rule_redexes(alg, u: GroundTerm) -> list:
@@ -625,7 +615,7 @@ def rule_redexes(alg, u: GroundTerm) -> list:
     ``RewriteStep`` for each; ``resolve_position`` turns a link into the
     step's position.  Callers only read the list.
     """
-    return _redexes(alg._rule_index or _rule_index(alg), u)
+    return _redexes(_rule_index(alg), u)
 
 
 # --- equational closure -----------------------------------------------------
@@ -644,38 +634,23 @@ def e_class_bounded(alg, t: GroundTerm, depth: int = 5,
     if isinstance(alg, MSAlgebra):
         t = core_canonicalize(alg.signature, t)
     if not alg.equations:
-        return EClassApprox(seed=t, members=(t,), depth_used=0, exhausted=True)
+        return EClassApprox((t,), 0, True)
     index = _equation_index(alg)
     members: dict[GroundTerm, None] = {t: None}
     frontier = [t]
-    depth_used = 0
-    exhausted = False
-    for _ in range(depth):
+    for depth_used in range(depth):
         new: list[GroundTerm] = []
-        over = False
         for u in frontier:
             for _, _, _, v in _redexes(index, u):
                 if v not in members:
                     members[v] = None
                     new.append(v)
                     if len(members) >= max_size:
-                        over = True
-                        break
-            if over:
-                break
-        if over:
-            break
+                        return EClassApprox(tuple(members), depth_used, False)
         if not new:
-            exhausted = index.complete
-            break
-        depth_used += 1
+            return EClassApprox(tuple(members), depth_used, index.complete)
         frontier = new
-    return EClassApprox(
-        seed=t,
-        members=tuple(members),
-        depth_used=depth_used,
-        exhausted=exhausted,
-    )
+    return EClassApprox(tuple(members), depth, False)
 
 
 # --- rewriting --------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import ostrans
-from ostrans import parse_spec
-from ostrans.cli import main
+from ostrans import parse_spec, translate_algebra
+from ostrans.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -60,6 +61,50 @@ def test_translate_to_stdout(imp_path, capsys):
     assert main(["translate", imp_path]) == 0
     out = capsys.readouterr().out
     assert "Cast_nat_to_int" in out
+
+
+def test_translate_json_lines_to_stdout_is_one_record(imp_path, tmp_path, capsys):
+    # Without -o the spec text goes into the record, beside the counts
+    # that the record of a written file carries.
+    assert main(["translate", imp_path]) == 0
+    text = capsys.readouterr().out
+    msa = str(tmp_path / "imp.msa")
+    assert main(["translate", imp_path, "-o", msa, "--format", "json-lines"]) == 0
+    (written,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert main(["translate", imp_path, "--format", "json-lines"]) == 0
+    (printed,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert printed == {**written, "output": None, "spec": text}
+    assert written["output"] == msa and written["casts"] == 5
+
+
+def _subcommands() -> set:
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(sub.choices)
+
+
+def test_every_json_lines_output_line_is_a_record(imp_path, tmp_path, capsys):
+    bad = tmp_path / "bad.osa"
+    bad.write_text(
+        "algebra bad\nsorts n i\nsubsorts n < i\n"
+        "op c : -> n\nop f : n -> n\nop f : i -> i\n"
+    )
+    msa = str(tmp_path / "imp.msa")
+    runs = [
+        (["translate", imp_path, "-o", msa], 0),
+        (["translate", imp_path], 0),
+        (["check", imp_path], 0),
+        (["check", msa], 0),
+        (["check", str(bad)], 1),
+        (["paths", imp_path, "--from", "nat", "--to", "AExp"], 0),
+        (["rewrite", imp_path, "--term=-(true)"], 0),
+        (["bisim", imp_path, "--depth", "1"], 0),
+    ]
+    assert {argv[0] for argv, _ in runs} == _subcommands()
+    for argv, code in runs:
+        assert main(argv + ["--format", "json-lines"]) == code, argv
+        lines = capsys.readouterr().out.splitlines()
+        assert lines, argv
+        assert all(json.loads(line)["schema"] == 1 for line in lines), argv
 
 
 def test_paths(imp_path, capsys):
@@ -126,6 +171,20 @@ def test_the_package_runs_as_a_module(imp_path):
         "schema": 1, "kind": "bisim-summary", "terms": 27422, "steps": 42535,
         "forward_failures": 0, "backward_failures": 0, "skipped_unexhausted": 0,
         "not_in_image": 13, "truncated": False, "verdict": "pass"}]
+
+
+def test_bisim_pins_the_diamond_fixture(tmp_path, capsys):
+    # imp_real.osa is the fixture whose subsorts form a diamond, so the
+    # only one on which CastTable.canonical rewrites a term.
+    text = (resources.files("ostrans") / "fixtures/imp_real.osa").read_text()
+    path = tmp_path / "imp_real.osa"
+    path.write_text(text)
+    assert not translate_algebra(parse_spec(text))[1].table.single_chain
+    assert main(["bisim", str(path), "--depth", "3", "--format", "json-lines"]) == 0
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [{
+        "schema": 1, "kind": "bisim-summary", "terms": 27439, "steps": 42541,
+        "forward_failures": 0, "backward_failures": 0, "skipped_unexhausted": 0,
+        "not_in_image": 18, "truncated": False, "verdict": "pass"}]
 
 
 def test_bisim_default_depth_one_run_passes(imp_path, capsys):

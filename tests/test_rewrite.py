@@ -126,6 +126,22 @@ def test_only_proper_subterms_keep_result_lists(imp_text):
         assert all(memo[c] is not rewrite.CLEAN for c in u.args)
 
 
+def test_an_entry_whose_results_are_all_dropped_is_clean():
+    # k => k2 fires below the root of f(k), but f(k2) is ill-formed, so
+    # the one result is dropped: the entry of f(k) is CLEAN, the memo's
+    # one empty value, and a parent over it has no redex.
+    sig = OSSignature(["a", "b"], [("a", "b")], [
+        Operator("k", (), "a"), Operator("k2", (), "b"),
+        Operator("f", ("a",), "a"), Operator("g", ("a",), "a"),
+    ])
+    alg = OSAlgebra(sig, (), (Rule(PNode("k", ()), PNode("k2", ())),))
+    fk = G("f", (G("k"),))
+    index = rewrite._rule_index(alg)
+    assert rewrite._entry(index, fk) is rewrite.CLEAN
+    assert rewrite.rule_redexes(alg, G("g", (fk,))) == []
+    assert [] not in index.memo.values()
+
+
 # --- matching ----------------------------------------------------------------
 
 def test_match_order_sorted(imp):
