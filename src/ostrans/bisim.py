@@ -24,12 +24,11 @@ and the terms of the last height are yielded but not kept.  The forward
 sweep reads them unbuilt, as a constructor and its arguments, sorted by
 the cached lookup (``_ground_applications``); it interns one only when
 a rule may match at its root or the settlement cannot decide it.  At
-depth 3 on ``imp.osa`` the two-way check interns 2,753 nodes, where
-interning every subject took 28,498.  A sweep pauses CPython's cyclic
-garbage collector (``rewrite._collector_paused``): what it allocates
-lives to the end of the run and forms no cycles, so a collection would
-free nothing.  What the sweep keeps leaves it in the collector's oldest
-generation, where only a full collection walks it.
+depth 3 on ``imp.osa`` the two-way check interns 2,753 nodes.  A sweep
+pauses CPython's cyclic garbage collector (``rewrite._collector_paused``):
+what it allocates lives to the end of the run and forms no cycles, so a
+collection would free nothing.  What the sweep keeps leaves it in the
+collector's oldest generation, where only a full collection walks it.
 """
 
 from __future__ import annotations
@@ -277,19 +276,20 @@ def _sweep(direction: str, terms, os: OSAlgebra, ms: MSAlgebra, tm: TranslationM
     step of ``ms`` in ``os``.  Each of ``terms`` is a subject ``t`` as
     ``obligations`` reads it: a node backward, a ``_ground_applications``
     tuple forward.  ``obligations(t)`` gives ``None`` when ``t`` has no
-    counterpart, the number of its steps when it settled all of them
-    itself, or ``(bridging, redexes, subject, top)``: each entry of
-    ``redexes`` is a step on ``bridging`` (see ``rule_redexes``), to be
-    replayed as the same rule on its counterpart ``subject``.  Results
-    are compared in many-sorted form, each source term translated with
-    ``top`` as its expected sort: forward, the targets; backward,
-    ``os``'s results.  The subject's redexes are computed once, for all
-    of its steps, and each step goes to ``_mirror``, which scans them
-    first; each bounded class it needs, a subject's or a target's, is
-    searched once per sweep.  A failure alone builds its witness
-    ``RewriteStep``, resolving its position link; ``missing`` explains
-    it, unless the counterpart lacks the rule or a translation in the
-    replay raised an ``AlgebraError``, whose text does.
+    counterpart, the number of its steps when it needs no replay (``0``
+    for none), or ``(bridging, redexes, subject, top)``: each entry of
+    ``redexes``, never empty, is a step on ``bridging`` (see
+    ``rule_redexes``), to be replayed as the same rule on its
+    counterpart ``subject``.  Results are compared in many-sorted form,
+    each source term translated with ``top`` as its expected sort:
+    forward, the targets; backward, ``os``'s results.  The subject's
+    redexes are computed once, for all of its steps, and each step goes
+    to ``_mirror``, which scans them first; each bounded class it needs,
+    a subject's or a target's, is searched once per sweep.  A failure
+    alone builds its witness ``RewriteStep``, resolving its position
+    link; ``missing`` explains it, unless the counterpart lacks the rule
+    or a translation in the replay raised an ``AlgebraError``, whose
+    text does.
     """
     forward = direction == "forward"
     alg, other = (ms, os) if forward else (os, ms)
@@ -319,8 +319,6 @@ def _sweep(direction: str, terms, os: OSAlgebra, ms: MSAlgebra, tm: TranslationM
                 report.steps_checked += found
                 continue
             bridging, redexes, subject, top = found
-            if not redexes:
-                continue
             report.steps_checked += len(redexes)
             to_ms = partial(translate_term, tm, expected=top)
             lift = _identity if forward else to_ms
@@ -351,15 +349,16 @@ def _sweep(direction: str, terms, os: OSAlgebra, ms: MSAlgebra, tm: TranslationM
 
 
 def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
-    """``settle(t, constructor, args, sort)``, on what
-    ``_ground_applications`` yields for a subject ``t``: the number of
-    forward steps of ``t`` when its children's rule memo entries show
-    that all of them are mirrored, else ``t``, interned, and its redex
-    list (``rule_redexes``), composed from the same entries and root
-    hits, or ``0`` when ``_compose`` finds it empty (``CLEAN``).
-    Whether a left side can match at the root is read off
-    ``constructor`` and its arguments' heads, so a subject that none can
-    match is settled without being built or sorted.
+    """``settle(application)``, forward ``obligations`` for ``_sweep`` on
+    what ``_ground_applications`` yields for a subject ``t``, ``(node or
+    None, constructor, args, least sort)``: the number of forward steps
+    of ``t`` when its children's rule memo entries show that all of them
+    are mirrored, ``0`` when it has none (its entry is ``CLEAN``), else
+    the obligation ``(t, redexes, translation of t, least sort of t)``,
+    ``t`` interned and its redex list (``rule_redexes``) composed from the
+    same entries and root hits.  Whether a left side can match at the
+    root is read off ``constructor`` and its arguments' heads, so a
+    subject that none can match is settled without being built or sorted.
 
     A step below the root of ``t = f(a1..an)``, at child ``k``, turns a
     result ``r`` of ``ak``'s entry into ``f(.., r, ..)``.  Let ``want``
@@ -384,7 +383,10 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
     results move to.
 
     A subject with a root step, a mismatch or an error in the
-    translation is left undecided; the sweep replays its steps.
+    translation is left undecided; the sweep replays its steps.  Its
+    translation is lifted to no sort: a many-sorted step preserves the
+    subject's sort exactly, so a sort-decreasing root step shows up
+    wrapped in the right-side casts.
     """
     sig = os.signature
     os_index, ms_index = _rule_index(os), _rule_index(ms)
@@ -406,7 +408,7 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
                 moved.add(s)
         return tuple(moved)
 
-    def below(constructor: str, args: tuple, sort: Sort, entries: list) -> int | None:
+    def below(constructor: str, args: tuple, sort: Sort, entries: tuple) -> int | None:
         sorts = tuple([least[a] for a in args])
         plan = _plan(tm, constructor, sorts)
         if plan is None or sort_of[plan[0]] != sort:
@@ -428,8 +430,9 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
             steps += len(entry)
         return steps
 
-    def settle(t: GroundTerm | None, constructor: str, args: tuple, sort: Sort):
-        entries = [_entry(os_index, a) for a in args]
+    def settle(application: tuple):
+        t, constructor, args, sort = application
+        entries = tuple([_entry(os_index, a) for a in args])
         hits = ()
         if os_index._root_candidates(constructor, args):
             t = t or _node(sig, constructor, args, sort)
@@ -445,7 +448,7 @@ def _settler(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap):
                 return steps
         t = t or _node(sig, constructor, args, sort)
         redexes = os_index._compose(t, hits, entries)
-        return 0 if redexes is CLEAN else (t, redexes)
+        return 0 if redexes is CLEAN else (t, redexes, translate_term(tm, t), sort)
 
     return settle
 
@@ -454,28 +457,17 @@ def check_forward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
                   cfg: BisimConfig = BisimConfig()) -> BisimReport:
     """Every source step must be mirrored by a translated step.
 
-    A subject whose steps all lie below its root, or that has none, is
-    settled from its children's rule memo entries (``_settler``) as a
-    step count, building neither its results nor its translation, nor
-    the subject itself at the last height when no left side can match at
-    its root.  Any other subject ``t`` is the obligation ``(t, redexes,
-    translation of t, least sort of t)`` (see ``_sweep``): it is
-    searched on both sides, and each step is replayed against its
-    result translated at ``t``'s least sort.
+    ``_settler`` gives each subject's obligation: a subject whose steps
+    all lie below its root, or that has none, is settled from its
+    children's rule memo entries as a step count, building neither its
+    results nor its translation, nor the subject itself at the last
+    height when no left side can match at its root.  Any other subject
+    ``t`` is the obligation ``(t, redexes, translation of t, least sort
+    of t)`` (see ``_sweep``): it is searched on both sides, and each step
+    is replayed against its result translated at ``t``'s least sort.
     """
-    settle = _settler(os, ms, tm)
-
-    def obligations(application: tuple):
-        found = settle(*application)
-        if type(found) is int:
-            return found
-        t, redexes = found
-        # A many-sorted step preserves the subject's sort exactly, so a
-        # sort-decreasing root step shows up wrapped in the right-side casts.
-        return t, redexes, translate_term(tm, t), application[3]
-
     return _sweep("forward", _ground_applications(os.signature, None, cfg.term_depth),
-                  os, ms, tm, cfg, obligations,
+                  os, ms, tm, cfg, _settler(os, ms, tm),
                   "no many-sorted step reaches the translated result {target!r}")
 
 
@@ -484,17 +476,20 @@ def check_backward(os: OSAlgebra, ms: MSAlgebra, tm: TranslationMap,
     """Every translated-image step must come from a source step.
 
     Terms outside the translation's image cannot mirror any source term;
-    they are skipped and counted.
+    they are skipped and counted.  An image term ``p`` without a step
+    counts as ``0`` steps; any other is the obligation ``(p, redexes,
+    preimage of p, least sort of p)`` (see ``_sweep``), ``p`` in core
+    normal form and its preimage stripped of casts (``strip_casts``).
     """
-    stripped: dict[GroundTerm, GroundTerm] = {}
-
     def obligations(p: GroundTerm):
         canonical = core_canonicalize(ms.signature, p)
-        preimage = strip_casts(tm, canonical, stripped)
+        preimage = strip_casts(tm, canonical)
         if translate_term(tm, preimage) is not canonical:
             return None
-        return (canonical, rule_redexes(ms, canonical), preimage,
-                least_sort(ms.signature, canonical))
+        redexes = rule_redexes(ms, canonical)
+        if not redexes:
+            return 0
+        return canonical, redexes, preimage, least_sort(ms.signature, canonical)
 
     return _sweep("backward", enumerate_ground_terms(ms.signature, depth=cfg.term_depth),
                   os, ms, tm, cfg, obligations,

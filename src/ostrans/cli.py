@@ -239,16 +239,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="leftmost-innermost",
                    choices=("leftmost-innermost", "leftmost-outermost",
                             "exhaustive-breadth"))
-    p.add_argument("--eclass-depth", type=_at_least(1), default=5)
-    p.add_argument("--eclass-max", type=_at_least(1), default=10_000)
+    p.add_argument("--eclass-depth", type=_at_least(1), default=RewriteConfig.eclass_depth)
+    p.add_argument("--eclass-max", type=_at_least(1), default=RewriteConfig.eclass_max)
     p.set_defaults(func=_cmd_rewrite)
 
     p = sub.add_parser("bisim", help="check the bisimulation empirically")
     p.add_argument("file")
-    p.add_argument("--depth", type=_at_least(0), default=3)
-    p.add_argument("--eclass-depth", type=_at_least(1), default=5)
-    p.add_argument("--eclass-max", type=_at_least(1), default=10_000)
-    p.add_argument("--max-terms", type=_at_least(1), default=100_000)
+    p.add_argument("--depth", type=_at_least(0), default=BisimConfig.term_depth)
+    p.add_argument("--eclass-depth", type=_at_least(1), default=BisimConfig.eclass_depth)
+    p.add_argument("--eclass-max", type=_at_least(1), default=BisimConfig.eclass_max)
+    p.add_argument("--max-terms", type=_at_least(1), default=BisimConfig.max_terms)
     p.set_defaults(func=_cmd_bisim)
 
     for p in sub.choices.values():

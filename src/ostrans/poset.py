@@ -198,16 +198,19 @@ def choose_canonical(paths, tie_break: str = "lex") -> tuple[Sort, ...]:
     ``tie_break`` is either ``"lex"`` (smallest name sequence wins) or
     ``"revlex"`` (largest wins); both resolve only among shortest paths.
     """
+    _require_tie_break(tie_break)
     paths = list(paths)
     if not paths:
         raise ValueError("no paths to choose from")
     shortest = min(len(p) for p in paths)
     candidates = [p for p in paths if len(p) == shortest]
-    if tie_break == "lex":
-        return min(candidates)
-    if tie_break == "revlex":
-        return max(candidates)
-    raise ValueError(f"unknown tie_break {tie_break!r}")
+    return min(candidates) if tie_break == "lex" else max(candidates)
+
+
+def _require_tie_break(tie_break: str) -> None:
+    """Refuse a ``tie_break`` outside ``TIE_BREAKS`` with ``ValueError``."""
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"unknown tie_break {tie_break!r}")
 
 
 def _paths_by_pair(poset: SortPoset):
@@ -221,7 +224,9 @@ def _paths_by_pair(poset: SortPoset):
 def compute_canonical_paths(
     poset: SortPoset, tie_break: str
 ) -> dict[tuple[Sort, Sort], tuple[Sort, ...]]:
-    """The canonical path of every related pair of distinct sorts, in order."""
+    """The canonical path of every related pair of distinct sorts, in order;
+    an unknown ``tie_break`` is refused first, whatever the poset."""
+    _require_tie_break(tie_break)
     return {pair: choose_canonical(paths, tie_break) for pair, paths in _paths_by_pair(poset)}
 
 
@@ -230,8 +235,10 @@ def find_diamonds(poset: SortPoset, tie_break: str = "lex") -> tuple[Diamond, ..
 
     Each non-canonical path is reported once, against the canonical path
     of its endpoints.  The paths of each pair are enumerated once, and
-    none when the poset is a ``single_chain`` one.
+    none when the poset is a ``single_chain`` one; an unknown
+    ``tie_break`` is refused first.
     """
+    _require_tie_break(tie_break)
     if poset.single_chain():
         return ()
     diamonds = []

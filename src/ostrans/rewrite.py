@@ -16,20 +16,21 @@ Every search for redexes composes a term's entry from its root matches
 and its children's entries (``RedexIndex._compose``), the one routine
 that decides when an entry is empty (``CLEAN``).  A ``RedexIndex``
 memoises the entries of the proper subterms of the terms searched, not
-of those terms themselves: one bottom-up pass, ``_entry``, fills the
-memo, and ``_redexes`` composes a searched term from its children's.
+of those terms themselves: one ``fold_term`` over the memo, ``_entry``,
+fills it, and ``_redexes`` composes a searched term from its children's.
 Each new node the search meets or builds costs one lookup keyed by facts
 about its children: its candidate left sides by (core head, core
 argument heads), after a test of its core head against the left sides'
 heads, its core normal form by the fixpoint rule of
 ``CastTable.canonical`` (none under a single-chain table), its
 order-sorted well-formedness by its children's least sorts, and its
-translation (``translate``) by (constructor, child least sorts).  Each
-of the last three is one ``fold_term`` over its cache, which combines a
-node over cached children in one step.  A node is built by the one
-interning body, ``terms._intern``, called directly rather than through
-the class.  A result's position is a parent link, made a tuple
-(``resolve_position``) only where a ``RewriteStep`` is built.
+translation (``translate``) by (constructor, child least sorts).  The
+redex entry and each of the last three is one ``fold_term`` over its
+cache, which combines a node over cached children in one step.  A node
+is built by the one interning body, ``terms._intern``, called directly
+rather than through the class.  A result's position is a parent link,
+made a tuple (``resolve_position``) only where a ``RewriteStep`` is
+built.
 The closure searches one equation direction per class of directions
 equal up to renaming their variables, so a commutativity equation is
 searched one way, and none of an equation whose sides have one core
@@ -119,20 +120,16 @@ class EClassApprox:
 
 # --- positions --------------------------------------------------------------
 
-def _preorder(t: GroundTerm):
-    """Yield ``(position, subterm)`` for every node of ``t`` in preorder."""
+def positions(t: GroundTerm) -> list[Position]:
+    """All node positions of ``t`` in preorder; the root is ``()``."""
+    found: list[Position] = []
     stack: list[tuple[Position, GroundTerm]] = [((), t)]
     while stack:
         pos, node = stack.pop()
-        yield pos, node
-        args = node.args
-        for i in range(len(args) - 1, -1, -1):
-            stack.append((pos + (i,), args[i]))
-
-
-def positions(t: GroundTerm) -> list[Position]:
-    """All node positions of ``t`` in preorder; the root is ``()``."""
-    return [pos for pos, _ in _preorder(t)]
+        found.append(pos)
+        for i in range(len(node.args) - 1, -1, -1):
+            stack.append((pos + (i,), node.args[i]))
+    return found
 
 
 def subterm_at(t: GroundTerm, pos: Position) -> GroundTerm:
@@ -343,9 +340,10 @@ class RedexIndex:
 
     ``memo`` gives each proper subterm of a searched term one entry:
     ``CLEAN``, the one empty value, when it has no result, else its
-    list (``_compose``).  The searched term itself gets none, so the memo
-    grows with the subterms that terms share, not with the terms
-    searched.  Results depend on the subterm alone, never on its context.
+    list (``_compose``), filled by one ``fold_term`` (``_entry``).  The
+    searched term itself gets none, so the memo grows with the subterms
+    that terms share, not with the terms searched.  Results depend on the
+    subterm alone, never on its context.
     Each result node passes ``finish`` once: many-sorted, the core normal
     form, which a node over recorded fixpoints reaches in one lookup;
     order-sorted, a well-formedness check through the least sort, one
@@ -446,7 +444,7 @@ class RedexIndex:
                 found.append((i, tuple(sorted(m.items())), apply_substitution(sig, rhs, m)))
         return tuple(found)
 
-    def _compose(self, node: GroundTerm, hits: tuple, below: list):
+    def _compose(self, node: GroundTerm, hits: tuple, below: tuple):
         """The memo entry of ``node``, from its root ``hits`` and its children's
         memo entries ``below``: ``CLEAN`` when it has no result, else its
         result list.
@@ -567,26 +565,17 @@ def _direction_key(src: Pattern, dst: Pattern) -> tuple:
 def _entry(index: RedexIndex, u: GroundTerm):
     """The memo entry of ``u``, a proper subterm of a searched term.
 
-    ``RedexIndex._compose``'s entry, made in one bottom-up pass over the
-    subterms of ``u`` that have no entry yet and stored with theirs.
+    One ``fold_term`` over ``index.memo``: each subterm of ``u`` without
+    an entry gets one from ``_entry_node``, stored with the others.
     Callers only read it.
     """
-    memo = index.memo
-    entry = memo.get(u)
-    if entry is not None:
-        return entry
-    stack = [u]
-    while stack:
-        node = stack[-1]
-        pending = [a for a in node.args if a not in memo]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        if node not in memo:
-            memo[node] = index._compose(
-                node, index._root_hits(node), [memo[a] for a in node.args])
-    return memo[u]
+    return fold_term(u, index.memo, None, _entry_node, index)
+
+
+def _entry_node(index: RedexIndex, node: GroundTerm, below: tuple):
+    """``node``'s entry (``RedexIndex._compose``) from its root hits and
+    its children's entries ``below``."""
+    return index._compose(node, index._root_hits(node), below)
 
 
 def _redexes(index: RedexIndex, u: GroundTerm) -> list:
@@ -597,14 +586,13 @@ def _redexes(index: RedexIndex, u: GroundTerm) -> list:
     composed bottom-up: a subterm's root hits come first, then, child by
     child, each result of the child put back under the subterm's head.
     Many-sorted results are core-canonicalized; order-sorted results that
-    are not well-formed are dropped.  The entries of ``u``'s proper
-    subterms are memoised (``_entry``), ``u``'s own is not: a ``u`` met
-    before as a proper subterm is answered from the memo, any other is
-    composed from its children's entries on every call.  An entry of
-    ``CLEAN`` reads ``[]``.  Callers only read the list.
+    are not well-formed are dropped.  ``u``'s entry is ``_entry_node``
+    over its children's memo entries (``_entry``), but is not stored: a
+    ``u`` met before as a proper subterm is answered from the memo, any
+    other is composed on every call.  An entry of ``CLEAN`` reads ``[]``.
+    Callers only read the list.
     """
-    entry = index.memo.get(u) or index._compose(
-        u, index._root_hits(u), [_entry(index, a) for a in u.args])
+    entry = index.memo.get(u) or _entry_node(index, u, tuple([_entry(index, a) for a in u.args]))
     return [] if entry is CLEAN else entry
 
 
@@ -620,8 +608,8 @@ def rule_redexes(alg, u: GroundTerm) -> list:
 
 # --- equational closure -----------------------------------------------------
 
-def e_class_bounded(alg, t: GroundTerm, depth: int = 5,
-                    max_size: int = 10_000) -> EClassApprox:
+def e_class_bounded(alg, t: GroundTerm, depth: int = RewriteConfig.eclass_depth,
+                    max_size: int = RewriteConfig.eclass_max) -> EClassApprox:
     """Close ``t`` under equations applied both ways at all positions.
 
     Breadth-first up to ``depth`` application layers or ``max_size``

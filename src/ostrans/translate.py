@@ -20,7 +20,7 @@ from .errors import (
     RenameCollision,
     UntranslatableSort,
 )
-from .poset import TIE_BREAKS, SortPoset, build_poset, compute_canonical_paths
+from .poset import SortPoset, _require_tie_break, build_poset, compute_canonical_paths
 from .terms import (
     Equation,
     GroundTerm,
@@ -149,7 +149,10 @@ class TranslationMap:
 
     ``table`` holds one cast per declared subsort pair of the source
     (``generate_cast_operators``) and one canonical chain per related
-    sort pair, chosen by ``tie_break``; the translated signature shares it.
+    sort pair, chosen by ``tie_break``; the translated signature shares
+    it, and its cast operators are read off it.  The caches of term
+    translation and of ``strip_casts`` are fields of the map, so they
+    live as long as the translation they serve.
     """
 
     source: OSSignature
@@ -167,6 +170,8 @@ class TranslationMap:
     # One plan per (constructor, child least sorts), made by ``_plan``: the
     # representative's final name and argument sorts.
     _plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # Stripped source terms, by translated term (``strip_casts``).
+    _strip_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.original_name_of = {
@@ -408,8 +413,7 @@ def translate_algebra(
     rule count is preserved exactly.  ``tie_break`` is one of
     ``TIE_BREAKS``; anything else raises ``ValueError`` before any work.
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
+    _require_tie_break(tie_break)
     report = validate_algebra(alg)
     if not report.translatable:
         raise NotStrictlySensible(
@@ -425,22 +429,23 @@ def translate_algebra(
     equations = translate_equations(tm, alg.equations) + generate_core_equations(tm)
     rules = translate_rules(tm, alg.rules)
     core_ops = [Operator(renames[op], op.arg_sorts, op.target_sort) for op in reduced]
-    casts = generate_cast_operators(alg.signature.poset).values()
-    signature = MSSignature(alg.signature.sorts, core_ops + list(casts))
+    casts = [Operator(name, (lo,), hi) for (lo, hi), name in tm.table.name_of.items()]
+    signature = MSSignature(alg.signature.sorts, core_ops + casts)
     signature._cast_index = tm.table
     return MSAlgebra(signature, equations, rules), tm
 
 
-def strip_casts(tm: TranslationMap, t: GroundTerm, cache: dict | None = None) -> GroundTerm:
+def strip_casts(tm: TranslationMap, t: GroundTerm) -> GroundTerm:
     """Invert a translated ground term: drop casts, restore names.
 
     Every well-formed translated term strips to a well-formed source
     term; composition with ``translate_term`` recovers the original up
-    to core equality.  One ``fold_term`` over ``cache``, a fresh dict
-    unless a caller that strips many terms passes one, so a constructor
-    that is not a translated name is reported children first, in postorder.
+    to core equality.  One ``fold_term`` over ``tm._strip_cache``, so a
+    node stripped once, in any call, is not stripped again, and a
+    constructor that is not a translated name is reported children
+    first, in postorder; a node that raised is not stored.
     """
-    return fold_term(t, {} if cache is None else cache, _itself, _strip_node, tm)
+    return fold_term(t, tm._strip_cache, _itself, _strip_node, tm)
 
 
 def _strip_node(tm: TranslationMap, t: GroundTerm, args: tuple) -> GroundTerm:

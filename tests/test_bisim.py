@@ -237,29 +237,31 @@ def test_misaligned_counterparts_fall_back_to_the_same_report(request, monkeypat
             assert replayed == len(mirrored) == aligned.steps_checked > 0
 
 
-def _replayed(os, t, constructor, args, sort):
+def _replayed(os, tm, application):
+    t, constructor, args, sort = application
     t = t or G(constructor, args)
-    return t, rule_redexes(os, t)
+    redexes = rule_redexes(os, t)
+    return (t, redexes, translate_term(tm, t), sort) if redexes else 0
 
 
 def _unsettled(monkeypatch):
     """Make the forward sweep replay the steps of every subject, as it
     would if its children's memo entries settled none of them."""
-    monkeypatch.setattr(bisim, "_settler", lambda os, ms, tm: partial(_replayed, os))
+    monkeypatch.setattr(bisim, "_settler", lambda os, ms, tm: partial(_replayed, os, tm))
 
 
 def _settle_outcomes(monkeypatch) -> list:
     """Collect ``(application, outcome)`` for each subject the forward
     sweep hands the settlement: the enumeration's ``(node, constructor,
     args, least sort)``, and a step count when it settled the subject,
-    else its node and the redex list the sweep replays."""
+    else the obligation the sweep replays, its node first."""
     settler, outcomes = bisim._settler, []
 
     def recording(os, ms, tm):
         settle = settler(os, ms, tm)
 
-        def recorded(*application):
-            found = settle(*application)
+        def recorded(application):
+            found = settle(application)
             outcomes.append((application, found))
             return found
 
@@ -437,10 +439,10 @@ def test_a_result_whose_sort_moves_needs_the_subject_s_plan(imp):
     settle = bisim._settler(imp, ms, tm)
     # The settlement takes the subject unbuilt, or built.
     unbuilt = (None, t.constructor, t.args, least_sort(imp.signature, t))
-    assert settle(*unbuilt) == settle(t, *unbuilt[1:]) == len(rule_redexes(imp, t)) == 1
+    assert settle(unbuilt) == settle((t, *unbuilt[1:])) == len(rule_redexes(imp, t)) == 1
     name, arg_sorts = tm._plans[moved]
     tm._plans[moved] = (name + "'", arg_sorts)
-    assert settle(*unbuilt) == (t, rule_redexes(imp, t))
+    assert settle(unbuilt) == (t, rule_redexes(imp, t), translate_term(tm, t), unbuilt[3])
 
 
 def test_only_subjects_with_a_root_step_are_replayed(imp_text, monkeypatch):
@@ -563,9 +565,10 @@ def test_forward_sweep_caches_match_a_cold_walk(imp_text, monkeypatch):
         settle, least = settler(os, ms, tm), os.signature._least_cache
         index = _rule_index(os)
 
-        def recorded(t, constructor, args, sort):
+        def recorded(application):
+            t, constructor, args, _ = application
             unsorted = t is None and _interned(constructor, args) not in least
-            found = settle(t, constructor, args, sort)
+            found = settle(application)
             if (unsorted and type(found) is int
                     and not index._root_candidates(constructor, args)):
                 settled.append(_interned(constructor, args) in least)

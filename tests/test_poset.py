@@ -14,6 +14,7 @@ from ostrans import (
     find_diamonds, validate_algebra,
 )
 from ostrans.poset import SortPoset, compute_canonical_paths
+from ostrans.translate import CastTable
 
 IMP_SORTS = ["nat", "int", "AExp", "Id", "bool", "BExp", "Block", "Stmt", "Map", "Pgm"]
 IMP_PAIRS = [
@@ -272,6 +273,20 @@ def test_choose_canonical_tie_breaks():
     assert choose_canonical(paths, "revlex") == ("n", "r", "A")
     with pytest.raises(ValueError):
         choose_canonical(paths, "sideways")
+
+
+@pytest.mark.parametrize("fixture", [None, "imp", "imp_real"])
+def test_a_bad_tie_break_is_refused_whatever_the_poset_s_shape(request, fixture):
+    # A one-sort poset has no related pair and ``imp.osa``'s is a single
+    # chain, so neither asks ``choose_canonical`` for a path; the tie-break
+    # is still refused, as on ``imp_real.osa``'s diamond.
+    poset = (build_poset(["a"], []) if fixture is None
+             else request.getfixturevalue(fixture).signature.poset)
+    for call in (lambda: find_diamonds(poset, "bogus"),
+                 lambda: compute_canonical_paths(poset, "bogus"),
+                 lambda: CastTable({}, poset, "bogus")):
+        with pytest.raises(ValueError, match="unknown tie_break 'bogus'"):
+            call()
 
 
 @st.composite

@@ -342,6 +342,26 @@ def test_strip_casts_reports_the_first_bad_constructor_in_postorder(imp_translat
         strip_casts(tm, G("bogusTop", (G("Cast_nat_to_int", (ZERO,)), ZERO)))
 
 
+def test_the_map_keeps_the_strip_cache(imp, count_calls):
+    # A term stripped once is not stripped again, in a later call too; a
+    # strip that raised stored nothing for the node that raised, so it
+    # raises again.
+    from ostrans.translate import _strip_node
+    _, tm = translate_algebra(imp)
+    t = G("+", (ZERO, G("-", (G("s", (ZERO,)),))))
+    u = translate_term(tm, t)
+    stripped = count_calls(_strip_node)
+    assert strip_casts(tm, u) is t
+    assert len(stripped) > 0
+    stripped.clear()
+    assert strip_casts(tm, u) is t
+    assert stripped == []
+    bad = G("bogus", (u,))
+    for _ in range(2):
+        with pytest.raises(IllFormedTerm, match="'bogus' is not a translated name"):
+            strip_casts(tm, bad)
+
+
 def test_map_and_signature_share_one_table(imp_real):
     ms, tm = translate_algebra(imp_real)
     assert tm.table is cast_table(ms) is cast_table(tm)
